@@ -87,9 +87,6 @@ class CommandApdu:
             return 1 if self.le is None else 2
         return 3 if self.le is None else 4
 
-    def header_hex(self) -> str:
-        return f"{self.cla:02X} {self.ins:02X} {self.p1:02X} {self.p2:02X}"
-
 
 @dataclass(frozen=True)
 class ResponseApdu:
@@ -376,11 +373,6 @@ class ProcedureState:
             self.status_sw1 = byte
             return StepResult(StepKind.STATUS_STARTED, sw1=byte)
         raise ProtocolViolation("ProcedureByte", f"byte {byte:02X} matches no procedure rule")
-
-
-def procedure_step(state: ProcedureState, byte: int) -> StepResult:
-    """Functional wrapper over :meth:`ProcedureState.step`."""
-    return state.step(byte)
 
 
 def ins_name(ins: int) -> str:

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from .errors import (
     AlreadyLeased,
+    BadRequest,
     BrokerError,
     InvalidIccid,
     NoMatch,
@@ -45,7 +46,6 @@ HEARTBEAT_WINDOW_MS = 60 * 1000
 
 STATUS_FREE = "Free"
 STATUS_LEASED = "Leased"
-STATUS_OFFLINE = "Offline"
 
 
 def now_ms() -> int:
@@ -60,12 +60,9 @@ class SimRecord:
     registered_at: int
     lease_id: Optional[str] = None
     last_leased_at: Optional[int] = None
-    offline: bool = False
 
     @property
     def status(self) -> str:
-        if self.offline:
-            return STATUS_OFFLINE
         return STATUS_LEASED if self.lease_id else STATUS_FREE
 
     def to_dict(self) -> dict:
@@ -128,7 +125,6 @@ class Registry:
         self.probes: Dict[str, ProbeRecord] = {}
         self.leases: Dict[str, Lease] = {}  # active only
         self._issued_lease_ids: Set[str] = set()
-        self._log_path = log_path
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
 
     # -- persistence ---------------------------------------------------------
@@ -160,7 +156,6 @@ class Registry:
                         registry._apply(json.loads(line))
         except FileNotFoundError:
             pass
-        registry._log_path = log_path
         registry._log_file = open(log_path, "a", encoding="utf-8")
         return registry
 
@@ -197,7 +192,6 @@ class Registry:
             sim.tags = set(tags)
             sim.provider_endpoint = provider_endpoint
             sim.registered_at = ts
-            sim.offline = False
         return sim
 
     def _upsert_probe(self, ts: int, probe_id: str, location_tag: str) -> ProbeRecord:
@@ -244,7 +238,7 @@ class Registry:
 
     def register_probe(self, probe_id: str, location_tag: str = "") -> ProbeRecord:
         if not probe_id:
-            raise BrokerError("empty probe_id")
+            raise BadRequest("empty probe_id")
         with self._lock:
             ts = self._clock()
             probe = self._upsert_probe(ts, probe_id, location_tag)
@@ -260,6 +254,8 @@ class Registry:
         Among multiple free matches the least-recently-leased SIM wins,
         ties broken by the lexicographically lowest ICCID.
         """
+        if duration_ms is not None and duration_ms <= 0:
+            raise BadRequest(f"duration_ms must be positive, got {duration_ms}")
         with self._lock:
             now = self._clock()
             self._sweep(now)  # expiry frees atomically w.r.t. this request
@@ -270,7 +266,7 @@ class Registry:
                 raise ProbeStale(f"last heartbeat {now - probe.last_heartbeat} ms ago")
             if iccid is not None:
                 sim = self.sims.get(iccid)
-                if sim is None or sim.offline:
+                if sim is None:
                     raise NoMatch(f"no SIM {iccid}")
                 if sim.lease_id is not None:
                     raise AlreadyLeased(iccid)
@@ -289,7 +285,8 @@ class Registry:
                 iccid=sim.iccid,
                 probe_id=probe_id,
                 granted_at=now,
-                expires_at=now + (duration_ms or self.lease_ms),
+                expires_at=now + (self.lease_ms if duration_ms is None
+                                  else duration_ms),
                 token=secrets.token_hex(16),
             )
             sim.lease_id = lease.lease_id
@@ -314,12 +311,6 @@ class Registry:
         """Free every lease with expires_at <= now; returns freed ICCIDs."""
         with self._lock:
             return self._sweep(self._clock() if now is None else now)
-
-    def mark_offline(self, iccid: str):
-        with self._lock:
-            sim = self.sims.get(iccid)
-            if sim is not None:
-                sim.offline = True
 
     def list_state(self) -> dict:
         with self._lock:
@@ -353,7 +344,6 @@ class BrokerServer:
         self.token = token
         self._sock = socket.create_server((host, port))
         self.address = self._sock.getsockname()
-        self._threads: List[threading.Thread] = []
         self._accept_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
 
@@ -384,11 +374,9 @@ class BrokerServer:
                 conn, peer = self._sock.accept()
             except OSError:
                 break
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._serve_client, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            ).start()
 
     def _serve_client(self, conn: socket.socket):
         with conn, conn.makefile("rwb") as stream:
@@ -405,12 +393,17 @@ class BrokerServer:
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            return {"ok": False, "error": "BadRequest", "detail": str(exc)}
+            return {"ok": False, "error": BadRequest.code, "detail": str(exc)}
+        if not isinstance(doc, dict):
+            return {"ok": False, "error": BadRequest.code,
+                    "detail": "request is not a JSON object"}
         if doc.get("token") != self.token:
             return {"ok": False, "error": "BadToken"}
         op = doc.get("op")
         body = doc.get("body", {})
         try:
+            if not isinstance(body, dict):
+                raise BadRequest("body is not a JSON object")
             return {"ok": True, **self._dispatch(op, body)}
         except BrokerError as exc:
             return {"ok": False, "error": exc.code, "detail": exc.detail}
@@ -418,30 +411,43 @@ class BrokerServer:
     def _dispatch(self, op: str, body: dict) -> dict:
         reg = self.registry
         if op == "register_sim":
-            sim = reg.register_sim(body["iccid"], body.get("tags", []),
-                                   body.get("provider_endpoint", ""))
+            sim = reg.register_sim(_field(body, "iccid", str, required=True),
+                                   _field(body, "tags", list) or [],
+                                   _field(body, "provider_endpoint", str) or "")
             return {"sim": sim.to_dict()}
         if op == "register_probe":
-            probe = reg.register_probe(body["probe_id"],
-                                       body.get("location_tag", ""))
+            probe = reg.register_probe(_field(body, "probe_id", str, required=True),
+                                       _field(body, "location_tag", str) or "")
             return {"probe": probe.to_dict()}
         if op == "request_lease":
             lease = reg.request_lease(
-                body["probe_id"],
-                iccid=body.get("iccid"),
-                tags=body.get("tags"),
-                duration_ms=body.get("duration_ms"),
+                _field(body, "probe_id", str, required=True),
+                iccid=_field(body, "iccid", str),
+                tags=_field(body, "tags", list),
+                duration_ms=_field(body, "duration_ms", int),
             )
             endpoint = reg.sims[lease.iccid].provider_endpoint
             return {"lease": lease.to_dict(), "provider_endpoint": endpoint}
         if op == "release":
-            released = reg.release(body["lease_id"])
+            released = reg.release(_field(body, "lease_id", str, required=True))
             return {"released": released}
         if op == "expire_sweep":
-            return {"freed": reg.expire_sweep(body.get("now"))}
+            return {"freed": reg.expire_sweep(_field(body, "now", int))}
         if op == "list":
             return reg.list_state()
-        raise BrokerError(f"unknown op {op!r}")
+        raise BadRequest(f"unknown op {op!r}")
+
+
+def _field(body: dict, name: str, kind: type, required: bool = False):
+    """``body[name]`` checked against its JSON type (a list holds strings);
+    an optional field that is absent or null reads as None."""
+    value = body.get(name)
+    if value is None and not required:
+        return None
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or kind is list and not all(isinstance(v, str) for v in value)):
+        raise BadRequest(f"field {name!r} is missing or not a {kind.__name__}")
+    return value
 
 
 class BrokerRequestError(BrokerError):

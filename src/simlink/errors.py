@@ -40,7 +40,8 @@ class Oversize(CodecError):
 class ProtocolViolation(SimlinkError):
     """The peer broke the link discipline; the session is unrecoverable.
 
-    ``kind`` is one of ``AlternationBroken``, ``SeqGap``, ``UnknownType``.
+    ``kind`` is one of ``AlternationBroken``, ``SeqGap``, ``UnknownType``,
+    ``ProcedureByte``.
     """
 
     def __init__(self, kind: str, detail: str = ""):
@@ -61,6 +62,13 @@ class BrokerError(SimlinkError):
     def __init__(self, detail: str = ""):
         self.detail = detail
         super().__init__(f"{self.code}: {detail}" if detail else self.code)
+
+
+class BadRequest(BrokerError):
+    """A control request is not JSON, lacks a field, or has one of the
+    wrong type or out of range."""
+
+    code = "BadRequest"
 
 
 class InvalidIccid(BrokerError):

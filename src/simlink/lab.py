@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import random
 import statistics
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from typing import List, Optional, Sequence
 from .apdu import CommandApdu
 from .modem import ModemSim, Phase, Timing, default_script
 from .vsim import Card, SimProfile, demo_profile
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_NULL_INTERVAL_MS = 100.0
 

@@ -11,7 +11,6 @@ front-end would feed a hardware modem.
 from __future__ import annotations
 
 import json
-import logging
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -31,11 +30,9 @@ from .apdu import (
     StepKind,
     classify_status,
 )
-from .errors import AuthFailed, TimeoutExpired
+from .errors import AuthFailed, ProtocolViolation, TimeoutExpired
 from .tracer import Tracer
 from .vsim import USIM_AID, decode_iccid, decode_imsi, verify_aka_response
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_WAITING_TIME_MS = 300.0
 
@@ -158,6 +155,15 @@ class ModemSim:
         return runner.run()
 
 
+def _expect_step(state: ProcedureState, byte: int, expected: StepKind):
+    kind = state.step(byte).kind
+    if kind is not expected:
+        raise ProtocolViolation(
+            "ProcedureByte",
+            f"byte {byte:02X} read as {kind.value}, expected {expected.value}",
+        )
+
+
 class _SessionRun:
     """State for one session execution."""
 
@@ -228,9 +234,9 @@ class _SessionRun:
         # response itself (the pair is already complete at APDU level).
         state = ProcedureState(cmd.ins)
         for _ in timing.nulls:
-            assert state.step(0x60).kind is StepKind.WAITED
-        assert state.step(cmd.ins).kind is StepKind.TRANSFER_ALL
-        assert state.step(resp.sw1).kind is StepKind.STATUS_STARTED
+            _expect_step(state, 0x60, StepKind.WAITED)
+        _expect_step(state, cmd.ins, StepKind.TRANSFER_ALL)
+        _expect_step(state, resp.sw1, StepKind.STATUS_STARTED)
 
     def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
         resp, timing = self.link.exchange(cmd)

@@ -29,6 +29,7 @@ from .tunnel import (
     EmitFrame,
     Established,
     FrameDecoder,
+    KeepaliveAcked,
     ResetIndication,
     Role,
     Session,
@@ -61,6 +62,12 @@ class FrameChannel:
         self.sock.sendall(
             frame_encode(frame.msg_type, frame.session_id, frame.seq, frame.payload)
         )
+
+    def emit(self, actions):
+        """Send the frames among a session machine's actions, in order."""
+        for action in actions:
+            if isinstance(action, EmitFrame):
+                self.send(action.frame)
 
     def recv(self) -> Optional[TunnelFrame]:
         """Next frame, or None at end of stream."""
@@ -106,7 +113,9 @@ class ProviderSession:
                 frame = self.channel.recv()
                 if frame is None:
                     break
-                for action in self.session.on_frame(frame, wall_ms()):
+                actions = self.session.on_frame(frame, wall_ms())
+                self.channel.emit(actions)
+                for action in actions:
                     self._run_action(action)
         finally:
             self._finalize_trace()
@@ -128,13 +137,11 @@ class ProviderSession:
         return now - self._t0
 
     def _run_action(self, action):
-        if isinstance(action, EmitFrame):
-            self.channel.send(action.frame)
-        elif isinstance(action, Established):
+        if isinstance(action, Established):
             self._open_trace()
         elif isinstance(action, ResetIndication):
             atr = self.card.reset()
-            self._emit_all(self.session.send_atr(atr.to_bytes()))
+            self.channel.emit(self.session.send_atr(atr.to_bytes()))
         elif isinstance(action, DeliverCommand):
             self._relay(action.command)
         elif isinstance(action, Violation):
@@ -164,12 +171,7 @@ class ProviderSession:
             self.tracer.response(self._now(), outcome.response, command=cmd,
                                  rule_id=outcome.rule_id,
                                  original=outcome.original)
-        self._emit_all(self.session.send_response(outcome.response))
-
-    def _emit_all(self, actions):
-        for action in actions:
-            if isinstance(action, EmitFrame):
-                self.channel.send(action.frame)
+        self.channel.emit(self.session.send_response(outcome.response))
 
 
 class ProviderServer:
@@ -186,22 +188,15 @@ class ProviderServer:
         self._sock = socket.create_server((host, port))
         self.address = self._sock.getsockname()
         self._stopping = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
-        self.sessions: List[ProviderSession] = []
 
     @property
     def endpoint(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
     def start(self):
-        self._accept_thread = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name="provider-accept", daemon=True
-        )
-        self._accept_thread.start()
-
-    def serve_forever(self):
-        self.start()
-        self._accept_thread.join()
+        ).start()
 
     def stop(self):
         self._stopping.set()
@@ -221,7 +216,6 @@ class ProviderServer:
                 FrameChannel(conn), self.profile, self.token,
                 rewriter=Rewriter(self.rules), trace_dir=self.trace_dir,
             )
-            self.sessions.append(session)
             threading.Thread(target=session.serve, daemon=True).start()
 
 
@@ -252,13 +246,13 @@ class ProbeLink:
     # -- handshake / teardown ------------------------------------------------
 
     def connect(self):
-        self._emit_all(self.session.start())
+        self.channel.emit(self.session.start())
         self._pump_until(Established)
         return self
 
     def close(self):
         try:
-            self._emit_all(self.session.send_close())
+            self.channel.emit(self.session.send_close())
         except OSError:
             pass
         self.channel.close()
@@ -267,13 +261,13 @@ class ProbeLink:
 
     def reset(self):
         start = wall_ms()
-        self._emit_all(self.session.send_reset())
+        self.channel.emit(self.session.send_reset())
         delivered = self._pump_until(DeliverAtr)
         return delivered.atr, Timing(start, (), wall_ms())
 
     def exchange(self, cmd: CommandApdu):
         start = wall_ms()
-        self._emit_all(self.session.send_command(cmd))
+        self.channel.emit(self.session.send_command(cmd))
         delivered = self._pump_until(DeliverResponse)
         return delivered.response, Timing(start, (), wall_ms())
 
@@ -281,23 +275,18 @@ class ProbeLink:
         time.sleep(ms / 1000.0)
 
     def keepalive_roundtrip(self) -> float:
-        self._emit_all(self.session.send_keepalive(wall_ms()))
-        self._pump_until_keepalive_ack()
+        self.channel.emit(self.session.send_keepalive(wall_ms()))
+        self._pump_until(KeepaliveAcked)
         return self.session.rtt_estimate()
 
     # -- pump -------------------------------------------------------------------
-
-    def _emit_all(self, actions):
-        for action in actions:
-            if isinstance(action, EmitFrame):
-                self.channel.send(action.frame)
 
     def _dispatch(self) -> List:
         frame = self.channel.recv()
         if frame is None:
             raise LinkClosed("stream ended")
         actions = self.session.on_frame(frame, wall_ms())
-        self._emit_all(actions)
+        self.channel.emit(actions)
         for action in actions:
             if isinstance(action, Violation):
                 raise ProtocolViolation(action.kind, action.detail)
@@ -310,16 +299,3 @@ class ProbeLink:
             for action in self._dispatch():
                 if isinstance(action, action_type):
                     return action
-
-    def _pump_until_keepalive_ack(self):
-        before = len(self.session.rtt_samples)
-        while len(self.session.rtt_samples) == before:
-            self._dispatch()
-
-
-def serve_provider_in_thread(profile: SimProfile, token: str,
-                             **kwargs) -> ProviderServer:
-    """Start a provider on an ephemeral port; convenience for tests/CLI."""
-    server = ProviderServer(profile, token, **kwargs)
-    server.start()
-    return server

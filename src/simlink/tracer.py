@@ -19,7 +19,6 @@ One tracer serves one session and its sink is exclusive to it.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, List, Optional, Tuple, Union
@@ -35,8 +34,6 @@ from .apdu import (
     encode_command,
     ins_name,
 )
-
-logger = logging.getLogger(__name__)
 
 DIR_MODEM_TO_SIM = "m2s"
 DIR_SIM_TO_MODEM = "s2m"
@@ -222,26 +219,6 @@ def rule_from_dict(doc: dict) -> RewriteRule:
 
 def rules_from_json(text: str) -> List[RewriteRule]:
     return [rule_from_dict(doc) for doc in json.loads(text)]
-
-
-def apply_rewrites(
-    rules: List[RewriteRule], item: Union[CommandApdu, ResponseApdu]
-) -> Tuple[Union[CommandApdu, ResponseApdu], Optional[str]]:
-    """First matching rule wins; unmatched values pass unmodified.
-
-    Commands are never content-modified (a matching drop rule is acted on
-    by the relay, which synthesizes the drop status toward the modem);
-    the matched rule id is still reported for attribution.
-    """
-    if isinstance(item, CommandApdu):
-        for rule in rules:
-            if rule.matches_command(item):
-                return item, rule.rule_id
-        return item, None
-    for rule in rules:
-        if rule.matches_response(item):
-            return rule.apply_to_response(item), rule.rule_id
-    return item, None
 
 
 @dataclass(frozen=True)

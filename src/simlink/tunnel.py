@@ -37,7 +37,6 @@ HEADER_LEN = 14
 PAYLOAD_MAX = 4096
 
 RTT_WINDOW = 16
-KEEPALIVE_INTERVAL_MS = 1000.0
 
 
 class MessageType(enum.IntEnum):
@@ -184,6 +183,11 @@ class DeliverResponse:
 
 
 @dataclass(frozen=True)
+class KeepaliveAcked:
+    """The peer echoed a keepalive; its round trip is in ``rtt_samples``."""
+
+
+@dataclass(frozen=True)
 class Violation:
     kind: str
     detail: str
@@ -196,7 +200,7 @@ class Closed:
 
 Action = Union[
     EmitFrame, Established, ResetIndication, DeliverAtr,
-    DeliverCommand, DeliverResponse, Violation, Closed,
+    DeliverCommand, DeliverResponse, KeepaliveAcked, Violation, Closed,
 ]
 
 _IN_FLIGHT_APDU = "apdu"
@@ -218,10 +222,8 @@ class Session:
     phase: Phase = Phase.AWAIT_HELLO
     in_flight: Optional[Tuple[str, int]] = None
     rtt_samples: List[Tuple[float, float]] = field(default_factory=list)
-    keepalive_interval_ms: float = KEEPALIVE_INTERVAL_MS
     _send_seq: int = 0
     _recv_seq: int = 0
-    _last_keepalive_ms: Optional[float] = None
     close_reason: Optional[str] = None
 
     # -- emission helpers ----------------------------------------------------
@@ -278,19 +280,11 @@ class Session:
         return [self._emit(MessageType.ATR_IND, atr)]
 
     def send_keepalive(self, now_ms: float) -> List[Action]:
+        """The payload is the send time in integer microseconds; the peer
+        echoes it verbatim, so sub-millisecond round trips stay visible."""
         self._require(Phase.ESTABLISHED)
-        self._last_keepalive_ms = now_ms
-        payload = int(now_ms).to_bytes(8, "big")
+        payload = round(now_ms * 1000).to_bytes(8, "big")
         return [self._emit(MessageType.KEEPALIVE, payload)]
-
-    def on_timer(self, now_ms: float) -> List[Action]:
-        """Periodic tick: emits a keepalive once per cadence interval."""
-        if self.phase is not Phase.ESTABLISHED:
-            return []
-        if (self._last_keepalive_ms is not None
-                and now_ms - self._last_keepalive_ms < self.keepalive_interval_ms):
-            return []
-        return self.send_keepalive(now_ms)
 
     def send_close(self) -> List[Action]:
         if self.phase is Phase.CLOSED:
@@ -357,10 +351,10 @@ class Session:
             return [self._emit(MessageType.KEEPALIVE_ACK, frame.payload)]
         if msg_type is MessageType.KEEPALIVE_ACK:
             if len(frame.payload) == 8:
-                sent_at = int.from_bytes(frame.payload, "big")
-                self.rtt_samples.append((float(sent_at), float(now_ms)))
-                del self.rtt_samples[:-64]
-            return []
+                sent_at = int.from_bytes(frame.payload, "big") / 1000
+                self.rtt_samples.append((sent_at, float(now_ms)))
+                del self.rtt_samples[:-RTT_WINDOW]
+            return [KeepaliveAcked()]
         if msg_type is MessageType.RESET:
             if self.role is not Role.PROVIDER:
                 return self._violate("AlternationBroken", "Reset toward the probe")
@@ -415,5 +409,4 @@ class Session:
         """Median round-trip over the last up-to-16 keepalive samples."""
         if not self.rtt_samples:
             raise NoSamples("no completed keepalive round-trip yet")
-        window = self.rtt_samples[-RTT_WINDOW:]
-        return statistics.median(acked - sent for sent, acked in window)
+        return statistics.median(acked - sent for sent, acked in self.rtt_samples)

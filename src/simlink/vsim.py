@@ -126,13 +126,7 @@ def encode_imsi(imsi: str) -> bytes:
     nibble-swapped, padded with 0xF, and the file is padded to 9 octets
     with 0xFF.
     """
-    nibbles = "9" + imsi
-    if len(nibbles) % 2:
-        nibbles += "F"
-    packed = bytes(
-        (int(nibbles[i + 1], 16) << 4) | int(nibbles[i], 16)
-        for i in range(0, len(nibbles), 2)
-    )
+    packed = swap_nibbles_bcd("9" + imsi, (len(imsi) + 2) // 2)
     body = bytes([len(packed)]) + packed
     return body + b"\xFF" * (9 - len(body))
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import socket
 import threading
 
 import pytest
@@ -290,6 +291,14 @@ class TestPersistence:
                                "release", "expire"}
 
 
+def raw_request(server, doc) -> dict:
+    """Send one control line as given, bypassing the client's framing."""
+    with socket.create_connection(server.address, timeout=5) as conn:
+        conn.sendall((json.dumps(doc) + "\n").encode())
+        with conn.makefile("rb") as stream:
+            return json.loads(stream.readline())
+
+
 class TestControlApi:
     @pytest.fixture()
     def server(self):
@@ -320,6 +329,22 @@ class TestControlApi:
         with pytest.raises(BrokerRequestError) as err:
             client.request("request_lease", {"probe_id": "p1", "tags": ["XX"]})
         assert err.value.code == "NoMatch"
+        # A missing, mistyped or out-of-range field is the client's fault.
+        for op, body in [
+            ("release", {}),
+            ("request_lease", []),
+            ("request_lease", {"probe_id": "p1", "duration_ms": "10"}),
+            ("request_lease", {"probe_id": "p1", "duration_ms": 0}),
+            ("request_lease", {"probe_id": "p1", "duration_ms": -5}),
+            ("request_lease", {"probe_id": "p1", "tags": [["AT"]]}),
+            ("register_sim", {"iccid": 8943019900000000018}),
+            ("register_probe", {"probe_id": None}),
+            ("register_probe", {"probe_id": ""}),
+            ("no_such_op", {}),
+        ]:
+            line = {"op": op, "token": TOKEN, "body": body}
+            assert raw_request(server, line)["error"] == "BadRequest", (op, body)
+        assert raw_request(server, [TOKEN])["error"] == "BadRequest"
 
     def test_bad_token_refused(self, server):
         client = BrokerClient(server.endpoint, "wrong")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from simlink.apdu import ResponseApdu
 from simlink.lab import (
     DelayModel,
     StallPolicy,
@@ -13,7 +14,7 @@ from simlink.lab import (
     render_table,
     run_one,
 )
-from simlink.modem import ModemSim, Phase, default_script
+from simlink.modem import ModemSim, Phase, Timing, default_script
 from simlink.tracer import Tracer, detect_silent_sms
 from simlink.vsim import Card, demo_profile
 
@@ -56,6 +57,22 @@ class TestRunSession:
         report = modem.run(zero_delay_link(profile))
         assert report.failure is not None and "AuthFailed" in report.failure
         assert report.aka_ok is False
+
+    def test_non_status_sw1_is_a_protocol_violation(self):
+        class NullStatusLink:
+            """Answers every command with SW1 60, a NULL, not a status byte."""
+
+            def reset(self):
+                return bytes.fromhex(demo_profile().atr_hex), Timing(0.0, (), 0.0)
+
+            def exchange(self, cmd):
+                return ResponseApdu(b"", 0x60, 0x00), Timing(0.0, (), 0.0)
+
+            def idle(self, ms):
+                pass
+
+        report = verified_modem().run(NullStatusLink())
+        assert report.failure.startswith("ProtocolViolation")
 
     def test_trace_has_one_silent_sms_and_conservation(self):
         tracer = Tracer(session_id=1)

@@ -55,6 +55,13 @@ class TestLoopback:
         assert 0 <= rtt < 5.0
         link.close()
 
+    def test_keepalive_roundtrips_past_the_sample_window(self, provider):
+        # rtt_samples is bounded; every round trip must still see its ack.
+        link = ProbeLink(provider.endpoint, TOKEN, timeout_s=1.0).connect()
+        for _ in range(70):
+            assert link.keepalive_roundtrip() >= 0
+        link.close()
+
     def test_full_modem_script_over_tcp(self, provider, tmp_path):
         profile = demo_profile()
         modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)

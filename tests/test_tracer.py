@@ -24,7 +24,6 @@ from simlink.tracer import (
     Rewriter,
     TraceEvent,
     Tracer,
-    apply_rewrites,
     decode_event,
     detect_silent_sms,
     read_trace,
@@ -236,6 +235,10 @@ class TestDetectSilentSms:
             assert {events.index(e) for e in flagged} == oracle_pairing(events)
 
 
+# Only response rules appear where this command is used, so no command
+# rule matches it and the response rules decide the outcome.
+READ_ICCID = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=10)
+
 ICCID_RULE_JSON = """
 [
   {"rule_id": "iccid-swap",
@@ -272,13 +275,15 @@ class TestRewrites:
 
     def test_empty_rule_list_is_identity(self):
         resp = ResponseApdu(b"\x98\x10", 0x90, 0x00)
-        assert apply_rewrites([], resp) == (resp, None)
+        outcome = Rewriter([]).process(READ_ICCID, lambda cmd: resp)
+        assert (outcome.response, outcome.rule_id) == (resp, None)
 
     def test_replace_response_data(self):
         rules = rules_from_json(ICCID_RULE_JSON)
         resp = ResponseApdu(bytes.fromhex("981032547698103254F5"), 0x90, 0x00)
-        new, rule_id = apply_rewrites(rules, resp)
-        assert rule_id == "iccid-swap"
+        outcome = Rewriter(rules).process(READ_ICCID, lambda cmd: resp)
+        new = outcome.response
+        assert outcome.rule_id == "iccid-swap"
         assert new.data == bytes.fromhex("98103254769810325476")
         assert (new.sw1, new.sw2) == (0x90, 0x00)
 
@@ -290,13 +295,15 @@ class TestRewrites:
                         sw=(0x6F, 0x00)),
         ]
         resp = ResponseApdu(b"", 0x90, 0x00)
-        new, rule_id = apply_rewrites(rules, resp)
-        assert rule_id == "first" and (new.sw1, new.sw2) == (0x6A, 0x82)
+        outcome = Rewriter(rules).process(READ_ICCID, lambda cmd: resp)
+        new = outcome.response
+        assert outcome.rule_id == "first" and (new.sw1, new.sw2) == (0x6A, 0x82)
 
     def test_unmatched_passes_unmodified(self):
         rules = rules_from_json(ICCID_RULE_JSON)
         resp = ResponseApdu(b"\x01\x02", 0x90, 0x00)
-        assert apply_rewrites(rules, resp) == (resp, None)
+        outcome = Rewriter(rules).process(READ_ICCID, lambda cmd: resp)
+        assert (outcome.response, outcome.rule_id) == (resp, None)
 
     def test_drop_synthesizes_6d00_and_skips_card(self):
         calls = []

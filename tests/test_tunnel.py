@@ -294,16 +294,12 @@ class TestKeepaliveRtt:
         with pytest.raises(NoSamples):
             probe.rtt_estimate()
 
-    def test_timer_respects_one_second_cadence(self):
+    def test_sub_millisecond_round_trip(self):
         probe, provider = establish_pair()
-        assert len(probe.on_timer(now_ms=0)) == 1       # first tick fires
-        assert probe.on_timer(now_ms=400) == []          # within the interval
-        assert probe.on_timer(now_ms=999) == []
-        assert len(probe.on_timer(now_ms=1000)) == 1     # cadence elapsed
-
-    def test_timer_quiet_before_established(self):
-        probe = Session(Role.PROBE, TOKEN, session_id=5)
-        assert probe.on_timer(now_ms=0) == []
+        ka = only_frame(probe.send_keepalive(now_ms=0.25))
+        ack = only_frame(provider.on_frame(ka))
+        probe.on_frame(ack, now_ms=0.41)
+        assert probe.rtt_estimate() == pytest.approx(0.16)
 
     def test_keepalive_interleaves_with_in_flight(self):
         probe, provider = establish_pair()
