@@ -4,7 +4,8 @@ The registry is one logical state machine: every public call serializes
 through a single lock, so concurrent requests observe atomic grant /
 release / expiry transitions and at most one active lease exists per
 ICCID at any instant. Handlers never touch the network while holding the
-lock.
+lock. Free SIMs and lease expiries are indexed by heaps, so a grant, a
+release and an expiry sweep cost O(log n) amortized in the fleet size.
 
 State changes append JSON lines to an optional log file, flushed per
 event; replaying the log reconstructs the registry after a crash, with
@@ -15,18 +16,20 @@ The control API is newline-delimited JSON over TCP:
     {"op": "register_sim", "token": "...", "body": {...}}\n
 
 answered by ``{"ok": true, ...}`` or ``{"ok": false, "error": "NoMatch"}``.
+One connection carries any number of requests, answered in order.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import secrets
 import socket
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import (
     AlreadyLeased,
@@ -47,12 +50,18 @@ HEARTBEAT_WINDOW_MS = 60 * 1000
 STATUS_FREE = "Free"
 STATUS_LEASED = "Leased"
 
+# A heap is re-heapified from its live entries once it holds more than
+# twice as many entries as are live, plus this slack.
+HEAP_SLACK = 64
+
+RECV_BYTES = 65536
+
 
 def now_ms() -> int:
     return int(time.time() * 1000)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimRecord:
     iccid: str
     tags: Set[str]
@@ -60,6 +69,9 @@ class SimRecord:
     registered_at: int
     lease_id: Optional[str] = None
     last_leased_at: Optional[int] = None
+    # Bumped whenever the SIM leaves the free set or changes tags, so the
+    # free-index entries pushed before then can never come back to life.
+    index_gen: int = field(default=0, repr=False, compare=False)
 
     @property
     def status(self) -> str:
@@ -76,7 +88,7 @@ class SimRecord:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeRecord:
     probe_id: str
     location_tag: str
@@ -90,7 +102,7 @@ class ProbeRecord:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Lease:
     lease_id: str
     iccid: str
@@ -110,8 +122,21 @@ class Lease:
         }
 
 
+# A free-index entry: the grant order key (last lease time or -1, then
+# ICCID) and the SIM's index_gen when the entry was pushed.
+FreeEntry = Tuple[int, str, int]
+
+
 class Registry:
-    """In-memory registry with an append-only event log."""
+    """In-memory registry with an append-only event log.
+
+    Free SIMs are indexed by one heap per tag plus one heap (key None)
+    over every free SIM, active leases by a heap of expiry times. Both use
+    lazy deletion: a free entry is live while its SIM's ``index_gen`` still
+    equals the one it was pushed with (the SIM is still free and has kept
+    its tags, hence its key), an expiry entry while its lease is active.
+    The indexes are derived state; replay rebuilds them.
+    """
 
     def __init__(self, log_path: Optional[str] = None,
                  clock: Callable[[], int] = now_ms,
@@ -125,6 +150,9 @@ class Registry:
         self.probes: Dict[str, ProbeRecord] = {}
         self.leases: Dict[str, Lease] = {}  # active only
         self._issued_lease_ids: Set[str] = set()
+        self._free_heaps: Dict[Optional[str], List[FreeEntry]] = {}
+        self._free_live: Dict[Optional[str], int] = {}  # live entries per heap
+        self._expiries: List[Tuple[int, str]] = []
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
 
     # -- persistence ---------------------------------------------------------
@@ -167,13 +195,7 @@ class Registry:
         elif event == "register_probe":
             self._upsert_probe(ts, body["probe_id"], body["location_tag"])
         elif event == "lease":
-            lease = Lease(**body)
-            self.leases[lease.lease_id] = lease
-            self._issued_lease_ids.add(lease.lease_id)
-            sim = self.sims.get(lease.iccid)
-            if sim is not None:
-                sim.lease_id = lease.lease_id
-                sim.last_leased_at = lease.granted_at
+            self._grant(Lease(**body))
         elif event == "release":
             self._free(body["lease_id"])
         elif event == "expire":
@@ -188,8 +210,15 @@ class Registry:
         if sim is None:
             sim = SimRecord(iccid, set(tags), provider_endpoint, ts)
             self.sims[iccid] = sim
+            self._index(sim)
         else:
-            sim.tags = set(tags)
+            if sim.tags != tags:
+                free = sim.lease_id is None
+                if free:
+                    self._unindex(sim)
+                sim.tags = set(tags)
+                if free:
+                    self._index(sim)
             sim.provider_endpoint = provider_endpoint
             sim.registered_at = ts
         return sim
@@ -204,16 +233,34 @@ class Registry:
             probe.last_heartbeat = ts
         return probe
 
+    def _grant(self, lease: Lease):
+        self.leases[lease.lease_id] = lease
+        self._issued_lease_ids.add(lease.lease_id)
+        heapq.heappush(self._expiries, (lease.expires_at, lease.lease_id))
+        self._compact_expiries()
+        sim = self.sims.get(lease.iccid)
+        if sim is not None:
+            if sim.lease_id is None:
+                self._unindex(sim)
+            sim.lease_id = lease.lease_id
+            sim.last_leased_at = lease.granted_at
+
     def _free(self, lease_id: str):
         lease = self.leases.pop(lease_id, None)
         if lease is None:
             return
+        self._compact_expiries()
         sim = self.sims.get(lease.iccid)
         if sim is not None and sim.lease_id == lease_id:
             sim.lease_id = None
+            self._index(sim)
 
     def _sweep(self, now: int) -> List[str]:
-        expired = [l.lease_id for l in self.leases.values() if l.expires_at <= now]
+        expired = []
+        while self._expiries and self._expiries[0][0] <= now:
+            lease_id = heapq.heappop(self._expiries)[1]
+            if lease_id in self.leases:
+                expired.append(lease_id)
         freed = []
         for lease_id in expired:
             freed.append(self.leases[lease_id].iccid)
@@ -221,6 +268,61 @@ class Registry:
         if expired:
             self._append("expire", {"lease_ids": expired})
         return freed
+
+    def _index(self, sim: SimRecord):
+        """Push a free SIM into the heaps of its tags and the all-free heap."""
+        entry = (sim.last_leased_at or -1, sim.iccid, sim.index_gen)
+        for key in (None, *sim.tags):
+            heapq.heappush(self._free_heaps.setdefault(key, []), entry)
+            self._free_live[key] = self._free_live.get(key, 0) + 1
+            self._compact_free(key)
+
+    def _unindex(self, sim: SimRecord):
+        """Kill every index entry of a free SIM about to be leased or retagged."""
+        sim.index_gen += 1
+        for key in (None, *sim.tags):
+            self._free_live[key] -= 1
+            self._compact_free(key)
+
+    def _compact_free(self, key: Optional[str]):
+        heap = self._free_heaps[key]
+        if len(heap) > 2 * self._free_live[key] + HEAP_SLACK:
+            sims = self.sims
+            heap[:] = [e for e in heap if sims[e[1]].index_gen == e[2]]
+            heapq.heapify(heap)
+
+    def _compact_expiries(self):
+        if len(self._expiries) > 2 * len(self.leases) + HEAP_SLACK:
+            self._expiries[:] = [(l.expires_at, l.lease_id)
+                                 for l in self.leases.values()]
+            heapq.heapify(self._expiries)
+
+    def _pick_free(self, wanted: Set[str]) -> Optional[SimRecord]:
+        """The least recently leased free SIM carrying every wanted tag,
+        lowest ICCID first; None when no free SIM matches.
+
+        Walks the heap of the rarest wanted tag, dropping dead entries and
+        setting aside live ones that lack another wanted tag.
+        """
+        key = min(wanted, key=lambda t: self._free_live.get(t, 0)) if wanted else None
+        heap = self._free_heaps.get(key)
+        if not heap:
+            return None
+        sims = self.sims
+        skipped = []
+        found = None
+        while heap:
+            entry = heapq.heappop(heap)
+            sim = sims[entry[1]]
+            if sim.index_gen != entry[2]:
+                continue
+            if wanted <= sim.tags:
+                found = sim
+                break
+            skipped.append(entry)
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return found
 
     # -- public operations -----------------------------------------------------
 
@@ -272,14 +374,9 @@ class Registry:
                     raise AlreadyLeased(iccid)
             else:
                 wanted = set(tags or ())
-                candidates = [
-                    s for s in self.sims.values()
-                    if s.status == STATUS_FREE and wanted <= s.tags
-                ]
-                if not candidates:
+                sim = self._pick_free(wanted)
+                if sim is None:
                     raise NoMatch(f"no free SIM with tags {sorted(wanted)}")
-                candidates.sort(key=lambda s: (s.last_leased_at or -1, s.iccid))
-                sim = candidates[0]
             lease = Lease(
                 lease_id=secrets.token_hex(8),
                 iccid=sim.iccid,
@@ -289,10 +386,7 @@ class Registry:
                                   else duration_ms),
                 token=secrets.token_hex(16),
             )
-            sim.lease_id = lease.lease_id
-            sim.last_leased_at = now
-            self.leases[lease.lease_id] = lease
-            self._issued_lease_ids.add(lease.lease_id)
+            self._grant(lease)
             self._append("lease", lease.to_dict())
             return lease
 
@@ -459,26 +553,77 @@ class BrokerRequestError(BrokerError):
 
 
 class BrokerClient:
-    """One-shot request client for the control API."""
+    """Control-API client that carries all its requests on one connection.
+
+    The connection opens with the first request and stays open until
+    ``close()`` or the end of a ``with`` block. When a reused connection
+    fails before any byte of the reply arrives (the broker restarted, or
+    dropped the idle connection), the request is sent once more on a fresh
+    connection. ``request_lease`` is the exception and raises
+    ``BrokerError``: the broker may have granted the lease before the
+    connection died. A failure on a fresh connection is never retried.
+    One client serves one thread at a time.
+    """
 
     def __init__(self, endpoint: str, token: str, timeout: float = 5.0):
         host, _, port = endpoint.rpartition(":")
         self.address = (host or "127.0.0.1", int(port))
         self.token = token
         self.timeout = timeout
+        self._conn: Optional[socket.socket] = None
+
+    def __enter__(self) -> "BrokerClient":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def request(self, op: str, body: Optional[dict] = None) -> dict:
-        message = json.dumps(
+        message = (json.dumps(
             {"op": op, "token": self.token, "body": body or {}}
-        ) + "\n"
-        with socket.create_connection(self.address, timeout=self.timeout) as conn:
-            conn.sendall(message.encode())
-            with conn.makefile("rb") as stream:
-                line = stream.readline()
-        if not line:
+        ) + "\n").encode()
+        reused = self._conn is not None
+        line = self._roundtrip(message)
+        if line is None and reused and op != "request_lease":
+            line = self._roundtrip(message)
+        if line is None:
             raise BrokerError("connection closed without a reply")
         reply = json.loads(line)
         if not reply.get("ok"):
             raise BrokerRequestError(reply.get("error", "Unknown"),
                                      reply.get("detail", ""))
         return reply
+
+    def _roundtrip(self, message: bytes) -> Optional[bytes]:
+        """Send one request line and return the reply line, or None when
+        the connection closed or reset before any byte of the reply
+        arrived. Any failure closes the connection."""
+        if self._conn is None:
+            self._conn = socket.create_connection(self.address,
+                                                  timeout=self.timeout)
+        try:
+            try:
+                self._conn.sendall(message)
+                chunk = self._conn.recv(RECV_BYTES)
+            except ConnectionError:
+                chunk = b""
+            if not chunk:
+                self.close()
+                return None
+            chunks = [chunk]
+            # A reply is one JSON line and nothing follows it, so its only
+            # newline is the last byte of the last chunk.
+            while not chunk.endswith(b"\n"):
+                chunk = self._conn.recv(RECV_BYTES)
+                if not chunk:
+                    raise BrokerError("connection closed in the middle of a reply")
+                chunks.append(chunk)
+            return b"".join(chunks)
+        except BaseException:
+            self.close()
+            raise

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from . import __version__
 from .broker import BrokerClient, BrokerRequestError, BrokerServer, Registry
-from .errors import ConfigError, SimlinkError
+from .errors import BrokerError, ConfigError, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .modem import ModemSim, default_script, script_from_json
 from .relay import LinkClosed, ProbeLink, ProviderServer
@@ -124,12 +124,12 @@ def cmd_provide(args) -> int:
         rules=rules, trace_dir=args.trace_dir,
     )
     server.start()
-    client = BrokerClient(args.broker, token)
-    client.request("register_sim", {
-        "iccid": profile.iccid,
-        "tags": args.tag,
-        "provider_endpoint": server.endpoint,
-    })
+    with BrokerClient(args.broker, token) as client:
+        client.request("register_sim", {
+            "iccid": profile.iccid,
+            "tags": args.tag,
+            "provider_endpoint": server.endpoint,
+        })
     print(f"provider for {profile.iccid} listening on {server.endpoint}",
           file=sys.stderr)
     try:
@@ -174,33 +174,38 @@ def cmd_probe(args) -> int:
     criteria = parse_lease_selector(args.lease)
     modem = build_modem(args)
 
-    client = BrokerClient(args.broker, token)
-    client.request("register_probe", {
-        "probe_id": args.probe_id, "location_tag": args.location,
-    })
-    body = {"probe_id": args.probe_id, **criteria}
-    if args.duration_s:
-        body["duration_ms"] = args.duration_s * 1000
-    reply = client.request("request_lease", body)
-    lease = reply["lease"]
-    endpoint = reply["provider_endpoint"]
-    logger.info("leased %s until %s via %s",
-                lease["iccid"], lease["expires_at"], endpoint)
+    with BrokerClient(args.broker, token) as client:
+        client.request("register_probe", {
+            "probe_id": args.probe_id, "location_tag": args.location,
+        })
+        body = {"probe_id": args.probe_id, **criteria}
+        if args.duration_s:
+            body["duration_ms"] = args.duration_s * 1000
+        reply = client.request("request_lease", body)
+        lease = reply["lease"]
+        endpoint = reply["provider_endpoint"]
+        logger.info("leased %s until %s via %s",
+                    lease["iccid"], lease["expires_at"], endpoint)
 
-    trace_file = open(args.trace_out, "w", encoding="utf-8") if args.trace_out else None
-    link = ProbeLink(endpoint, token).connect()
-    try:
-        rtt = link.keepalive_roundtrip()
-        tracer = Tracer(link.session.session_id, sink=trace_file)
-        report = modem.run(link, tracer=tracer)
-    finally:
-        link.close()
-        if trace_file is not None:
-            trace_file.close()
+        # Everything that can fail once the lease is held sits inside the
+        # try, so the lease is released even when the tunnel never opens.
+        trace_file = link = None
         try:
-            client.request("release", {"lease_id": lease["lease_id"]})
-        except (BrokerRequestError, OSError) as exc:
-            logger.warning("release failed: %s", exc)
+            if args.trace_out:
+                trace_file = open(args.trace_out, "w", encoding="utf-8")
+            link = ProbeLink(endpoint, token).connect()
+            rtt = link.keepalive_roundtrip()
+            tracer = Tracer(link.session.session_id, sink=trace_file)
+            report = modem.run(link, tracer=tracer)
+        finally:
+            if link is not None:
+                link.close()
+            if trace_file is not None:
+                trace_file.close()
+            try:
+                client.request("release", {"lease_id": lease["lease_id"]})
+            except (BrokerError, OSError) as exc:
+                logger.warning("release failed: %s", exc)
 
     flagged = detect_silent_sms(tracer.events)
     if args.trace_out:

@@ -246,8 +246,12 @@ class ProbeLink:
     # -- handshake / teardown ------------------------------------------------
 
     def connect(self):
-        self.channel.emit(self.session.start())
-        self._pump_until(Established)
+        try:
+            self.channel.emit(self.session.start())
+            self._pump_until(Established)
+        except BaseException:
+            self.channel.close()
+            raise
         return self
 
     def close(self):

@@ -342,26 +342,24 @@ def detect_silent_sms(events: List[TraceEvent]) -> List[TraceEvent]:
 
     A FETCH response event qualifies iff a later modem-to-sim TERMINAL
     RESPONSE carries the same proactive command number. Qualifying events
-    get the silent_sms flag added and are returned in stream order.
+    get the silent_sms flag added and are returned in stream order. One
+    pass from the end collects the numbers acknowledged so far.
     """
+    acked = set()
     flagged = []
-    for idx, event in enumerate(events):
-        if event.direction != DIR_SIM_TO_MODEM:
-            continue
+    for event in reversed(events):
         decoded = event.decoded
-        if decoded.get("proactive_type") != "SEND_SHORT_MESSAGE":
+        if event.direction == DIR_MODEM_TO_SIM:
+            if decoded.get("ins_name") == "TERMINAL RESPONSE":
+                acked.add(decoded.get("proactive_number"))
+            continue
+        if (event.direction != DIR_SIM_TO_MODEM
+                or decoded.get("proactive_type") != "SEND_SHORT_MESSAGE"):
             continue
         number = decoded.get("proactive_number")
-        if number is None:
-            continue
-        acked = any(
-            later.direction == DIR_MODEM_TO_SIM
-            and later.decoded.get("ins_name") == "TERMINAL RESPONSE"
-            and later.decoded.get("proactive_number") == number
-            for later in events[idx + 1:]
-        )
-        if acked:
+        if number is not None and number in acked:
             if FLAG_SILENT_SMS not in event.flags:
                 event.flags.append(FLAG_SILENT_SMS)
             flagged.append(event)
+    flagged.reverse()
     return flagged

@@ -134,6 +134,7 @@ def stack(tmp_path):
         "provider_endpoint": provider.endpoint,
     })
     yield broker, provider, client, tmp_path
+    client.close()
     provider.stop()
     broker.stop()
 
@@ -284,25 +285,27 @@ def test_criterion_5_lease_exclusivity_and_recovery(tmp_path):
             banner = proc.stderr.readline()
             match = re.search(r"listening on ([\d.]+:\d+)", banner)
             assert match, banner
-            client = BrokerClient(match.group(1), TOKEN)
-            for i in range(5):
-                client.request("register_sim", {"iccid": make_iccid(i),
-                                                "tags": ["AT"],
-                                                "provider_endpoint": f"h:{i}"})
-            client.request("register_probe", {"probe_id": "pk",
-                                              "location_tag": "x"})
-            lease = client.request("request_lease",
-                                   {"probe_id": "pk", "tags": ["AT"]})["lease"]
-            client.request("release", {"lease_id": lease["lease_id"]})
-            client.request("request_lease", {"probe_id": "pk", "tags": ["AT"]})
-            pre_crash = client.request("list")
+            with BrokerClient(match.group(1), TOKEN) as client:
+                for i in range(5):
+                    client.request("register_sim", {"iccid": make_iccid(i),
+                                                    "tags": ["AT"],
+                                                    "provider_endpoint": f"h:{i}"})
+                client.request("register_probe", {"probe_id": "pk",
+                                                  "location_tag": "x"})
+                lease = client.request("request_lease",
+                                       {"probe_id": "pk", "tags": ["AT"]})["lease"]
+                client.request("release", {"lease_id": lease["lease_id"]})
+                client.request("request_lease", {"probe_id": "pk", "tags": ["AT"]})
+                pre_crash = client.request("list")
             pre_crash.pop("ok")
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
+            proc.stderr.close()
 
         replayed = Registry.replay(str(log_path))
         assert replayed.list_state() == pre_crash
+        replayed.close()
 
 
 # -- 6: rewrite correctness ----------------------------------------------------

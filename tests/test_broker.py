@@ -7,21 +7,29 @@ import threading
 
 import pytest
 
+from simlink import broker
 from simlink.broker import (
+    DEFAULT_LEASE_MS,
+    HEAP_SLACK,
+    HEARTBEAT_WINDOW_MS,
     BrokerClient,
     BrokerRequestError,
     BrokerServer,
     Lease,
+    ProbeRecord,
     Registry,
+    SimRecord,
 )
 from simlink.errors import (
     AlreadyLeased,
+    BadRequest,
+    BrokerError,
     InvalidIccid,
     NoMatch,
     ProbeStale,
     UnknownLease,
 )
-from simlink.vsim import luhn_check_digit
+from simlink.vsim import luhn_check_digit, luhn_valid
 
 TOKEN = "broker-token"
 
@@ -268,6 +276,8 @@ class TestPersistence:
         # at this point loses nothing.
         replayed = Registry.replay(str(tmp_path / "state.log"), clock=clock)
         assert replayed.snapshot() == before
+        replayed.close()
+        reg.close()
 
     def test_expired_leases_recovered_free(self, tmp_path):
         reg, clock = fresh_registry(tmp_path)
@@ -280,10 +290,13 @@ class TestPersistence:
         assert replayed.sims[iccid].status == "Leased"  # verbatim reconstruction
         replayed.expire_sweep()
         assert replayed.sims[iccid].status == "Free"
+        replayed.close()
+        reg.close()
 
     def test_log_lines_are_json(self, tmp_path):
         reg, clock = fresh_registry(tmp_path)
         self.drive(reg, clock)
+        reg.close()
         lines = (tmp_path / "state.log").read_text().splitlines()
         assert len(lines) >= 10
         events = [json.loads(line)["event"] for line in lines]
@@ -309,26 +322,26 @@ class TestControlApi:
         server.stop()
 
     def test_register_lease_release_cycle(self, server):
-        client = BrokerClient(server.endpoint, TOKEN)
-        iccid = make_iccid(1)
-        client.request("register_sim", {
-            "iccid": iccid, "tags": ["AT"], "provider_endpoint": "host:9",
-        })
-        client.request("register_probe", {"probe_id": "p1", "location_tag": "vie"})
-        reply = client.request("request_lease", {"probe_id": "p1", "tags": ["AT"]})
-        assert reply["lease"]["iccid"] == iccid
-        assert reply["provider_endpoint"] == "host:9"
-        listed = client.request("list")
-        assert listed["sims"][0]["status"] == "Leased"
-        client.request("release", {"lease_id": reply["lease"]["lease_id"]})
-        assert client.request("list")["sims"][0]["status"] == "Free"
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            iccid = make_iccid(1)
+            client.request("register_sim", {
+                "iccid": iccid, "tags": ["AT"], "provider_endpoint": "host:9",
+            })
+            client.request("register_probe", {"probe_id": "p1", "location_tag": "vie"})
+            reply = client.request("request_lease", {"probe_id": "p1", "tags": ["AT"]})
+            assert reply["lease"]["iccid"] == iccid
+            assert reply["provider_endpoint"] == "host:9"
+            listed = client.request("list")
+            assert listed["sims"][0]["status"] == "Leased"
+            client.request("release", {"lease_id": reply["lease"]["lease_id"]})
+            assert client.request("list")["sims"][0]["status"] == "Free"
 
     def test_error_mapping(self, server):
-        client = BrokerClient(server.endpoint, TOKEN)
-        client.request("register_probe", {"probe_id": "p1"})
-        with pytest.raises(BrokerRequestError) as err:
-            client.request("request_lease", {"probe_id": "p1", "tags": ["XX"]})
-        assert err.value.code == "NoMatch"
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            client.request("register_probe", {"probe_id": "p1"})
+            with pytest.raises(BrokerRequestError) as err:
+                client.request("request_lease", {"probe_id": "p1", "tags": ["XX"]})
+            assert err.value.code == "NoMatch"
         # A missing, mistyped or out-of-range field is the client's fault.
         for op, body in [
             ("release", {}),
@@ -347,7 +360,323 @@ class TestControlApi:
         assert raw_request(server, [TOKEN])["error"] == "BadRequest"
 
     def test_bad_token_refused(self, server):
-        client = BrokerClient(server.endpoint, "wrong")
-        with pytest.raises(BrokerRequestError) as err:
-            client.request("list")
+        with BrokerClient(server.endpoint, "wrong") as client:
+            with pytest.raises(BrokerRequestError) as err:
+                client.request("list")
         assert err.value.code == "BadToken"
+
+
+# -- oracle: the indexed registry against the linear-scan one -----------------
+
+
+class LinearRegistry:
+    """The registry's lease logic as a plain scan over every SIM and lease,
+    kept as the reference the indexed ``Registry`` must match."""
+
+    def __init__(self, clock, lease_ms=DEFAULT_LEASE_MS,
+                 heartbeat_window_ms=HEARTBEAT_WINDOW_MS):
+        self.clock = clock
+        self.lease_ms = lease_ms
+        self.heartbeat_window_ms = heartbeat_window_ms
+        self.sims = {}
+        self.probes = {}
+        self.leases = {}
+        self.issued = set()
+        self.next_id = 0
+
+    def register_sim(self, iccid, tags=(), provider_endpoint=""):
+        if not (iccid.isdigit() and 19 <= len(iccid) <= 20 and luhn_valid(iccid)):
+            raise InvalidIccid(iccid)
+        now = self.clock()
+        sim = self.sims.get(iccid)
+        if sim is None:
+            sim = SimRecord(iccid, set(tags), provider_endpoint, now)
+            self.sims[iccid] = sim
+        else:
+            sim.tags = set(tags)
+            sim.provider_endpoint = provider_endpoint
+            sim.registered_at = now
+        return sim
+
+    def register_probe(self, probe_id, location_tag=""):
+        self.probes[probe_id] = ProbeRecord(probe_id, location_tag, self.clock())
+        return self.probes[probe_id]
+
+    def _free(self, lease_id):
+        lease = self.leases.pop(lease_id, None)
+        if lease is not None and self.sims[lease.iccid].lease_id == lease_id:
+            self.sims[lease.iccid].lease_id = None
+
+    def expire_sweep(self, now=None):
+        now = self.clock() if now is None else now
+        expired = [l for l in self.leases.values() if l.expires_at <= now]
+        for lease in expired:
+            self._free(lease.lease_id)
+        return [lease.iccid for lease in expired]
+
+    def request_lease(self, probe_id, iccid=None, tags=None, duration_ms=None):
+        if duration_ms is not None and duration_ms <= 0:
+            raise BadRequest(str(duration_ms))
+        now = self.clock()
+        self.expire_sweep(now)
+        probe = self.probes.get(probe_id)
+        if probe is None or now - probe.last_heartbeat > self.heartbeat_window_ms:
+            raise ProbeStale(probe_id)
+        if iccid is not None:
+            sim = self.sims.get(iccid)
+            if sim is None:
+                raise NoMatch(iccid)
+            if sim.lease_id is not None:
+                raise AlreadyLeased(iccid)
+        else:
+            wanted = set(tags or ())
+            candidates = [s for s in self.sims.values()
+                          if s.lease_id is None and wanted <= s.tags]
+            if not candidates:
+                raise NoMatch(sorted(wanted))
+            candidates.sort(key=lambda s: (s.last_leased_at or -1, s.iccid))
+            sim = candidates[0]
+        lease_id = f"L{self.next_id:05d}"
+        self.next_id += 1
+        lease = Lease(lease_id, sim.iccid, probe_id, now,
+                      now + (self.lease_ms if duration_ms is None else duration_ms),
+                      "")
+        sim.lease_id = lease_id
+        sim.last_leased_at = now
+        self.leases[lease_id] = lease
+        self.issued.add(lease_id)
+        return lease
+
+    def release(self, lease_id):
+        if lease_id not in self.issued:
+            raise UnknownLease(lease_id)
+        if lease_id not in self.leases:
+            return False
+        self._free(lease_id)
+        return True
+
+    def snapshot(self):
+        return {
+            "sims": [s.to_dict() for s in sorted(self.sims.values(),
+                                                 key=lambda s: s.iccid)],
+            "probes": [p.to_dict() for p in sorted(self.probes.values(),
+                                                   key=lambda p: p.probe_id)],
+            "leases": sorted((l.to_dict() for l in self.leases.values()),
+                             key=lambda l: l["lease_id"]),
+            "issued": sorted(self.issued),
+        }
+
+
+def comparable(snapshot, ids):
+    """A snapshot with lease ids mapped through ``ids`` and tokens dropped."""
+    leases = [dict(l, lease_id=ids.get(l["lease_id"], l["lease_id"]), token="")
+              for l in snapshot["leases"]]
+    return dict(snapshot,
+                leases=sorted(leases, key=lambda l: l["lease_id"]),
+                issued=sorted(ids.get(i, i) for i in snapshot["issued"]))
+
+
+def check_index(reg, slack=HEAP_SLACK):
+    """Live heap entries are exactly the free SIMs per tag, each once, with
+    its current key; heaps stay within the rebuild bound."""
+    free = {}
+    for sim in reg.sims.values():
+        if sim.lease_id is None:
+            for key in (None, *sim.tags):
+                free.setdefault(key, set()).add(sim.iccid)
+    assert set(free) <= set(reg._free_heaps)
+    for key, heap in reg._free_heaps.items():
+        live = [e for e in heap if reg.sims[e[1]].index_gen == e[2]]
+        for order_key, iccid, _ in live:
+            sim = reg.sims[iccid]
+            assert sim.lease_id is None
+            assert order_key == (sim.last_leased_at or -1)
+            assert key is None or key in sim.tags
+        assert sorted(e[1] for e in live) == sorted(free.get(key, ()))
+        assert reg._free_live[key] == len(live)
+        assert len(heap) <= 2 * len(live) + slack, key
+    expiries = reg._expiries
+    assert {lid for _, lid in expiries if lid in reg.leases} == set(reg.leases)
+    assert all(reg.leases[lid].expires_at == t
+               for t, lid in expiries if lid in reg.leases)
+    assert len(expiries) <= 2 * len(reg.leases) + slack
+
+
+def outcome(call):
+    try:
+        return call()
+    except BrokerError as exc:
+        return type(exc)
+
+
+ORACLE_TAGS = ("AT", "DE", "5G", "iot")
+
+
+def run_oracle_sequence(seed, steps, tmp_path, slack=HEAP_SLACK):
+    rng = random.Random(seed)
+    clock = FakeClock()
+    log = str(tmp_path / f"oracle-{seed}.log")
+    kwargs = {"lease_ms": 20_000, "heartbeat_window_ms": 30_000}
+    reg = Registry(log_path=log, clock=clock, **kwargs)
+    ref = LinearRegistry(clock, **kwargs)
+    pool = [make_iccid(i) for i in range(rng.randint(3, 16))]
+    probes = ["p0", "p1", "p2", "ghost"]
+    ids = {}  # registry lease id -> reference lease id
+
+    def some_tags(most):
+        return set(rng.sample(ORACLE_TAGS, rng.randint(0, most)))
+
+    for step in range(steps):
+        clock.tick(rng.choice((0, 0, 1, 7, 500, 4000, 31_000)))
+        roll = rng.random()
+        if roll < 0.2:
+            iccid = rng.choice(pool)
+            tags = some_tags(3)
+            endpoint = f"h:{rng.randrange(3)}"
+            got = outcome(lambda: reg.register_sim(iccid, tags, endpoint).to_dict())
+            want = outcome(lambda: ref.register_sim(iccid, tags, endpoint).to_dict())
+        elif roll < 0.35:
+            probe = rng.choice(probes[:3])
+            got = outcome(lambda: reg.register_probe(probe, "loc").to_dict())
+            want = outcome(lambda: ref.register_probe(probe, "loc").to_dict())
+        elif roll < 0.7:
+            criteria = rng.choice(("tags", "tags", "iccid", "none"))
+            args = {"probe_id": rng.choice(probes)}
+            if criteria == "tags":
+                args["tags"] = some_tags(2)
+            elif criteria == "iccid":
+                args["iccid"] = rng.choice(pool + [make_iccid(99)])
+            if rng.random() < 0.5:
+                args["duration_ms"] = rng.choice((1, 100, 5000, 60_000))
+            got = outcome(lambda: reg.request_lease(**args))
+            want = outcome(lambda: ref.request_lease(**args))
+            if isinstance(got, Lease):
+                ids[got.lease_id] = want.lease_id
+                got = dict(got.to_dict(), lease_id=want.lease_id, token="")
+                want = want.to_dict()
+        elif roll < 0.85:
+            issued = sorted(ids)
+            lease_id = rng.choice(issued) if issued and rng.random() < 0.9 else "nope"
+            got = outcome(lambda: reg.release(lease_id))
+            want = outcome(lambda: ref.release(ids.get(lease_id, lease_id)))
+        elif roll < 0.95:
+            now = clock() + rng.choice((0, 0, 3000, 30_000)) if rng.random() < 0.5 else None
+            got = outcome(lambda: sorted(reg.expire_sweep(now)))
+            want = outcome(lambda: sorted(ref.expire_sweep(now)))
+        else:
+            reg.close()
+            reg = Registry.replay(log, clock=clock, **kwargs)
+            got = want = None
+        assert got == want, (seed, step)
+        assert comparable(reg.snapshot(), ids) == ref.snapshot(), (seed, step)
+        check_index(reg, slack)
+    reg.close()
+
+
+class TestIndexedRegistryOracle:
+    def test_matches_linear_scan_on_random_sequences(self, tmp_path):
+        for seed in range(200):
+            run_oracle_sequence(seed, 200, tmp_path)
+
+    def test_matches_linear_scan_with_eager_rebuilds(self, tmp_path, monkeypatch):
+        # The fleets here are too small to reach the real slack, so shrink
+        # it: heaps are then re-heapified every few operations.
+        monkeypatch.setattr(broker, "HEAP_SLACK", 1)
+        for seed in range(1000, 1200):
+            run_oracle_sequence(seed, 200, tmp_path, slack=1)
+
+    def test_heaps_stay_bounded_over_many_cycles(self):
+        # Leases by ICCID and by tag leave dead entries in the all-free heap
+        # and the tag heaps; early releases leave them in the expiry heap.
+        reg, clock = fresh_registry()
+        iccids = [make_iccid(i) for i in range(50)]
+        for i, iccid in enumerate(iccids):
+            reg.register_sim(iccid, tags={ORACLE_TAGS[i % 4]})
+        reg.register_probe("p1", "vie")
+        rng = random.Random(7)
+        for cycle in range(5000):
+            clock.tick(1)
+            if cycle % 1000 == 0:
+                reg.register_probe("p1", "vie")
+            if rng.random() < 0.5:
+                lease = reg.request_lease("p1", iccid=rng.choice(iccids))
+            else:
+                lease = reg.request_lease("p1", tags={rng.choice(ORACLE_TAGS)})
+            reg.release(lease.lease_id)
+            check_index(reg)
+        assert max(len(h) for h in reg._free_heaps.values()) <= 50 * 2 + HEAP_SLACK
+
+
+# -- client reconnect rule ------------------------------------------------------
+
+
+class OneReplyServer:
+    """A line server that answers the first line of each connection, then
+    reads the next line and closes without answering it."""
+
+    def __init__(self, answer=True):
+        self.answer = answer
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = "127.0.0.1:%d" % self.sock.getsockname()[1]
+        self.connections = 0
+        self.ops = []
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with conn, conn.makefile("rwb") as stream:
+                if not self.answer:
+                    continue
+                for reply in (True, False):
+                    line = stream.readline()
+                    if not line:
+                        break
+                    self.ops.append(json.loads(line)["op"])
+                    if reply:
+                        stream.write(b'{"ok": true}\n')
+                        stream.flush()
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        self.sock.close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+class TestClientReconnect:
+    def test_reused_connection_is_retried_once_on_a_fresh_one(self):
+        server = OneReplyServer()
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            client.request("register_probe", {"probe_id": "p1"})
+            client.request("register_probe", {"probe_id": "p1"})
+        server.close()
+        # The second line reached the dead connection, then a fresh one.
+        assert server.ops == ["register_probe"] * 3
+        assert server.connections == 2
+
+    def test_request_lease_is_not_resent(self):
+        server = OneReplyServer()
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            client.request("register_probe", {"probe_id": "p1"})
+            with pytest.raises(BrokerError):
+                client.request("request_lease", {"probe_id": "p1"})
+        server.close()
+        assert server.ops == ["register_probe", "request_lease"]
+        assert server.connections == 1
+
+    def test_fresh_connection_is_never_retried(self):
+        server = OneReplyServer(answer=False)
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            with pytest.raises(BrokerError):
+                client.request("list")
+        server.close()
+        assert server.connections == 1
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            with pytest.raises(ConnectionRefusedError):
+                client.request("list")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from simlink import cli
-from simlink.broker import BrokerServer, Registry
+from simlink.broker import BrokerClient, BrokerServer, Registry
 from simlink.relay import ProviderServer
 from simlink.vsim import demo_profile
 
@@ -118,14 +118,18 @@ def broker_server():
 def provider_server(broker_server):
     server = ProviderServer(demo_profile(), TOKEN)
     server.start()
-    from simlink.broker import BrokerClient
-    BrokerClient(broker_server.endpoint, TOKEN).request("register_sim", {
-        "iccid": demo_profile().iccid,
-        "tags": ["AT", "demo"],
-        "provider_endpoint": server.endpoint,
-    })
+    register_demo_sim(broker_server, server)
     yield server
     server.stop()
+
+
+def register_demo_sim(broker_server, provider):
+    with BrokerClient(broker_server.endpoint, TOKEN) as client:
+        client.request("register_sim", {
+            "iccid": demo_profile().iccid,
+            "tags": ["AT", "demo"],
+            "provider_endpoint": provider.endpoint,
+        })
 
 
 class TestProbe:
@@ -195,9 +199,55 @@ class TestProbe:
         assert doc["lease"]["iccid"] == profile.iccid
         assert trace_path.exists()
         # The lease is released on the way out.
-        from simlink.broker import BrokerClient
-        listing = BrokerClient(broker_server.endpoint, TOKEN).request("list")
+        with BrokerClient(broker_server.endpoint, TOKEN) as client:
+            listing = client.request("list")
         assert listing["sims"][0]["status"] == "Free"
+
+    def test_failed_handshake_releases_the_lease(self, capsys, monkeypatch,
+                                                 broker_server):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        provider = ProviderServer(demo_profile(), "another-token")
+        provider.start()
+        try:
+            register_demo_sim(broker_server, provider)
+            code, _, err = run_cli(
+                ["probe", "--broker", broker_server.endpoint,
+                 "--lease", "tag:AT", "--probe-id", "p-badtoken"],
+                capsys,
+            )
+        finally:
+            provider.stop()
+        assert code == 1
+        assert json.loads(err) == {"error": "LinkClosed", "detail": "BadToken"}
+        registry = broker_server.registry
+        assert registry.sims[demo_profile().iccid].status == "Free"
+        assert registry.leases == {}
+
+    def test_one_control_connection_per_probe_run(self, capsys, monkeypatch,
+                                                  broker_server, provider_server):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        accepted, handled = [], []
+        serve_client = BrokerServer._serve_client
+        handle_line = BrokerServer._handle_line
+
+        def counting_serve(self, conn):
+            accepted.append(conn)
+            return serve_client(self, conn)
+
+        def counting_handle(self, line):
+            handled.append(json.loads(line)["op"])
+            return handle_line(self, line)
+
+        monkeypatch.setattr(BrokerServer, "_serve_client", counting_serve)
+        monkeypatch.setattr(BrokerServer, "_handle_line", counting_handle)
+        code, _, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
+             "--probe-id", "p-conn"],
+            capsys,
+        )
+        assert code == 0, err
+        assert handled == ["register_probe", "request_lease", "release"]
+        assert len(accepted) == 1
 
 
 class TestBrokerCmdConfig:

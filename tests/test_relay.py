@@ -48,6 +48,7 @@ class TestLoopback:
         link = ProbeLink(provider.endpoint, "nope")
         with pytest.raises(LinkClosed):
             link.connect()
+        assert link.channel.sock.fileno() == -1  # a failed handshake closes it
 
     def test_keepalive_rtt_under_5ms_on_loopback(self, provider):
         link = connect(provider)

@@ -235,6 +235,78 @@ class TestDetectSilentSms:
             assert {events.index(e) for e in flagged} == oracle_pairing(events)
 
 
+def forward_scan_silent_sms(events):
+    """``detect_silent_sms`` as a forward scan over every later event,
+    kept as the reference for the one-pass version."""
+    flagged = []
+    for idx, event in enumerate(events):
+        if event.direction != DIR_SIM_TO_MODEM:
+            continue
+        decoded = event.decoded
+        if decoded.get("proactive_type") != "SEND_SHORT_MESSAGE":
+            continue
+        number = decoded.get("proactive_number")
+        if number is None:
+            continue
+        acked = any(
+            later.direction == DIR_MODEM_TO_SIM
+            and later.decoded.get("ins_name") == "TERMINAL RESPONSE"
+            and later.decoded.get("proactive_number") == number
+            for later in events[idx + 1:]
+        )
+        if acked:
+            if FLAG_SILENT_SMS not in event.flags:
+                event.flags.append(FLAG_SILENT_SMS)
+            flagged.append(event)
+    return flagged
+
+
+def random_event(rng, ts):
+    direction = rng.choice((DIR_MODEM_TO_SIM, DIR_SIM_TO_MODEM, "other"))
+    decoded = {"ins_name": rng.choice(("FETCH", "TERMINAL RESPONSE", "STATUS"))}
+    if rng.random() < 0.7:
+        decoded["proactive_type"] = rng.choice(
+            ("SEND_SHORT_MESSAGE", "SEND_SHORT_MESSAGE", "DISPLAY_TEXT"))
+    if rng.random() < 0.85:
+        decoded["proactive_number"] = rng.randint(1, 4)
+    flags = rng.choice(([], [], [FLAG_SILENT_SMS], ["rewritten"]))
+    return TraceEvent(ts_ms=ts, direction=direction, raw_hex="",
+                      decoded=decoded, session_id=1, flags=list(flags))
+
+
+def assert_same_as_forward_scan(events):
+    ours = [TraceEvent.from_json(e.to_json()) for e in events]
+    ref = [TraceEvent.from_json(e.to_json()) for e in events]
+    flagged = detect_silent_sms(ours)
+    expected = forward_scan_silent_sms(ref)
+    position = {id(e): i for i, e in enumerate(ours)}
+    ref_position = {id(e): i for i, e in enumerate(ref)}
+    assert [position[id(e)] for e in flagged] == \
+        [ref_position[id(e)] for e in expected]
+    assert [e.flags for e in ours] == [e.flags for e in ref]
+
+
+class TestSilentSmsOnePass:
+    def test_demo_session_matches_forward_scan(self):
+        from simlink.lab import DelayModel, VirtualLink
+        from simlink.modem import ModemSim
+
+        profile = demo_profile()
+        tracer = Tracer(session_id=3)
+        modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
+        report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
+                           tracer=tracer)
+        assert report.failure is None
+        assert_same_as_forward_scan(tracer.events)
+        assert len(detect_silent_sms(tracer.events)) == 1
+
+    def test_random_streams_match_forward_scan(self):
+        rng = random.Random(0x51A5)
+        for _ in range(300):
+            events = [random_event(rng, ts) for ts in range(rng.randint(0, 40))]
+            assert_same_as_forward_scan(events)
+
+
 # Only response rules appear where this command is used, so no command
 # rule matches it and the response rules decide the outcome.
 READ_ICCID = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=10)
