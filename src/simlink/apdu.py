@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     BadChecksum,
@@ -70,6 +70,13 @@ class CommandApdu:
     le: Optional[int] = None
 
     def __post_init__(self):
+        le = self.le
+        if (type(self.data) is bytes and len(self.data) <= 255
+                and 0 <= self.cla <= 0xFF and 0 <= self.ins <= 0xFF
+                and 0 <= self.p1 <= 0xFF and 0 <= self.p2 <= 0xFF
+                and (le is None or 1 <= le <= 256)):
+            return
+        # Not plain valid bytes: copy, or raise the first error in order.
         _check_octet(self.cla, "cla")
         _check_octet(self.ins, "ins")
         _check_octet(self.p1, "p1")
@@ -97,6 +104,10 @@ class ResponseApdu:
     sw2: int
 
     def __post_init__(self):
+        if (type(self.data) is bytes and len(self.data) <= 256
+                and 0 <= self.sw1 <= 0xFF and 0 <= self.sw2 <= 0xFF):
+            return
+        # Not plain valid bytes: copy, or raise the first error in order.
         object.__setattr__(self, "data", bytes(self.data))
         if len(self.data) > 256:
             raise ValueError(f"response data too long: {len(self.data)}")
@@ -195,8 +206,22 @@ class StatusClass:
     family: Optional[int] = None
 
 
+# One shared StatusClass per integer pair, filled on first use (at most
+# 65,536 entries); StatusClass is frozen, so sharing is safe.
+_STATUS_CLASSES: Dict[Tuple[int, int], StatusClass] = {}
+
+
 def classify_status(sw1: int, sw2: int) -> StatusClass:
     """Classify a status pair. Pure and total."""
+    status = _STATUS_CLASSES.get((sw1, sw2))
+    if status is None:
+        status = _classify_status(sw1, sw2)  # raises before caching
+        if type(sw1) is int and type(sw2) is int:
+            _STATUS_CLASSES[(sw1, sw2)] = status
+    return status
+
+
+def _classify_status(sw1: int, sw2: int) -> StatusClass:
     _check_octet(sw1, "sw1")
     _check_octet(sw2, "sw2")
     if sw1 == 0x90 and sw2 == 0x00:
@@ -336,7 +361,14 @@ class StepResult:
     sw2: Optional[int] = None
 
 
-@dataclass
+# The body-transfer and NULL results carry no octets, so one of each serves
+# every step.
+TRANSFER_ALL = StepResult(StepKind.TRANSFER_ALL)
+TRANSFER_ONE = StepResult(StepKind.TRANSFER_ONE)
+WAITED = StepResult(StepKind.WAITED)
+
+
+@dataclass(slots=True)
 class ProcedureState:
     """T=0 procedure-byte tracker for one command exchange.
 
@@ -353,7 +385,8 @@ class ProcedureState:
     done: bool = field(default=False, init=False)
 
     def step(self, byte: int) -> StepResult:
-        _check_octet(byte, "procedure byte")
+        if not 0 <= byte <= 0xFF:
+            raise ValueError(f"procedure byte out of octet range: {byte}")
         if self.done:
             raise ProtocolViolation("ProcedureByte", f"byte {byte:02X} after status completed")
         if self.status_sw1 is not None:
@@ -364,11 +397,11 @@ class ProcedureState:
             self.done = True
             return StepResult(StepKind.STATUS_DONE, sw1=self.status_sw1, sw2=byte)
         if byte == self.ins_echo:
-            return StepResult(StepKind.TRANSFER_ALL)
+            return TRANSFER_ALL
         if byte == self.ins_echo ^ 0xFF:
-            return StepResult(StepKind.TRANSFER_ONE)
+            return TRANSFER_ONE
         if byte == 0x60:
-            return StepResult(StepKind.WAITED)
+            return WAITED
         if byte >> 4 in (0x6, 0x9):
             self.status_sw1 = byte
             return StepResult(StepKind.STATUS_STARTED, sw1=byte)

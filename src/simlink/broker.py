@@ -22,6 +22,7 @@ One connection carries any number of requests, answered in order.
 from __future__ import annotations
 
 import heapq
+import hmac
 import json
 import logging
 import secrets
@@ -38,6 +39,7 @@ from .errors import (
     InvalidIccid,
     NoMatch,
     ProbeStale,
+    RegistryClosed,
     UnknownLease,
 )
 from .vsim import luhn_valid
@@ -154,6 +156,7 @@ class Registry:
         self._free_live: Dict[Optional[str], int] = {}  # live entries per heap
         self._expiries: List[Tuple[int, str]] = []
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
+        self._closed = False  # set once a log is closed; refuses mutations
 
     # -- persistence ---------------------------------------------------------
 
@@ -168,9 +171,18 @@ class Registry:
         self._log_file.flush()
 
     def close(self):
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
+        """Close the event log. Every later state change raises
+        RegistryClosed, as the log could not record it; a registry
+        without a log has nothing to close and keeps working."""
+        with self._lock:
+            if self._log_file is not None:
+                self._log_file.close()
+                self._log_file = None
+                self._closed = True
+
+    def _check_open(self):
+        if self._closed:
+            raise RegistryClosed("the event log is closed")
 
     @classmethod
     def replay(cls, log_path: str, clock: Callable[[], int] = now_ms,
@@ -330,6 +342,7 @@ class Registry:
         if not (iccid.isdigit() and 19 <= len(iccid) <= 20 and luhn_valid(iccid)):
             raise InvalidIccid(iccid)
         with self._lock:
+            self._check_open()
             ts = self._clock()
             sim = self._upsert_sim(ts, iccid, set(tags), provider_endpoint)
             self._append("register_sim", {
@@ -342,6 +355,7 @@ class Registry:
         if not probe_id:
             raise BadRequest("empty probe_id")
         with self._lock:
+            self._check_open()
             ts = self._clock()
             probe = self._upsert_probe(ts, probe_id, location_tag)
             self._append("register_probe", {
@@ -359,6 +373,7 @@ class Registry:
         if duration_ms is not None and duration_ms <= 0:
             raise BadRequest(f"duration_ms must be positive, got {duration_ms}")
         with self._lock:
+            self._check_open()
             now = self._clock()
             self._sweep(now)  # expiry frees atomically w.r.t. this request
             probe = self.probes.get(probe_id)
@@ -393,6 +408,7 @@ class Registry:
     def release(self, lease_id: str) -> bool:
         """Idempotent; returns False when the lease was already gone."""
         with self._lock:
+            self._check_open()
             if lease_id not in self._issued_lease_ids:
                 raise UnknownLease(lease_id)
             if lease_id not in self.leases:
@@ -404,7 +420,12 @@ class Registry:
     def expire_sweep(self, now: Optional[int] = None) -> List[str]:
         """Free every lease with expires_at <= now; returns freed ICCIDs."""
         with self._lock:
+            self._check_open()
             return self._sweep(self._clock() if now is None else now)
+
+    def provider_endpoint(self, iccid: str) -> str:
+        with self._lock:
+            return self.sims[iccid].provider_endpoint
 
     def list_state(self) -> dict:
         with self._lock:
@@ -440,6 +461,8 @@ class BrokerServer:
         self.address = self._sock.getsockname()
         self._accept_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
+        self._conns: Set[socket.socket] = set()  # live control connections
+        self._conns_lock = threading.Lock()
 
     @property
     def endpoint(self) -> str:
@@ -456,11 +479,21 @@ class BrokerServer:
         self._accept_thread.join()
 
     def stop(self):
-        self._stopping.set()
+        """Stop accepting and end every live control connection, so no
+        request is served after this returns (one already being handled
+        finishes first)."""
+        with self._conns_lock:
+            self._stopping.set()
+            conns = list(self._conns)
         try:
             self._sock.close()
         except OSError:
             pass
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def _accept_loop(self):
         while not self._stopping.is_set():
@@ -473,15 +506,26 @@ class BrokerServer:
             ).start()
 
     def _serve_client(self, conn: socket.socket):
-        with conn, conn.makefile("rwb") as stream:
-            for raw in stream:
-                try:
-                    reply = self._handle_line(raw.decode())
-                except Exception:  # a broken client must not kill the broker
-                    logger.exception("control request failed")
-                    reply = {"ok": False, "error": "Internal"}
-                stream.write((json.dumps(reply) + "\n").encode())
-                stream.flush()
+        with self._conns_lock:
+            if self._stopping.is_set():
+                conn.close()
+                return
+            self._conns.add(conn)
+        try:
+            with conn, conn.makefile("rwb") as stream:
+                for raw in stream:
+                    try:
+                        reply = self._handle_line(raw.decode())
+                    except Exception:  # a broken client must not kill the broker
+                        logger.exception("control request failed")
+                        reply = {"ok": False, "error": "Internal"}
+                    stream.write((json.dumps(reply) + "\n").encode())
+                    stream.flush()
+        except OSError as exc:  # the peer reset, or stop() shut the socket
+            logger.debug("control connection ended: %s", exc)
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
 
     def _handle_line(self, line: str) -> dict:
         try:
@@ -491,7 +535,9 @@ class BrokerServer:
         if not isinstance(doc, dict):
             return {"ok": False, "error": BadRequest.code,
                     "detail": "request is not a JSON object"}
-        if doc.get("token") != self.token:
+        token = doc.get("token")
+        if not (isinstance(token, str) and hmac.compare_digest(
+                token.encode("utf-8", "surrogatepass"), self.token.encode("utf-8"))):
             return {"ok": False, "error": "BadToken"}
         op = doc.get("op")
         body = doc.get("body", {})
@@ -520,8 +566,8 @@ class BrokerServer:
                 tags=_field(body, "tags", list),
                 duration_ms=_field(body, "duration_ms", int),
             )
-            endpoint = reg.sims[lease.iccid].provider_endpoint
-            return {"lease": lease.to_dict(), "provider_endpoint": endpoint}
+            return {"lease": lease.to_dict(),
+                    "provider_endpoint": reg.provider_endpoint(lease.iccid)}
         if op == "release":
             released = reg.release(_field(body, "lease_id", str, required=True))
             return {"released": released}

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from . import __version__
 from .broker import BrokerClient, BrokerRequestError, BrokerServer, Registry
-from .errors import BrokerError, ConfigError, SimlinkError
+from .errors import BrokerError, ConfigError, RegistryClosed, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .modem import ModemSim, default_script, script_from_json
 from .relay import LinkClosed, ProbeLink, ProviderServer
@@ -97,7 +97,10 @@ def cmd_broker(args) -> int:
     def sweeper():
         while True:
             time.sleep(args.sweep_interval_s)
-            freed = registry.expire_sweep()
+            try:
+                freed = registry.expire_sweep()
+            except RegistryClosed:  # the broker is shutting down
+                return
             if freed:
                 logger.info("expired leases freed: %s", freed)
 

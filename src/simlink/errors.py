@@ -91,6 +91,13 @@ class UnknownLease(BrokerError):
     code = "UnknownLease"
 
 
+class RegistryClosed(BrokerError):
+    """A state change was asked of a registry whose event log is closed;
+    it is refused because the log could no longer record it."""
+
+    code = "RegistryClosed"
+
+
 class NoSamples(SimlinkError):
     """RTT estimate requested before any keepalive round-trip completed."""
 

@@ -47,6 +47,14 @@ PHASE_PROACTIVE_FETCH = "proactive_fetch"
 EF_ICCID = b"\x2F\xE2"
 EF_IMSI = b"\x6F\x07"
 
+# The script's fixed commands; CommandApdu is frozen, so sessions share them.
+SELECT_EF_ICCID = CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=EF_ICCID)
+READ_EF_ICCID = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=10)
+SELECT_ADF_USIM = CommandApdu(0x00, INS_SELECT, 0x04, 0x04, data=USIM_AID)
+SELECT_EF_IMSI = CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=EF_IMSI)
+READ_EF_IMSI = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=9)
+STATUS = CommandApdu(0x00, INS_STATUS, 0x00, 0x00)
+
 
 @dataclass(frozen=True)
 class Timing:
@@ -55,9 +63,6 @@ class Timing:
     start_ms: float
     nulls: Tuple[float, ...] = ()
     done_ms: float = 0.0
-
-    def events(self) -> List[float]:
-        return [self.start_ms, *self.nulls, self.done_ms]
 
 
 @dataclass(frozen=True)
@@ -155,13 +160,11 @@ class ModemSim:
         return runner.run()
 
 
-def _expect_step(state: ProcedureState, byte: int, expected: StepKind):
-    kind = state.step(byte).kind
-    if kind is not expected:
-        raise ProtocolViolation(
-            "ProcedureByte",
-            f"byte {byte:02X} read as {kind.value}, expected {expected.value}",
-        )
+def _misread(byte: int, kind: StepKind, expected: StepKind) -> ProtocolViolation:
+    return ProtocolViolation(
+        "ProcedureByte",
+        f"byte {byte:02X} read as {kind.value}, expected {expected.value}",
+    )
 
 
 class _SessionRun:
@@ -212,31 +215,42 @@ class _SessionRun:
     # -- plumbing -----------------------------------------------------------
 
     def _note_timing(self, timing: Timing):
+        """Check every gap of start, nulls..., done against the budget."""
         if self.t0 is None:
             self.t0 = timing.start_ms
-        events = timing.events()
-        previous = events[0]
-        for arrival in events[1:]:
-            gap = arrival - previous
-            if gap > self.m.waiting_time_ms:
-                self.last_event = previous + self.m.waiting_time_ms
-                raise TimeoutExpired(
-                    self.phase_name,
-                    f"{gap:.0f} ms gap, budget {self.m.waiting_time_ms:.0f} ms",
-                )
+        budget = self.m.waiting_time_ms
+        previous = timing.start_ms
+        for arrival in timing.nulls:
+            if arrival - previous > budget:
+                self._expire(previous, arrival - previous)
             previous = arrival
-        self.last_event = events[-1]
+        if timing.done_ms - previous > budget:
+            self._expire(previous, timing.done_ms - previous)
+        self.last_event = timing.done_ms
+
+    def _expire(self, previous: float, gap: float):
+        budget = self.m.waiting_time_ms
+        self.last_event = previous + budget
+        raise TimeoutExpired(
+            self.phase_name, f"{gap:.0f} ms gap, budget {budget:.0f} ms"
+        )
 
     def _walk_procedure(self, cmd: CommandApdu, resp: ResponseApdu,
                         timing: Timing):
         # Replay the byte-level view: NULL per stall tick, then the INS
         # echo transferring the body, then SW1. SW2 is taken from the
         # response itself (the pair is already complete at APDU level).
-        state = ProcedureState(cmd.ins)
+        step = ProcedureState(cmd.ins).step
         for _ in timing.nulls:
-            _expect_step(state, 0x60, StepKind.WAITED)
-        _expect_step(state, cmd.ins, StepKind.TRANSFER_ALL)
-        _expect_step(state, resp.sw1, StepKind.STATUS_STARTED)
+            kind = step(0x60).kind
+            if kind is not StepKind.WAITED:
+                raise _misread(0x60, kind, StepKind.WAITED)
+        kind = step(cmd.ins).kind
+        if kind is not StepKind.TRANSFER_ALL:
+            raise _misread(cmd.ins, kind, StepKind.TRANSFER_ALL)
+        kind = step(resp.sw1).kind
+        if kind is not StepKind.STATUS_STARTED:
+            raise _misread(resp.sw1, kind, StepKind.STATUS_STARTED)
 
     def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
         resp, timing = self.link.exchange(cmd)
@@ -274,35 +288,36 @@ class _SessionRun:
 
     def _phase_read_iccid(self, phase: Phase):
         self._expect_success(
-            self._exchange(CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=EF_ICCID)),
+            self._exchange(SELECT_EF_ICCID),
             "SELECT EF_ICCID",
         )
         resp = self._expect_success(
-            self._exchange(CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=10)),
+            self._exchange(READ_EF_ICCID),
             "READ BINARY EF_ICCID",
         )
         self.report.iccid = decode_iccid(resp.data)
 
     def _phase_select_usim(self, phase: Phase):
         self._expect_success(
-            self._exchange(CommandApdu(0x00, INS_SELECT, 0x04, 0x04, data=USIM_AID)),
+            self._exchange(SELECT_ADF_USIM),
             "SELECT ADF_USIM",
         )
 
     def _phase_read_imsi(self, phase: Phase):
         self._expect_success(
-            self._exchange(CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=EF_IMSI)),
+            self._exchange(SELECT_EF_IMSI),
             "SELECT EF_IMSI",
         )
         resp = self._expect_success(
-            self._exchange(CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=9)),
+            self._exchange(READ_EF_IMSI),
             "READ BINARY EF_IMSI",
         )
         self.report.imsi = decode_imsi(resp.data)
 
     def _phase_authenticate(self, phase: Phase):
+        randrange = self.rng.randrange
         for _ in range(phase.count):
-            rand = bytes(self.rng.randrange(256) for _ in range(16))
+            rand = bytes([randrange(256) for _ in range(16)])
             resp = self._exchange(
                 CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56)
             )
@@ -319,10 +334,7 @@ class _SessionRun:
 
     def _phase_status_poll(self, phase: Phase):
         for i in range(phase.count):
-            self._expect_success(
-                self._exchange(CommandApdu(0x00, INS_STATUS, 0x00, 0x00)),
-                "STATUS",
-            )
+            self._expect_success(self._exchange(STATUS), "STATUS")
             if phase.period_ms and i + 1 < phase.count and hasattr(self.link, "idle"):
                 self.link.idle(phase.period_ms)
 

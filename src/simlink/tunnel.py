@@ -17,6 +17,7 @@ may run many sessions concurrently as independent machines.
 from __future__ import annotations
 
 import enum
+import hmac
 import statistics
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
@@ -330,8 +331,7 @@ class Session:
         if self.role is Role.PROVIDER and msg_type is MessageType.HELLO:
             if len(frame.payload) < 1:
                 return self._violate("UnknownType", "empty Hello payload")
-            offered = frame.payload[1:].decode(errors="replace")
-            if offered != self.token:
+            if not hmac.compare_digest(frame.payload[1:], self.token.encode()):
                 self.phase = Phase.CLOSED
                 self.close_reason = "BadToken"
                 return [self._emit(MessageType.ERROR, b"BadToken"),

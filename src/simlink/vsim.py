@@ -13,6 +13,7 @@ physical card's half-duplex link; distinct instances share nothing.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -53,12 +54,13 @@ DEFAULT_ATR_HEX = "3B9794008031E073FE211B"
 PROACTIVE_PAYLOAD_MAX = 240
 DEFAULT_PROACTIVE_TRIGGER_POLLS = 3
 
-SW_OK = (0x90, 0x00)
-SW_FILE_NOT_FOUND = (0x6A, 0x82)
-SW_RECORD_NOT_FOUND = (0x6A, 0x83)
-SW_WRONG_PARAMS = (0x6A, 0x86)
-SW_WRONG_LENGTH = (0x67, 0x00)
-SW_INS_NOT_SUPPORTED = (0x6D, 0x00)
+# The bodiless answers; ResponseApdu is frozen, so every card shares them.
+RESP_OK = ResponseApdu(b"", 0x90, 0x00)
+RESP_FILE_NOT_FOUND = ResponseApdu(b"", 0x6A, 0x82)
+RESP_RECORD_NOT_FOUND = ResponseApdu(b"", 0x6A, 0x83)
+RESP_WRONG_PARAMS = ResponseApdu(b"", 0x6A, 0x86)
+RESP_WRONG_LENGTH = ResponseApdu(b"", 0x67, 0x00)
+RESP_INS_NOT_SUPPORTED = ResponseApdu(b"", 0x6D, 0x00)
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +68,19 @@ SW_INS_NOT_SUPPORTED = (0x6D, 0x00)
 # ---------------------------------------------------------------------------
 
 
+# ASCII digit octet -> its value, and -> the digit sum of twice its value.
+_LUHN_PLAIN = bytes.maketrans(b"0123456789", bytes(range(10)))
+_LUHN_DOUBLED = bytes.maketrans(b"0123456789", bytes((0, 2, 4, 6, 8, 1, 3, 5, 7, 9)))
+
+
 def luhn_valid(digits: str) -> bool:
-    """Luhn check over a decimal string (trailing check digit included)."""
-    if not digits.isdigit():
+    """Luhn check over an ASCII decimal string (trailing check digit
+    included); any other string, the empty one included, is invalid."""
+    if not (digits.isascii() and digits.isdigit()):
         return False
-    total = 0
-    for i, ch in enumerate(reversed(digits)):
-        d = int(ch)
-        if i % 2 == 1:
-            d *= 2
-            if d > 9:
-                d -= 9
-        total += d
+    octets = digits.encode("ascii")[::-1]
+    total = (sum(octets[0::2].translate(_LUHN_PLAIN))
+             + sum(octets[1::2].translate(_LUHN_DOUBLED)))
     return total % 10 == 0
 
 
@@ -89,24 +92,24 @@ def luhn_check_digit(base: str) -> str:
     raise AssertionError("unreachable")
 
 
+# Octet -> the same octet with its two nibbles swapped.
+_SWAP_NIBBLES = bytes(((octet & 0x0F) << 4) | (octet >> 4) for octet in range(256))
+
+
 def swap_nibbles_bcd(digits: str, octets: int) -> bytes:
     """Pack a digit string as nibble-swapped BCD, padded with 0xF nibbles."""
-    padded = digits + "F" * (octets * 2 - len(digits))
-    return bytes(
-        (int(padded[i + 1], 16) << 4) | int(padded[i], 16)
-        for i in range(0, octets * 2, 2)
-    )
+    padded = (digits + "F" * (octets * 2 - len(digits)))[:octets * 2]
+    packed = bytes.fromhex(padded)
+    if len(packed) != octets:  # fromhex skips whitespace
+        raise ValueError(f"not a hex digit string: {digits!r}")
+    return packed.translate(_SWAP_NIBBLES)
 
 
 def unswap_nibbles_bcd(raw: bytes) -> str:
     """Inverse of :func:`swap_nibbles_bcd`, dropping 0xF filler nibbles."""
-    out = []
-    for octet in raw:
-        for nibble in (octet & 0x0F, octet >> 4):
-            if nibble == 0xF:
-                return "".join(out)
-            out.append(f"{nibble:X}")
-    return "".join(out)
+    digits = bytes(raw).translate(_SWAP_NIBBLES).hex().upper()
+    end = digits.find("F")
+    return digits if end < 0 else digits[:end]
 
 
 def encode_iccid(iccid: str) -> bytes:
@@ -159,8 +162,15 @@ class AkaVectors:
         return self.res + self.ck + self.ik + self.autn
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _mix(k: bytes, op_salt: bytes, rand: bytes) -> int:
+    """m = k xor rand xor op_salt, as a 128-bit big-endian integer."""
+    return (int.from_bytes(k, "big") ^ int.from_bytes(rand, "big")
+            ^ int.from_bytes(op_salt, "big"))
+
+
+def _fold(m: int) -> bytes:
+    """The 8-octet XOR fold of m: m[0:8] xor m[8:16]."""
+    return ((m >> 64) ^ (m & 0xFFFF_FFFF_FFFF_FFFF)).to_bytes(8, "big")
 
 
 def toy_aka(k: bytes, op_salt: bytes, rand: bytes, sqn: int) -> AkaVectors:
@@ -174,12 +184,12 @@ def toy_aka(k: bytes, op_salt: bytes, rand: bytes, sqn: int) -> AkaVectors:
         raise ValueError("k, op_salt, and rand must be 16 octets")
     if not 0 <= sqn < 1 << 48:
         raise ValueError("sqn must fit in 48 bits")
-    m = bytes(a ^ b ^ c for a, b, c in zip(k, rand, op_salt))
+    mixed = _mix(k, op_salt, rand)
+    m = mixed.to_bytes(16, "big")
     res = m[:8]
     ck = m[1:] + m[:1]
     ik = m[2:] + m[:2]
-    mac = _xor(m[:8], m[8:])
-    autn = _xor(sqn.to_bytes(6, "big"), m[:6]) + b"\x80\x00" + mac
+    autn = (sqn ^ (mixed >> 80)).to_bytes(6, "big") + b"\x80\x00" + _fold(mixed)
     return AkaVectors(res, ck, ik, autn)
 
 
@@ -194,19 +204,25 @@ def verify_aka_response(k: bytes, op_salt: bytes, rand: bytes,
     if len(response_data) != 56:
         raise AuthFailed(f"response body is {len(response_data)} octets, want 56")
     res, autn = response_data[:8], response_data[40:56]
-    m = bytes(a ^ b ^ c for a, b, c in zip(k, rand, op_salt))
-    if res != m[:8]:
+    mixed = _mix(k, op_salt, rand)
+    if int.from_bytes(res, "big") != mixed >> 64:
         raise AuthFailed("RES mismatch")
     if autn[6:8] != b"\x80\x00":
         raise AuthFailed("AUTN structure marker mismatch")
-    if autn[8:16] != _xor(m[:8], m[8:]):
+    if autn[8:16] != _fold(mixed):
         raise AuthFailed("AUTN mac mismatch")
-    return int.from_bytes(_xor(autn[:6], m[:6]), "big")
+    return int.from_bytes(autn[:6], "big") ^ (mixed >> 80)
 
 
 # ---------------------------------------------------------------------------
 # Profile
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_atr_hex(atr_hex: str) -> Atr:
+    """Parse each distinct ATR once; Atr is frozen, so sharing is safe."""
+    return parse_atr(bytes.fromhex(atr_hex))
 
 
 @dataclass
@@ -232,17 +248,18 @@ class SimProfile:
     def __post_init__(self):
         if not (19 <= len(self.iccid) <= 20 and luhn_valid(self.iccid)):
             raise ValueError(f"ICCID fails the Luhn check: {self.iccid!r}")
-        if not (self.imsi.isdigit() and 6 <= len(self.imsi) <= 15):
+        if not (self.imsi.isascii() and self.imsi.isdigit()
+                and 6 <= len(self.imsi) <= 15):
             raise ValueError(f"IMSI must be 6..15 digits: {self.imsi!r}")
         if len(self.k) != 16 or len(self.op_salt) != 16:
             raise ValueError("k and op_salt must be 16 octets")
         if not 0 <= self.sqn < 1 << 48:
             raise ValueError("sqn must fit in 48 bits")
-        parse_atr(bytes.fromhex(self.atr_hex))  # fail fast on a bad ATR
+        _parse_atr_hex(self.atr_hex)  # fail fast on a bad ATR
 
     @property
     def atr(self) -> Atr:
-        return parse_atr(bytes.fromhex(self.atr_hex))
+        return _parse_atr_hex(self.atr_hex)
 
     @classmethod
     def from_json(cls, text: str) -> "SimProfile":
@@ -364,6 +381,11 @@ class ProactiveCommand:
     payload: bytes
 
     def to_bytes(self) -> bytes:
+        return self._envelope
+
+    @functools.cached_property
+    def _envelope(self) -> bytes:
+        """The BER-TLV envelope, encoded once per command."""
         source, dest = DEVICE_IDS[self.kind]
         inner = tlv.encode_tlv(
             tlv.TAG_COMMAND_DETAILS,
@@ -451,23 +473,13 @@ class Card:
     def process(self, cmd: CommandApdu) -> ResponseApdu:
         if not self._was_reset:
             raise RuntimeError("card used before reset")
-        handler = {
-            INS_SELECT: self._on_select,
-            INS_READ_BINARY: self._on_read_binary,
-            INS_READ_RECORD: self._on_read_record,
-            INS_GET_RESPONSE: self._on_get_response,
-            INS_STATUS: self._on_status,
-            INS_AUTHENTICATE: self._on_authenticate,
-            INS_FETCH: self._on_fetch,
-            INS_TERMINAL_RESPONSE: self._on_terminal_response,
-            INS_ENVELOPE: self._on_envelope,
-        }.get(cmd.ins)
+        handler = self._HANDLERS.get(cmd.ins)
         if handler is None:
             logger.debug("unsupported INS %02X", cmd.ins)
-            return ResponseApdu(b"", *SW_INS_NOT_SUPPORTED)
-        resp = handler(cmd)
+            return RESP_INS_NOT_SUPPORTED
+        resp = handler(self, cmd)
         # While the queue holds commands, success is signalled as 91 xx.
-        if (resp.sw1, resp.sw2) == SW_OK and len(self.queue):
+        if resp.sw1 == 0x90 and resp.sw2 == 0x00 and len(self.queue):
             return ResponseApdu(resp.data, 0x91, self.queue.head_length())
         return resp
 
@@ -483,21 +495,21 @@ class Card:
             if cmd.data == self._adf.aid:
                 self._current_dir = self._adf
                 self._current_ef = None
-                return ResponseApdu(b"", *SW_OK)
-            return ResponseApdu(b"", *SW_FILE_NOT_FOUND)
+                return RESP_OK
+            return RESP_FILE_NOT_FOUND
         if len(cmd.data) != 2:
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         fid = int.from_bytes(cmd.data, "big")
         node = self._lookup(fid)
         if node is None:
-            return ResponseApdu(b"", *SW_FILE_NOT_FOUND)
+            return RESP_FILE_NOT_FOUND
         if node.kind is FileKind.DIRECTORY:
             self._current_dir = node
             self._current_ef = None
         else:
             self._current_ef = node
         # No FCP template in the response: the virtual modem never reads it.
-        return ResponseApdu(b"", *SW_OK)
+        return RESP_OK
 
     def _lookup(self, fid: int) -> Optional[FileNode]:
         if fid == MF_ID:
@@ -511,36 +523,36 @@ class Card:
 
     def _on_read_binary(self, cmd: CommandApdu) -> ResponseApdu:
         if cmd.p1 & 0x80:  # short-file-id addressing unsupported
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         ef = self._current_ef
         if ef is None or ef.kind is not FileKind.TRANSPARENT:
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         offset = (cmd.p1 << 8) | cmd.p2
         if offset >= len(ef.body):
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         remaining = len(ef.body) - offset
         le = self._le_or_wildcard(cmd)
         if le != 256 and le > remaining:
             return ResponseApdu(b"", 0x6C, remaining)
         count = min(le, remaining)
-        return ResponseApdu(ef.body[offset:offset + count], *SW_OK)
+        return ResponseApdu(ef.body[offset:offset + count], 0x90, 0x00)
 
     def _on_read_record(self, cmd: CommandApdu) -> ResponseApdu:
         ef = self._current_ef
         if ef is None or ef.kind is not FileKind.LINEAR_FIXED:
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         if cmd.p2 & 0x07 != 0x04 or cmd.p1 == 0:  # absolute addressing only
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         if cmd.p1 > len(ef.records):
-            return ResponseApdu(b"", *SW_RECORD_NOT_FOUND)
+            return RESP_RECORD_NOT_FOUND
         record = ef.records[cmd.p1 - 1]
         if cmd.le is not None and cmd.le != len(record) and cmd.le != 256:
             return ResponseApdu(b"", 0x6C, len(record))
-        return ResponseApdu(record, *SW_OK)
+        return ResponseApdu(record, 0x90, 0x00)
 
     def _on_get_response(self, cmd: CommandApdu) -> ResponseApdu:
         # SELECT responses carry no FCP, so there is never anything queued.
-        return ResponseApdu(b"", *SW_OK)
+        return RESP_OK
 
     def _on_status(self, cmd: CommandApdu) -> ResponseApdu:
         self._status_polls += 1
@@ -548,26 +560,39 @@ class Card:
             for scripted in self._scripted_pending:
                 self.queue.enqueue(scripted.kind, scripted.payload)
             self._scripted_pending = []
-        return ResponseApdu(b"", *SW_OK)
+        return RESP_OK
 
     def _on_authenticate(self, cmd: CommandApdu) -> ResponseApdu:
         if len(cmd.data) != 16:
-            return ResponseApdu(b"", *SW_WRONG_LENGTH)
+            return RESP_WRONG_LENGTH
         vectors = toy_aka(self.profile.k, self.profile.op_salt, cmd.data, self._sqn)
         self._sqn += 1
-        return ResponseApdu(vectors.to_bytes(), *SW_OK)
+        return ResponseApdu(vectors.to_bytes(), 0x90, 0x00)
 
     def _on_fetch(self, cmd: CommandApdu) -> ResponseApdu:
         if not len(self.queue):
-            return ResponseApdu(b"", *SW_WRONG_PARAMS)
+            return RESP_WRONG_PARAMS
         fetched = self.queue.fetch()
-        return ResponseApdu(fetched.to_bytes(), *SW_OK)
+        return ResponseApdu(fetched.to_bytes(), 0x90, 0x00)
 
     def _on_terminal_response(self, cmd: CommandApdu) -> ResponseApdu:
         info = tlv.parse_terminal_response(cmd.data)
         if info is not None:
             self.acked_numbers.append(info.command_number)
-        return ResponseApdu(b"", *SW_OK)
+        return RESP_OK
 
     def _on_envelope(self, cmd: CommandApdu) -> ResponseApdu:
-        return ResponseApdu(b"", *SW_OK)
+        return RESP_OK
+
+    # INS -> handler, built once with the class.
+    _HANDLERS = {
+        INS_SELECT: _on_select,
+        INS_READ_BINARY: _on_read_binary,
+        INS_READ_RECORD: _on_read_record,
+        INS_GET_RESPONSE: _on_get_response,
+        INS_STATUS: _on_status,
+        INS_AUTHENTICATE: _on_authenticate,
+        INS_FETCH: _on_fetch,
+        INS_TERMINAL_RESPONSE: _on_terminal_response,
+        INS_ENVELOPE: _on_envelope,
+    }

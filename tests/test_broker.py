@@ -27,6 +27,7 @@ from simlink.errors import (
     InvalidIccid,
     NoMatch,
     ProbeStale,
+    RegistryClosed,
     UnknownLease,
 )
 from simlink.vsim import luhn_check_digit, luhn_valid
@@ -364,6 +365,114 @@ class TestControlApi:
             with pytest.raises(BrokerRequestError) as err:
                 client.request("list")
         assert err.value.code == "BadToken"
+
+    @pytest.mark.parametrize("token", [None, 123, 1.5, True, ["broker-token"],
+                                       {"token": "broker-token"}])
+    def test_non_string_token_is_bad_token(self, server, token):
+        reply = raw_request(server, {"op": "list", "token": token, "body": {}})
+        assert reply == {"ok": False, "error": "BadToken"}
+
+    @pytest.mark.parametrize("token", ["bröker-token", "broker-tokén", "\ud800",
+                                       "broker-token\u0000", "\u4e2d"])
+    def test_non_ascii_token_is_bad_token(self, server, token):
+        reply = raw_request(server, {"op": "list", "token": token, "body": {}})
+        assert reply == {"ok": False, "error": "BadToken"}
+
+    def test_non_ascii_token_accepted_when_it_matches(self):
+        token = "bröker-tökén-\u4e2d"
+        server = BrokerServer(Registry(), token)
+        server.start()
+        try:
+            with BrokerClient(server.endpoint, token) as client:
+                assert client.request("list")["ok"] is True
+            with BrokerClient(server.endpoint, "broker-token") as client:
+                with pytest.raises(BrokerRequestError) as err:
+                    client.request("list")
+            assert err.value.code == "BadToken"
+        finally:
+            server.stop()
+
+
+class TestShutdown:
+    """stop() ends live connections; a closed registry refuses changes, so
+    its log never falls behind its state."""
+
+    def test_kept_open_client_is_refused_after_stop_and_close(self, tmp_path):
+        log = str(tmp_path / "state.log")
+        registry = Registry(log_path=log)
+        server = BrokerServer(registry, TOKEN)
+        server.start()
+        client = BrokerClient(server.endpoint, TOKEN, timeout=2.0)
+        try:
+            client.request("register_probe", {"probe_id": "p1"})
+            server.stop()
+            registry.close()
+            with pytest.raises((BrokerError, OSError)):
+                client.request("register_probe", {"probe_id": "p2"})
+        finally:
+            client.close()
+        assert set(registry.probes) == {"p1"}
+        replayed = Registry.replay(log)
+        try:
+            assert replayed.snapshot() == registry.snapshot()
+        finally:
+            replayed.close()
+
+    def test_stop_ends_an_idle_connection(self):
+        server = BrokerServer(Registry(), TOKEN)
+        server.start()
+        with socket.create_connection(server.address, timeout=5) as conn:
+            conn.sendall((json.dumps({"op": "list", "token": TOKEN}) + "\n").encode())
+            with conn.makefile("rb") as stream:
+                assert json.loads(stream.readline())["ok"] is True
+                server.stop()
+                assert stream.readline() == b""  # closed, not left hanging
+
+    def test_closed_registry_refuses_every_change_and_keeps_its_state(self, tmp_path):
+        reg, clock = fresh_registry(tmp_path)
+        iccid = make_iccid(1)
+        reg.register_sim(iccid, tags={"AT"})
+        reg.register_probe("p1", "vie")
+        lease = reg.request_lease("p1", iccid=iccid, duration_ms=10)
+        reg.close()
+        before = reg.snapshot()
+        clock.tick(1000)  # the lease is due: a sweep would change state
+        for call in (lambda: reg.register_sim(make_iccid(2)),
+                     lambda: reg.register_sim(iccid, tags={"DE"}),
+                     lambda: reg.register_probe("p2"),
+                     lambda: reg.register_probe("p1", "ber"),
+                     lambda: reg.request_lease("p1", tags={"AT"}),
+                     lambda: reg.release(lease.lease_id),
+                     lambda: reg.expire_sweep()):
+            with pytest.raises(RegistryClosed):
+                call()
+            assert reg.snapshot() == before
+        lines = (tmp_path / "state.log").read_text().splitlines()
+        assert len(lines) == 3
+
+    def test_registry_without_log_keeps_working_after_close(self):
+        reg, clock = fresh_registry()
+        reg.close()
+        iccid = make_iccid(1)
+        reg.register_sim(iccid)
+        reg.register_probe("p1")
+        lease = reg.request_lease("p1", iccid=iccid)
+        assert reg.release(lease.lease_id) is True
+        assert reg.expire_sweep() == []
+
+    def test_closed_registry_answers_a_typed_error(self, tmp_path):
+        registry = Registry(log_path=str(tmp_path / "state.log"))
+        server = BrokerServer(registry, TOKEN)
+        server.start()
+        try:
+            registry.close()
+            with BrokerClient(server.endpoint, TOKEN) as client:
+                with pytest.raises(BrokerRequestError) as err:
+                    client.request("register_probe", {"probe_id": "p1"})
+                assert err.value.code == "RegistryClosed"
+                assert client.request("list")["probes"] == []
+        finally:
+            server.stop()
 
 
 # -- oracle: the indexed registry against the linear-scan one -----------------

@@ -145,6 +145,28 @@ class TestHandshake:
         assert probe.phase is Phase.CLOSED
         assert any(isinstance(a, Closed) for a in closed)
 
+    @pytest.mark.parametrize("offered", ["wröng-tökén", "test-tokeñ", "", "test-token "])
+    def test_bad_non_ascii_token_refused(self, offered):
+        probe = Session(Role.PROBE, offered, session_id=2)
+        provider = Session(Role.PROVIDER, TOKEN)
+        actions = provider.on_frame(only_frame(probe.start()))
+        assert provider.phase is Phase.CLOSED
+        assert provider.close_reason == "BadToken"
+        assert only_frame(actions).payload == b"BadToken"
+
+    def test_non_ascii_token_establishes(self):
+        probe, provider = establish_pair(token="tökén-ü-\u4e2d")
+        assert provider.phase is Phase.ESTABLISHED
+
+    def test_undecodable_token_octets_refused(self):
+        provider = Session(Role.PROVIDER, TOKEN)
+        hello = only_frame(Session(Role.PROBE, TOKEN, session_id=2).start())
+        mangled = TunnelFrame(hello.msg_type, hello.session_id, hello.seq,
+                              hello.payload[:1] + b"\xff\xfe" + hello.payload[3:])
+        actions = provider.on_frame(mangled)
+        assert provider.close_reason == "BadToken"
+        assert only_frame(actions).payload == b"BadToken"
+
     def test_apdu_before_hello_is_violation(self):
         provider = Session(Role.PROVIDER, TOKEN)
         raw = TunnelFrame(MessageType.APDU_REQ, 3, 0, b"\x00\xA4\x00\x00\x00")

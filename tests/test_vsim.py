@@ -31,6 +31,7 @@ from simlink.vsim import (
     encode_imsi,
     luhn_valid,
     swap_nibbles_bcd,
+    unswap_nibbles_bcd,
     toy_aka,
     verify_aka_response,
 )
@@ -47,6 +48,21 @@ def oracle_swap_bcd(digits, octets):
     for i in range(0, len(padded), 2):
         swapped += padded[i + 1] + padded[i]
     return bytes.fromhex(swapped)
+
+
+def old_luhn_valid(digits):
+    """The per-digit loop luhn_valid replaced, for ASCII strings."""
+    if not digits.isdigit():
+        return False
+    total = 0
+    for i, ch in enumerate(reversed(digits)):
+        d = int(ch)
+        if i % 2 == 1:
+            d *= 2
+            if d > 9:
+                d -= 9
+        total += d
+    return total % 10 == 0
 
 
 def oracle_aka(k, op_salt, rand, sqn):
@@ -79,6 +95,23 @@ class TestEncodings:
                     continue
                 mutated = iccid[:pos] + repl + iccid[pos + 1:]
                 assert not luhn_valid(mutated), f"pos {pos} -> {repl}"
+
+    def test_luhn_matches_the_per_digit_loop(self):
+        rng = random.Random(2718)
+        for _ in range(200_000):
+            digits = "".join(rng.choice("0123456789")
+                             for _ in range(rng.randint(1, 20)))
+            assert luhn_valid(digits) is old_luhn_valid(digits), digits
+        for text in ("", "abc", "89O1", "8901234567890123455x", " 18", "18 ",
+                     "+18", "-18", "1.8", "0x18", "\t18"):
+            assert luhn_valid(text) is old_luhn_valid(text) is False, repr(text)
+
+    @pytest.mark.parametrize("text", ["\u0661\u0662\u0663", "\u0661\u0668",
+                                      "\u0660", "\u00b2", "1\u00b9",
+                                      "\uff11\uff18", "\u0967\u096e"])
+    def test_luhn_rejects_non_ascii_digits(self, text):
+        assert text.isdigit()
+        assert luhn_valid(text) is False
 
     def test_iccid_bcd_pinned(self):
         body = encode_iccid("8901234567890123455")
@@ -118,6 +151,30 @@ class TestEncodings:
             SimProfile("8901234567890123455", "12345", bytes(16), bytes(16))
         with pytest.raises(ValueError):
             SimProfile("8901234567890123455", "123456", bytes(15), bytes(16))
+        with pytest.raises(ValueError, match="IMSI must be 6..15 digits"):
+            SimProfile("8901234567890123455", "\u0661\u0662\u0663\u0664\u0665\u0666",
+                       bytes(16), bytes(16))
+
+    def test_unswap_matches_the_per_nibble_loop(self):
+        def old_unswap(raw):
+            out = []
+            for octet in raw:
+                for nibble in (octet & 0x0F, octet >> 4):
+                    if nibble == 0xF:
+                        return "".join(out)
+                    out.append(f"{nibble:X}")
+            return "".join(out)
+
+        rng = random.Random(5)
+        for _ in range(2000):
+            raw = bytes(rng.choice([rng.randrange(256), 0x98, 0xF1, 0x1F, 0xFF])
+                        for _ in range(rng.randint(0, 12)))
+            assert unswap_nibbles_bcd(raw) == old_unswap(raw), raw.hex()
+
+    def test_swap_rejects_non_hex_digits(self):
+        for digits in ("12 4", "12  ", "1\n34", "12G4", "\u0661\u0662"):
+            with pytest.raises(ValueError):
+                swap_nibbles_bcd(digits, 2)
 
     def test_profile_json_roundtrip(self):
         profile = demo_profile()
