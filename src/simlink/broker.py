@@ -42,6 +42,7 @@ from .errors import (
     RegistryClosed,
     UnknownLease,
 )
+from .listener import Listener
 from .vsim import luhn_valid
 
 logger = logging.getLogger(__name__)
@@ -450,82 +451,25 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 
-class BrokerServer:
+class BrokerServer(Listener):
     """Line-oriented JSON control API in front of one Registry."""
 
     def __init__(self, registry: Registry, token: str,
                  host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         self.registry = registry
         self.token = token
-        self._sock = socket.create_server((host, port))
-        self.address = self._sock.getsockname()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
-        self._conns: Set[socket.socket] = set()  # live control connections
-        self._conns_lock = threading.Lock()
-
-    @property
-    def endpoint(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
-
-    def start(self):
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="broker-accept", daemon=True
-        )
-        self._accept_thread.start()
-
-    def serve_forever(self):
-        self.start()
-        self._accept_thread.join()
-
-    def stop(self):
-        """Stop accepting and end every live control connection, so no
-        request is served after this returns (one already being handled
-        finishes first)."""
-        with self._conns_lock:
-            self._stopping.set()
-            conns = list(self._conns)
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                conn, peer = self._sock.accept()
-            except OSError:
-                break
-            threading.Thread(
-                target=self._serve_client, args=(conn,), daemon=True
-            ).start()
 
     def _serve_client(self, conn: socket.socket):
-        with self._conns_lock:
-            if self._stopping.is_set():
-                conn.close()
-                return
-            self._conns.add(conn)
-        try:
-            with conn, conn.makefile("rwb") as stream:
-                for raw in stream:
-                    try:
-                        reply = self._handle_line(raw.decode())
-                    except Exception:  # a broken client must not kill the broker
-                        logger.exception("control request failed")
-                        reply = {"ok": False, "error": "Internal"}
-                    stream.write((json.dumps(reply) + "\n").encode())
-                    stream.flush()
-        except OSError as exc:  # the peer reset, or stop() shut the socket
-            logger.debug("control connection ended: %s", exc)
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
+        with conn.makefile("rwb") as stream:
+            for raw in stream:
+                try:
+                    reply = self._handle_line(raw.decode())
+                except Exception:  # a broken client must not kill the broker
+                    logger.exception("control request failed")
+                    reply = {"ok": False, "error": "Internal"}
+                stream.write((json.dumps(reply) + "\n").encode())
+                stream.flush()
 
     def _handle_line(self, line: str) -> dict:
         try:

@@ -126,7 +126,6 @@ def cmd_provide(args) -> int:
         profile, token, host=host, port=port,
         rules=rules, trace_dir=args.trace_dir,
     )
-    server.start()
     with BrokerClient(args.broker, token) as client:
         client.request("register_sim", {
             "iccid": profile.iccid,
@@ -136,8 +135,7 @@ def cmd_provide(args) -> int:
     print(f"provider for {profile.iccid} listening on {server.endpoint}",
           file=sys.stderr)
     try:
-        while True:
-            time.sleep(3600)
+        server.serve_forever()  # connections made meanwhile wait in the backlog
     except KeyboardInterrupt:
         pass
     finally:

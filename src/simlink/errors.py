@@ -41,7 +41,8 @@ class ProtocolViolation(SimlinkError):
     """The peer broke the link discipline; the session is unrecoverable.
 
     ``kind`` is one of ``AlternationBroken``, ``SeqGap``, ``UnknownType``,
-    ``ProcedureByte``.
+    ``ProcedureByte``, ``BadFrame`` (bytes that do not decode as a frame)
+    and ``HandshakeTimeout`` (no Hello within the provider's deadline).
     """
 
     def __init__(self, kind: str, detail: str = ""):

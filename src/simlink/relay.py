@@ -1,10 +1,12 @@
 """Socket endpoints: the SIM-provider service and the probe-side link.
 
-The provider serves one card session per connection: frames in, session
-machine transitions, card + rewrite rules + tracer on every relayed
-command. The probe side exposes the same link protocol the virtual
-modem drives (reset / exchange / idle), so a ModemSim runs unchanged
-over a real TCP tunnel.
+The provider serves one card session per connection. Its protocol is
+``ProviderCore``, which does no socket I/O: bytes in, frame decoding,
+session machine transitions, card + rewrite rules + tracer on every
+relayed command, bytes out. ``ProviderServer`` is the shell around it,
+one thread per connection from the shared ``Listener``. The probe side
+exposes the same link protocol the virtual modem drives (reset /
+exchange / idle), so a ModemSim runs unchanged over a real TCP tunnel.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import logging
 import os
 import secrets
 import socket
-import threading
 import time
 from typing import List, Optional
 
 from .apdu import CommandApdu
-from .errors import ProtocolViolation, SimlinkError
+from .errors import CodecError, ProtocolViolation, SimlinkError
+from .listener import Listener
 from .modem import Timing
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
 from .tunnel import (
@@ -30,6 +32,7 @@ from .tunnel import (
     Established,
     FrameDecoder,
     KeepaliveAcked,
+    Phase,
     ResetIndication,
     Role,
     Session,
@@ -40,6 +43,8 @@ from .tunnel import (
 from .vsim import Card, SimProfile
 
 logger = logging.getLogger(__name__)
+
+RECV_BYTES = 65536
 
 
 def wall_ms() -> float:
@@ -72,7 +77,7 @@ class FrameChannel:
     def recv(self) -> Optional[TunnelFrame]:
         """Next frame, or None at end of stream."""
         while not self._queued:
-            chunk = self.sock.recv(65536)
+            chunk = self.sock.recv(RECV_BYTES)
             if not chunk:
                 return None
             self._queued.extend(self._decoder.feed(chunk))
@@ -90,133 +95,148 @@ class FrameChannel:
 # Provider side
 # ---------------------------------------------------------------------------
 
+# A peer that sends no Hello this long after connecting is answered
+# Error HandshakeTimeout and closed.
+HANDSHAKE_TIMEOUT_MS = 10_000.0
 
-class ProviderSession:
-    """One tunnel session bound to one fresh card instance."""
 
-    def __init__(self, channel: FrameChannel, profile: SimProfile, token: str,
-                 rewriter: Optional[Rewriter] = None,
-                 trace_dir: Optional[str] = None):
-        self.channel = channel
+class ProviderCore:
+    """One tunnel session bound to one fresh card instance, with no socket
+    I/O: ``on_bytes`` takes each chunk read, ``on_deadline`` runs once
+    ``deadline_ms`` passes with nothing read, and both return the bytes
+    to send. Every fault of the peer becomes one Error frame and
+    ``closed``. An exchange's two trace events carry the ``now_ms`` of
+    its command's chunk, relative to the first traced command."""
+
+    def __init__(self, profile: SimProfile, token: str, now_ms: float,
+                 rules: Optional[list] = None, trace_dir: Optional[str] = None):
         self.card = Card(profile)
         self.session = Session(Role.PROVIDER, token)
-        self.rewriter = rewriter or Rewriter()
+        self.rewriter = Rewriter(rules)
         self.trace_dir = trace_dir
         self.tracer: Optional[Tracer] = None
+        # The handshake deadline until Hello; no deadline after it.
+        self.deadline_ms: Optional[float] = now_ms + HANDSHAKE_TIMEOUT_MS
+        self._decoder = FrameDecoder()
         self._trace_file = None
         self._trace_path: Optional[str] = None
         self._t0: Optional[float] = None
 
-    def serve(self):
-        try:
-            while self.session.phase.value != "closed":
-                frame = self.channel.recv()
-                if frame is None:
-                    break
-                actions = self.session.on_frame(frame, wall_ms())
-                self.channel.emit(actions)
-                for action in actions:
-                    self._run_action(action)
-        finally:
-            self._finalize_trace()
-            self.channel.close()
+    @property
+    def closed(self) -> bool:
+        return self.session.phase is Phase.CLOSED
 
-    def _finalize_trace(self):
+    def on_bytes(self, chunk: bytes, now_ms: float) -> bytes:
+        if self.closed:
+            return b""
+        if self.deadline_ms is not None and now_ms >= self.deadline_ms:
+            return self.on_deadline(now_ms)  # a peer trickling bytes
+        try:
+            frames = self._decoder.feed(chunk)
+        except CodecError as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            return self._run(self.session.violate("BadFrame", detail), now_ms)
+        return b"".join(self._run(self.session.on_frame(frame, now_ms), now_ms)
+                        for frame in frames)
+
+    def on_deadline(self, now_ms: float) -> bytes:
+        if self.closed or self.deadline_ms is None or now_ms < self.deadline_ms:
+            return b""
+        detail = f"no Hello within {HANDSHAKE_TIMEOUT_MS:.0f} ms"
+        return self._run(self.session.violate("HandshakeTimeout", detail), now_ms)
+
+    def finish(self):
+        """Close the trace file, then rewrite it with the flags that need
+        the whole session to pair up."""
         if self._trace_file is None:
             return
         self._trace_file.close()
         self._trace_file = None
-        # Annotate flags that need the whole session to pair up.
         detect_silent_sms(self.tracer.events)
         write_trace(self._trace_path, self.tracer.events)
 
-    def _now(self) -> float:
-        now = wall_ms()
-        if self._t0 is None:
-            self._t0 = now
-        return now - self._t0
-
-    def _run_action(self, action):
-        if isinstance(action, Established):
-            self._open_trace()
-        elif isinstance(action, ResetIndication):
-            atr = self.card.reset()
-            self.channel.emit(self.session.send_atr(atr.to_bytes()))
-        elif isinstance(action, DeliverCommand):
-            self._relay(action.command)
-        elif isinstance(action, Violation):
-            logger.warning("session %s violated: %s: %s",
-                           self.session.session_id, action.kind, action.detail)
-        elif isinstance(action, Closed):
-            logger.debug("session %s closed (%s)",
-                         self.session.session_id, action.reason)
+    def _run(self, actions, now_ms: float) -> bytes:
+        """Carry out the machine's actions; return the frames they emit."""
+        emitted = list(actions)
+        for action in actions:
+            if isinstance(action, Established):
+                self.deadline_ms = None
+                self._open_trace()
+            elif isinstance(action, ResetIndication):
+                emitted += self.session.send_atr(self.card.reset().to_bytes())
+            elif isinstance(action, DeliverCommand):
+                emitted += self._relay(action.command, now_ms)
+            elif isinstance(action, Violation):
+                logger.warning("session %s violated: %s: %s",
+                               self.session.session_id, action.kind, action.detail)
+            elif isinstance(action, Closed):
+                logger.debug("session %s closed (%s)",
+                             self.session.session_id, action.reason)
+        return b"".join(
+            frame_encode(a.frame.msg_type, a.frame.session_id, a.frame.seq,
+                         a.frame.payload)
+            for a in emitted if isinstance(a, EmitFrame)
+        )
 
     def _open_trace(self):
-        if self.trace_dir is None:
-            self.tracer = Tracer(self.session.session_id)
-            return
-        os.makedirs(self.trace_dir, exist_ok=True)
-        self._trace_path = os.path.join(
-            self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
-        )
-        self._trace_file = open(self._trace_path, "w", encoding="utf-8")
+        if self.trace_dir is not None:
+            os.makedirs(self.trace_dir, exist_ok=True)
+            self._trace_path = os.path.join(
+                self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
+            )
+            self._trace_file = open(self._trace_path, "w", encoding="utf-8")
         self.tracer = Tracer(self.session.session_id, sink=self._trace_file)
 
-    def _relay(self, cmd: CommandApdu):
-        ts = self._now()
-        if self.tracer is not None:
-            self.tracer.command(ts, cmd)
+    def _relay(self, cmd: CommandApdu, now_ms: float):
+        if self._t0 is None:
+            self._t0 = now_ms
+        ts = now_ms - self._t0
+        # Both events reach the trace before the response is sent.
+        self.tracer.command(ts, cmd)
         outcome = self.rewriter.process(cmd, self.card.process)
-        if self.tracer is not None:
-            self.tracer.response(self._now(), outcome.response, command=cmd,
-                                 rule_id=outcome.rule_id,
-                                 original=outcome.original)
-        self.channel.emit(self.session.send_response(outcome.response))
+        self.tracer.response(ts, outcome.response, command=cmd,
+                             rule_id=outcome.rule_id, original=outcome.original)
+        return self.session.send_response(outcome.response)
 
 
-class ProviderServer:
+class ProviderServer(Listener):
     """Accepts tunnel connections and serves a card session on each."""
 
     def __init__(self, profile: SimProfile, token: str,
                  host: str = "127.0.0.1", port: int = 0,
                  rules: Optional[list] = None,
                  trace_dir: Optional[str] = None):
+        super().__init__(host, port)
         self.profile = profile
         self.token = token
         self.rules = rules or []
         self.trace_dir = trace_dir
-        self._sock = socket.create_server((host, port))
-        self.address = self._sock.getsockname()
-        self._stopping = threading.Event()
 
-    @property
-    def endpoint(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
-
-    def start(self):
-        threading.Thread(
-            target=self._accept_loop, name="provider-accept", daemon=True
-        ).start()
-
-    def stop(self):
-        self._stopping.set()
+    def _serve_client(self, conn: socket.socket):
+        """The I/O shell around one ProviderCore."""
+        core = ProviderCore(self.profile, self.token, wall_ms(),
+                            rules=self.rules, trace_dir=self.trace_dir)
+        deadline_ms = None
         try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                conn, peer = self._sock.accept()
-            except OSError:
-                break
-            logger.debug("tunnel connection from %s", peer)
-            session = ProviderSession(
-                FrameChannel(conn), self.profile, self.token,
-                rewriter=Rewriter(self.rules), trace_dir=self.trace_dir,
-            )
-            threading.Thread(target=session.serve, daemon=True).start()
+            while not core.closed:
+                if core.deadline_ms != deadline_ms:
+                    deadline_ms = core.deadline_ms
+                    # At least 1 ms: a zero timeout makes the socket
+                    # non-blocking instead of timing out.
+                    conn.settimeout(None if deadline_ms is None else
+                                    max(deadline_ms - wall_ms(), 1.0) / 1000.0)
+                try:
+                    chunk = conn.recv(RECV_BYTES)
+                except socket.timeout:
+                    out = core.on_deadline(wall_ms())
+                else:
+                    if not chunk:
+                        break
+                    out = core.on_bytes(chunk, wall_ms())
+                if out:
+                    conn.sendall(out)
+        finally:
+            core.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -225,12 +225,15 @@ class Session:
     rtt_samples: List[Tuple[float, float]] = field(default_factory=list)
     _send_seq: int = 0
     _recv_seq: int = 0
+    _reset_seen: bool = False
     close_reason: Optional[str] = None
 
     # -- emission helpers ----------------------------------------------------
 
     def _emit(self, msg_type: MessageType, payload: bytes = b"") -> EmitFrame:
-        frame = TunnelFrame(msg_type, self.session_id, self._send_seq, payload)
+        # Before the peer's first frame the session id is unknown; an Error
+        # sent then (undecodable stream, missed deadline) carries id 0.
+        frame = TunnelFrame(msg_type, self.session_id or 0, self._send_seq, payload)
         self._send_seq += 1
         return EmitFrame(frame)
 
@@ -301,18 +304,18 @@ class Session:
         if self.session_id is None:
             self.session_id = frame.session_id
         elif frame.session_id != self.session_id:
-            return self._violate(
+            return self.violate(
                 "SeqGap", f"session {frame.session_id}, expected {self.session_id}"
             )
         if frame.seq != self._recv_seq:
-            return self._violate(
+            return self.violate(
                 "SeqGap", f"seq {frame.seq}, expected {self._recv_seq}"
             )
         self._recv_seq += 1
         try:
             msg_type = MessageType(frame.msg_type)
         except ValueError:
-            return self._violate("UnknownType", f"msg_type {frame.msg_type:02X}")
+            return self.violate("UnknownType", f"msg_type {frame.msg_type:02X}")
 
         if msg_type is MessageType.ERROR:
             self.phase = Phase.CLOSED
@@ -330,7 +333,7 @@ class Session:
                             frame: TunnelFrame) -> List[Action]:
         if self.role is Role.PROVIDER and msg_type is MessageType.HELLO:
             if len(frame.payload) < 1:
-                return self._violate("UnknownType", "empty Hello payload")
+                return self.violate("UnknownType", "empty Hello payload")
             if not hmac.compare_digest(frame.payload[1:], self.token.encode()):
                 self.phase = Phase.CLOSED
                 self.close_reason = "BadToken"
@@ -341,7 +344,7 @@ class Session:
         if self.role is Role.PROBE and msg_type is MessageType.HELLO_ACK:
             self.phase = Phase.ESTABLISHED
             return [Established()]
-        return self._violate(
+        return self.violate(
             "AlternationBroken", f"{msg_type.name} during handshake"
         )
 
@@ -357,44 +360,49 @@ class Session:
             return [KeepaliveAcked()]
         if msg_type is MessageType.RESET:
             if self.role is not Role.PROVIDER:
-                return self._violate("AlternationBroken", "Reset toward the probe")
+                return self.violate("AlternationBroken", "Reset toward the probe")
             if self.in_flight is not None:
-                return self._violate("AlternationBroken", "Reset while in flight")
+                return self.violate("AlternationBroken", "Reset while in flight")
             self.in_flight = (_IN_FLIGHT_RESET, frame.seq)
+            self._reset_seen = True
             return [ResetIndication()]
         if msg_type is MessageType.ATR_IND:
             if self.role is not Role.PROBE:
-                return self._violate("AlternationBroken", "AtrInd toward the provider")
+                return self.violate("AlternationBroken", "AtrInd toward the provider")
             if self.in_flight is None or self.in_flight[0] != _IN_FLIGHT_RESET:
-                return self._violate("AlternationBroken", "AtrInd with no reset in flight")
+                return self.violate("AlternationBroken", "AtrInd with no reset in flight")
             self.in_flight = None
             return [DeliverAtr(frame.payload)]
         if msg_type is MessageType.APDU_REQ:
             if self.role is not Role.PROVIDER:
-                return self._violate("AlternationBroken", "ApduReq toward the probe")
+                return self.violate("AlternationBroken", "ApduReq toward the probe")
+            if not self._reset_seen:  # the card has no ATR yet to answer from
+                return self.violate("AlternationBroken", "ApduReq before Reset")
             if self.in_flight is not None:
-                return self._violate("AlternationBroken", "ApduReq while in flight")
+                return self.violate("AlternationBroken", "ApduReq while in flight")
             try:
                 cmd = decode_command(frame.payload)
             except Exception as exc:
-                return self._violate("UnknownType", f"undecodable ApduReq: {exc}")
+                return self.violate("UnknownType", f"undecodable ApduReq: {exc}")
             self.in_flight = (_IN_FLIGHT_APDU, frame.seq)
             return [DeliverCommand(cmd)]
         if msg_type is MessageType.APDU_RESP:
             if self.role is not Role.PROBE:
-                return self._violate("AlternationBroken", "ApduResp toward the provider")
+                return self.violate("AlternationBroken", "ApduResp toward the provider")
             if self.in_flight is None or self.in_flight[0] != _IN_FLIGHT_APDU:
-                return self._violate("AlternationBroken", "ApduResp with no request in flight")
+                return self.violate("AlternationBroken", "ApduResp with no request in flight")
             try:
                 resp = ResponseApdu.from_bytes(frame.payload)
             except Exception as exc:
-                return self._violate("UnknownType", f"undecodable ApduResp: {exc}")
+                return self.violate("UnknownType", f"undecodable ApduResp: {exc}")
             self.in_flight = None
             return [DeliverResponse(resp)]
         # HELLO / HELLO_ACK arriving again
-        return self._violate("AlternationBroken", f"{msg_type.name} while established")
+        return self.violate("AlternationBroken", f"{msg_type.name} while established")
 
-    def _violate(self, kind: str, detail: str) -> List[Action]:
+    def violate(self, kind: str, detail: str) -> List[Action]:
+        """Close the session with an Error frame naming ``kind``; also
+        for faults found outside the machine (bad stream, deadline)."""
         self.phase = Phase.CLOSED
         self.close_reason = f"{kind}: {detail}"
         return [

@@ -1,13 +1,41 @@
-"""Loopback tunnel tests: provider server + probe link over real sockets."""
+"""Provider core tests with no socket, and loopback tunnel tests: provider
+server + probe link over real sockets."""
 
+import dataclasses
 import json
+import socket
+import threading
+import time
 
 import pytest
 
+from simlink import relay
 from simlink.apdu import CommandApdu, INS_SELECT
-from simlink.modem import ModemSim, default_script
-from simlink.relay import LinkClosed, ProbeLink, ProviderServer
-from simlink.tracer import Tracer, detect_silent_sms, read_trace, rules_from_json
+from simlink.modem import ModemSim, Timing, default_script
+from simlink.relay import (
+    HANDSHAKE_TIMEOUT_MS,
+    LinkClosed,
+    ProbeLink,
+    ProviderCore,
+    ProviderServer,
+)
+from simlink.tracer import (
+    Tracer,
+    detect_silent_sms,
+    read_trace,
+    rules_from_json,
+)
+from simlink.tunnel import (
+    DeliverAtr,
+    DeliverResponse,
+    EmitFrame,
+    Established,
+    FrameDecoder,
+    MessageType,
+    Role,
+    Session,
+    frame_encode,
+)
 from simlink.vsim import demo_profile, encode_iccid
 
 TOKEN = "relay-token"
@@ -25,6 +53,20 @@ def provider(tmp_path):
 
 def connect(server, token=TOKEN, session_id=None):
     return ProbeLink(server.endpoint, token, session_id=session_id).connect()
+
+
+def wait_for_annotated_trace(path, timeout_s=2.0):
+    """A provider's trace once its close-time silent-SMS flag is in (the
+    annotation happens after the probe has closed)."""
+    deadline = time.monotonic() + timeout_s
+    events = []
+    while time.monotonic() < deadline:
+        if path.exists():
+            events = read_trace(path.read_text().splitlines())
+            if any("silent_sms" in e.flags for e in events):
+                break
+        time.sleep(0.01)
+    return events
 
 
 class TestLoopback:
@@ -82,8 +124,6 @@ class TestLoopback:
         assert len(detect_silent_sms(tracer.events)) == 1
 
     def test_provider_writes_trace_file(self, provider, tmp_path):
-        import time
-
         profile = demo_profile()
         session_id = 0xABCD
         link = connect(provider, session_id=session_id)
@@ -92,14 +132,7 @@ class TestLoopback:
         link.close()
         assert report.failure is None
         path = tmp_path / "traces" / f"session-{session_id:08x}.jsonl"
-        events = []
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:  # close-time annotation is async
-            if path.exists():
-                events = read_trace(path.read_text().splitlines())
-                if any("silent_sms" in e.flags for e in events):
-                    break
-            time.sleep(0.01)
+        events = wait_for_annotated_trace(path)
         assert len(events) == 2 * report.exchanges
         assert sum("silent_sms" in e.flags for e in events) == 1
         assert len(detect_silent_sms(events)) == 1
@@ -181,3 +214,219 @@ class TestRewriteThroughTunnel:
                 assert without_ev.raw_hex == with_ev.decoded["original_hex"]
             else:
                 assert without_ev.raw_hex == with_ev.raw_hex
+
+
+# -- the provider core, with no socket -------------------------------------------
+
+STATUS = CommandApdu(0x80, 0xF2, 0x00, 0x00)
+
+
+def wire(actions) -> bytes:
+    return b"".join(
+        frame_encode(a.frame.msg_type, a.frame.session_id, a.frame.seq,
+                     a.frame.payload)
+        for a in actions if isinstance(a, EmitFrame)
+    )
+
+
+def hello(token=TOKEN, session_id=7) -> bytes:
+    return wire(Session(Role.PROBE, token, session_id=session_id).start())
+
+
+class CoreLink:
+    """The probe's link protocol fed straight into a ProviderCore: the
+    bytes a socket would carry, on a clock that ticks 1 ms per feed."""
+
+    def __init__(self, core: ProviderCore, session_id: int):
+        self.core = core
+        self.session = Session(Role.PROBE, TOKEN, session_id=session_id)
+        self.now = 0.0
+        self._decoder = FrameDecoder()
+        self._feed(self.session.start(), Established)
+
+    def _feed(self, actions, wanted):
+        self.now += 1.0
+        replies = self._decoder.feed(self.core.on_bytes(wire(actions), self.now))
+        delivered = [action for frame in replies
+                     for action in self.session.on_frame(frame, self.now)
+                     if isinstance(action, wanted)]
+        assert len(delivered) == 1, replies
+        return delivered[0]
+
+    def reset(self):
+        atr = self._feed(self.session.send_reset(), DeliverAtr).atr
+        return atr, Timing(self.now, (), self.now)
+
+    def exchange(self, cmd):
+        resp = self._feed(self.session.send_command(cmd), DeliverResponse).response
+        return resp, Timing(self.now, (), self.now)
+
+    def idle(self, ms):
+        self.now += ms
+
+
+def established(core: ProviderCore) -> Session:
+    probe = Session(Role.PROBE, TOKEN, session_id=7)
+    for frame in FrameDecoder().feed(core.on_bytes(wire(probe.start()), 1.0)):
+        probe.on_frame(frame)
+    return probe
+
+
+def patched(raw: bytes, index: int, value: bytes) -> bytes:
+    return raw[:index] + value + raw[index + len(value):]
+
+
+FAULTS = {
+    "non-frame bytes": (
+        lambda core: core.on_bytes(b"GET / HTTP/1.1\r\n\r\n", 1.0),
+        b"BadFrame: BadMagic", 0),
+    "bad version": (
+        lambda core: core.on_bytes(patched(hello(), 2, b"\x02"), 1.0),
+        b"BadFrame: BadVersion", 0),
+    "oversize length": (
+        lambda core: core.on_bytes(patched(hello(), 12, b"\x10\x01"), 1.0),
+        b"BadFrame: Oversize", 0),
+    "ApduReq before Reset": (
+        lambda core: core.on_bytes(
+            wire(established(core).send_command(STATUS)), 2.0),
+        b"AlternationBroken: ApduReq before Reset", 7),
+    "bad token": (
+        lambda core: core.on_bytes(hello(token="wrong"), 1.0),
+        b"BadToken", 7),
+    "no Hello by deadline_ms": (
+        lambda core: core.on_deadline(core.deadline_ms),
+        b"HandshakeTimeout", 0),
+}
+
+
+class TestProviderCore:
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_each_fault_is_one_error_frame_then_closed(self, fault):
+        feed, payload, session_id = FAULTS[fault]
+        core = ProviderCore(demo_profile(), TOKEN, now_ms=0.0)
+        (frame,) = FrameDecoder().feed(feed(core))
+        assert frame.msg_type == MessageType.ERROR
+        assert frame.payload.startswith(payload)
+        assert frame.session_id == session_id
+        assert core.closed
+        assert core.on_bytes(hello(), 3.0) == b""
+        assert core.on_deadline(float("inf")) == b""
+
+    def test_handshake_deadline_holds_until_hello(self):
+        core = ProviderCore(demo_profile(), TOKEN, now_ms=500.0)
+        assert core.deadline_ms == 500.0 + HANDSHAKE_TIMEOUT_MS
+        assert core.on_deadline(core.deadline_ms - 1) == b""
+        assert not core.closed
+        (ack,) = FrameDecoder().feed(core.on_bytes(hello(), 600.0))
+        assert ack.msg_type == MessageType.HELLO_ACK
+        assert core.deadline_ms is None
+        assert core.on_deadline(float("inf")) == b""
+        assert not core.closed
+
+    def test_bytes_after_the_deadline_do_not_extend_it(self):
+        core = ProviderCore(demo_profile(), TOKEN, now_ms=0.0)
+        assert core.on_bytes(hello()[:5], 1.0) == b""  # a partial Hello
+        (frame,) = FrameDecoder().feed(
+            core.on_bytes(hello()[5:], HANDSHAKE_TIMEOUT_MS))
+        assert frame.payload.startswith(b"HandshakeTimeout")
+        assert core.closed
+
+    def test_demo_session_matches_the_socket_path(self, tmp_path):
+        profile = demo_profile()
+        rules = rules_from_json(iccid_rule_json())
+        session_id = 0x5E55
+
+        def modem():
+            return ModemSim(verify_aka=True, k=profile.k,
+                            op_salt=profile.op_salt, seed=11)
+
+        core = ProviderCore(profile, TOKEN, now_ms=0.0, rules=rules,
+                            trace_dir=str(tmp_path / "core"))
+        core_seen = Tracer(session_id)
+        core_report = modem().run(CoreLink(core, session_id), tracer=core_seen)
+        core.finish()
+        core_trace = read_trace(
+            (tmp_path / "core" / f"session-{session_id:08x}.jsonl")
+            .read_text().splitlines())
+
+        server = ProviderServer(profile, TOKEN, rules=rules,
+                                trace_dir=str(tmp_path / "socket"))
+        server.start()
+        try:
+            link = connect(server, session_id=session_id)
+            socket_seen = Tracer(session_id)
+            socket_report = modem().run(link, tracer=socket_seen)
+            link.close()
+            path = tmp_path / "socket" / f"session-{session_id:08x}.jsonl"
+            socket_trace = wait_for_annotated_trace(path)
+        finally:
+            server.stop()
+
+        def untimed(events):
+            return [dataclasses.replace(e, ts_ms=0) for e in events]
+
+        assert core_report.failure is socket_report.failure is None
+        assert untimed(core_seen.events) == untimed(socket_seen.events)
+        assert len(core_trace) == 2 * core_report.exchanges
+        assert untimed(core_trace) == untimed(socket_trace)
+
+
+# -- provider faults over real sockets ------------------------------------------
+
+
+def read_until_closed(sock):
+    """Every frame the provider sends before it closes the connection."""
+    decoder = FrameDecoder()
+    frames = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return frames
+        frames.extend(decoder.feed(chunk))
+
+
+class TestProviderFaultsOverSockets:
+    def test_non_frame_stream_gets_error_frame_and_close(self, provider):
+        with socket.create_connection(provider.address, timeout=5) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: simlink\r\n\r\n")
+            (frame,) = read_until_closed(sock)
+        assert frame.msg_type == MessageType.ERROR
+        assert frame.payload.startswith(b"BadFrame: BadMagic")
+
+    def test_apdu_before_reset_names_the_violation(self, provider):
+        link = connect(provider)
+        with pytest.raises(LinkClosed, match="AlternationBroken: ApduReq before Reset"):
+            link.exchange(STATUS)
+        link.close()
+
+    def test_silent_connections_close_at_the_handshake_deadline(self, provider,
+                                                                monkeypatch):
+        monkeypatch.setattr(relay, "HANDSHAKE_TIMEOUT_MS", 200.0)
+        baseline = threading.active_count()
+        start = time.monotonic()
+        socks = [socket.create_connection(provider.address, timeout=5)
+                 for _ in range(5)]
+        try:
+            for sock in socks:
+                (frame,) = read_until_closed(sock)
+                assert frame.payload.startswith(b"HandshakeTimeout")
+            assert time.monotonic() - start < 0.2 + 1.0
+        finally:
+            for sock in socks:
+                sock.close()
+        deadline = time.monotonic() + 2.0
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+
+    def test_stop_ends_a_live_session(self):
+        server = ProviderServer(demo_profile(), TOKEN)
+        server.start()
+        link = connect(server)
+        try:
+            link.reset()
+            server.stop()
+            with pytest.raises(LinkClosed):
+                link.exchange(STATUS)
+        finally:
+            link.close()

@@ -107,7 +107,9 @@ class TestFrameCodec:
             assert decoder.pending == 0
 
 
-def establish_pair(session_id=1, token=TOKEN):
+def establish_pair(session_id=1, token=TOKEN, reset=False):
+    """A probe and a provider past the handshake; with ``reset``, also past
+    one Reset/ATR cycle, which the provider requires before any ApduReq."""
     probe = Session(Role.PROBE, token, session_id=session_id)
     provider = Session(Role.PROVIDER, token)
     actions = probe.start()
@@ -117,6 +119,9 @@ def establish_pair(session_id=1, token=TOKEN):
     ack = next(a.frame for a in provider_actions if isinstance(a, EmitFrame))
     probe_actions = probe.on_frame(ack)
     assert any(isinstance(a, Established) for a in probe_actions)
+    if reset:
+        provider.on_frame(only_frame(probe.send_reset()))
+        probe.on_frame(only_frame(provider.send_atr(bytes.fromhex("3B00"))))
     return probe, provider
 
 
@@ -174,10 +179,19 @@ class TestHandshake:
         assert any(isinstance(a, Violation) for a in actions)
         assert provider.phase is Phase.CLOSED
 
+    def test_apdu_before_reset_is_refused(self):
+        probe, provider = establish_pair()
+        req = only_frame(probe.send_command(CommandApdu(0x00, 0xF2, 0x00, 0x00)))
+        actions = provider.on_frame(req)
+        assert not any(isinstance(a, DeliverCommand) for a in actions)
+        assert Violation("AlternationBroken", "ApduReq before Reset") in actions
+        assert only_frame(actions).payload == b"AlternationBroken: ApduReq before Reset"
+        assert provider.phase is Phase.CLOSED
+
 
 class TestRelayDiscipline:
     def test_request_response_cycle(self):
-        probe, provider = establish_pair()
+        probe, provider = establish_pair(reset=True)
         cmd = CommandApdu(0x00, 0xA4, 0x00, 0x04, data=b"\x3F\x00")
         req = only_frame(probe.send_command(cmd))
         assert req.msg_type == MessageType.APDU_REQ
@@ -198,7 +212,7 @@ class TestRelayDiscipline:
             probe.send_command(cmd)
 
     def test_incoming_apdureq_while_in_flight_is_violation(self):
-        probe, provider = establish_pair()
+        probe, provider = establish_pair(reset=True)
         cmd = CommandApdu(0x00, 0xF2, 0x00, 0x00)
         req = only_frame(probe.send_command(cmd))
         provider.on_frame(req)
@@ -231,7 +245,7 @@ class TestRelayDiscipline:
                    if isinstance(a, Violation))
 
     def test_seq_increments_by_one_per_direction(self):
-        probe, provider = establish_pair()
+        probe, provider = establish_pair(reset=True)
         seqs = []
         for _ in range(5):
             req = only_frame(probe.send_command(CommandApdu(0, 0xF2, 0, 0)))
@@ -251,7 +265,7 @@ class TestRelayDiscipline:
         assert DeliverAtr(bytes.fromhex("3B00")) in delivered
 
     def test_exactly_once_thousand_commands(self):
-        probe, provider = establish_pair()
+        probe, provider = establish_pair(reset=True)
         delivered_cmds = []
         delivered_resps = []
         for i in range(1000):
@@ -324,7 +338,7 @@ class TestKeepaliveRtt:
         assert probe.rtt_estimate() == pytest.approx(0.16)
 
     def test_keepalive_interleaves_with_in_flight(self):
-        probe, provider = establish_pair()
+        probe, provider = establish_pair(reset=True)
         req = only_frame(probe.send_command(CommandApdu(0, 0xF2, 0, 0)))
         ka = only_frame(probe.send_keepalive(now_ms=5))
         provider.on_frame(req)
