@@ -7,16 +7,21 @@ ICCID at any instant. Handlers never touch the network while holding the
 lock. Free SIMs and lease expiries are indexed by heaps, so a grant, a
 release and an expiry sweep cost O(log n) amortized in the fleet size.
 
-State changes append JSON lines to an optional log file, flushed per
-event; replaying the log reconstructs the registry after a crash, with
-already-expired leases recovered as Free by the first sweep.
+Every state change is one event: ``Registry._commit`` runs it through
+``Registry._apply``, then appends it as a JSON line to an optional log
+file, flushed per event. Opening a registry on a log folds every complete
+event through the same ``_apply``, so a restart after a crash rebuilds the
+state exactly, with already-expired leases recovered as Free by the first
+sweep; a torn last line, left by a crash mid-write, is cut off.
 
 The control API is newline-delimited JSON over TCP:
 
     {"op": "register_sim", "token": "...", "body": {...}}\n
 
 answered by ``{"ok": true, ...}`` or ``{"ok": false, "error": "NoMatch"}``.
-One connection carries any number of requests, answered in order.
+One connection carries any number of requests, answered in order. A
+request line may be at most ``REQUEST_MAX`` bytes long, and a connection
+that sends nothing for the registry's heartbeat window is closed.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ STATUS_LEASED = "Leased"
 HEAP_SLACK = 64
 
 RECV_BYTES = 65536
+REQUEST_MAX = 64 * 1024  # bytes in one control request line, newline included
 
 
 def now_ms() -> int:
@@ -133,12 +139,15 @@ FreeEntry = Tuple[int, str, int]
 class Registry:
     """In-memory registry with an append-only event log.
 
+    State changes only in ``_apply``: a live call checks its input under
+    the lock and ``_commit``s one event; opening a log folds its events.
+
     Free SIMs are indexed by one heap per tag plus one heap (key None)
     over every free SIM, active leases by a heap of expiry times. Both use
     lazy deletion: a free entry is live while its SIM's ``index_gen`` still
     equals the one it was pushed with (the SIM is still free and has kept
     its tags, hence its key), an expiry entry while its lease is active.
-    The indexes are derived state; replay rebuilds them.
+    The indexes are derived state; the fold rebuilds them.
     """
 
     def __init__(self, log_path: Optional[str] = None,
@@ -156,20 +165,41 @@ class Registry:
         self._free_heaps: Dict[Optional[str], List[FreeEntry]] = {}
         self._free_live: Dict[Optional[str], int] = {}  # live entries per heap
         self._expiries: List[Tuple[int, str]] = []
+        if log_path:
+            self._fold(log_path)
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
         self._closed = False  # set once a log is closed; refuses mutations
 
     # -- persistence ---------------------------------------------------------
 
-    def _append(self, event: str, body: dict, ts: Optional[int] = None):
-        if self._log_file is None:
-            return
-        # The logged ts must be the one the mutation used, or replay skews.
-        stamp = self._clock() if ts is None else ts
-        line = json.dumps({"event": event, "ts": stamp, "body": body},
-                          separators=(",", ":"))
-        self._log_file.write(line + "\n")
-        self._log_file.flush()
+    @classmethod
+    def replay(cls, log_path: str, **kwargs) -> "Registry":
+        """Alias of ``Registry(log_path=log_path, **kwargs)``."""
+        return cls(log_path=log_path, **kwargs)
+
+    def _fold(self, log_path: str):
+        """Apply every complete event of the log. A crash in the middle of
+        a write leaves one final line with no newline: it is cut off, so
+        the next event starts its own line. Any other bad line raises."""
+        with open(log_path, "ab+") as fh:
+            fh.seek(0)
+            complete = 0  # bytes up to the end of the last complete line
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    fh.truncate(complete)
+                    break
+                if line.strip():
+                    self._apply(json.loads(line))
+                complete += len(line)
+
+    def _commit(self, event: str, ts: int, body: dict):
+        """Apply one event, then log it: a fold of the log then rebuilds the
+        state live calls built. ``ts`` must be the time the change used."""
+        doc = {"event": event, "ts": ts, "body": body}
+        self._apply(doc)
+        if self._log_file is not None:
+            self._log_file.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            self._log_file.flush()
 
     def close(self):
         """Close the event log. Every later state change raises
@@ -185,78 +215,48 @@ class Registry:
         if self._closed:
             raise RegistryClosed("the event log is closed")
 
-    @classmethod
-    def replay(cls, log_path: str, clock: Callable[[], int] = now_ms,
-               **kwargs) -> "Registry":
-        """Rebuild a registry from its event log, then keep appending to it."""
-        registry = cls(log_path=None, clock=clock, **kwargs)
-        try:
-            with open(log_path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        registry._apply(json.loads(line))
-        except FileNotFoundError:
-            pass
-        registry._log_file = open(log_path, "a", encoding="utf-8")
-        return registry
+    # -- internals (call with the lock held, or during the fold) ---------------
 
     def _apply(self, doc: dict):
+        """The one place registry state changes."""
         event, ts, body = doc["event"], doc["ts"], doc["body"]
         if event == "register_sim":
-            self._upsert_sim(ts, body["iccid"], set(body["tags"]),
-                             body["provider_endpoint"])
+            tags = set(body["tags"])
+            sim = self.sims.get(body["iccid"])
+            if sim is None:
+                sim = SimRecord(body["iccid"], tags, body["provider_endpoint"], ts)
+                self.sims[sim.iccid] = sim
+                self._index(sim)
+            else:
+                if sim.tags != tags:
+                    free = sim.lease_id is None
+                    if free:
+                        self._unindex(sim)
+                    sim.tags = tags
+                    if free:
+                        self._index(sim)
+                sim.provider_endpoint = body["provider_endpoint"]
+                sim.registered_at = ts
         elif event == "register_probe":
-            self._upsert_probe(ts, body["probe_id"], body["location_tag"])
+            probe_id = body["probe_id"]
+            self.probes[probe_id] = ProbeRecord(probe_id, body["location_tag"], ts)
         elif event == "lease":
-            self._grant(Lease(**body))
+            lease = Lease(**body)
+            self.leases[lease.lease_id] = lease
+            self._issued_lease_ids.add(lease.lease_id)
+            heapq.heappush(self._expiries, (lease.expires_at, lease.lease_id))
+            self._compact_expiries()
+            sim = self.sims.get(lease.iccid)
+            if sim is not None:
+                if sim.lease_id is None:
+                    self._unindex(sim)
+                sim.lease_id = lease.lease_id
+                sim.last_leased_at = lease.granted_at
         elif event == "release":
             self._free(body["lease_id"])
         elif event == "expire":
             for lease_id in body["lease_ids"]:
                 self._free(lease_id)
-
-    # -- internals (call with the lock held, or during replay) ----------------
-
-    def _upsert_sim(self, ts: int, iccid: str, tags: Set[str],
-                    provider_endpoint: str) -> SimRecord:
-        sim = self.sims.get(iccid)
-        if sim is None:
-            sim = SimRecord(iccid, set(tags), provider_endpoint, ts)
-            self.sims[iccid] = sim
-            self._index(sim)
-        else:
-            if sim.tags != tags:
-                free = sim.lease_id is None
-                if free:
-                    self._unindex(sim)
-                sim.tags = set(tags)
-                if free:
-                    self._index(sim)
-            sim.provider_endpoint = provider_endpoint
-            sim.registered_at = ts
-        return sim
-
-    def _upsert_probe(self, ts: int, probe_id: str, location_tag: str) -> ProbeRecord:
-        probe = self.probes.get(probe_id)
-        if probe is None:
-            probe = ProbeRecord(probe_id, location_tag, ts)
-            self.probes[probe_id] = probe
-        else:
-            probe.location_tag = location_tag
-            probe.last_heartbeat = ts
-        return probe
-
-    def _grant(self, lease: Lease):
-        self.leases[lease.lease_id] = lease
-        self._issued_lease_ids.add(lease.lease_id)
-        heapq.heappush(self._expiries, (lease.expires_at, lease.lease_id))
-        self._compact_expiries()
-        sim = self.sims.get(lease.iccid)
-        if sim is not None:
-            if sim.lease_id is None:
-                self._unindex(sim)
-            sim.lease_id = lease.lease_id
-            sim.last_leased_at = lease.granted_at
 
     def _free(self, lease_id: str):
         lease = self.leases.pop(lease_id, None)
@@ -274,12 +274,9 @@ class Registry:
             lease_id = heapq.heappop(self._expiries)[1]
             if lease_id in self.leases:
                 expired.append(lease_id)
-        freed = []
-        for lease_id in expired:
-            freed.append(self.leases[lease_id].iccid)
-            self._free(lease_id)
+        freed = [self.leases[lease_id].iccid for lease_id in expired]
         if expired:
-            self._append("expire", {"lease_ids": expired})
+            self._commit("expire", now, {"lease_ids": expired})
         return freed
 
     def _index(self, sim: SimRecord):
@@ -344,25 +341,21 @@ class Registry:
             raise InvalidIccid(iccid)
         with self._lock:
             self._check_open()
-            ts = self._clock()
-            sim = self._upsert_sim(ts, iccid, set(tags), provider_endpoint)
-            self._append("register_sim", {
+            self._commit("register_sim", self._clock(), {
                 "iccid": iccid, "tags": sorted(tags),
                 "provider_endpoint": provider_endpoint,
-            }, ts=ts)
-            return sim
+            })
+            return self.sims[iccid]
 
     def register_probe(self, probe_id: str, location_tag: str = "") -> ProbeRecord:
         if not probe_id:
             raise BadRequest("empty probe_id")
         with self._lock:
             self._check_open()
-            ts = self._clock()
-            probe = self._upsert_probe(ts, probe_id, location_tag)
-            self._append("register_probe", {
+            self._commit("register_probe", self._clock(), {
                 "probe_id": probe_id, "location_tag": location_tag,
-            }, ts=ts)
-            return probe
+            })
+            return self.probes[probe_id]
 
     def request_lease(self, probe_id: str, iccid: Optional[str] = None,
                       tags=None, duration_ms: Optional[int] = None) -> Lease:
@@ -393,18 +386,17 @@ class Registry:
                 sim = self._pick_free(wanted)
                 if sim is None:
                     raise NoMatch(f"no free SIM with tags {sorted(wanted)}")
-            lease = Lease(
-                lease_id=secrets.token_hex(8),
-                iccid=sim.iccid,
-                probe_id=probe_id,
-                granted_at=now,
-                expires_at=now + (self.lease_ms if duration_ms is None
-                                  else duration_ms),
-                token=secrets.token_hex(16),
-            )
-            self._grant(lease)
-            self._append("lease", lease.to_dict())
-            return lease
+            lease_id = secrets.token_hex(8)
+            self._commit("lease", now, {
+                "lease_id": lease_id,
+                "iccid": sim.iccid,
+                "probe_id": probe_id,
+                "granted_at": now,
+                "expires_at": now + (self.lease_ms if duration_ms is None
+                                     else duration_ms),
+                "token": secrets.token_hex(16),
+            })
+            return self.leases[lease_id]
 
     def release(self, lease_id: str) -> bool:
         """Idempotent; returns False when the lease was already gone."""
@@ -414,8 +406,7 @@ class Registry:
                 raise UnknownLease(lease_id)
             if lease_id not in self.leases:
                 return False
-            self._free(lease_id)
-            self._append("release", {"lease_id": lease_id})
+            self._commit("release", self._clock(), {"lease_id": lease_id})
             return True
 
     def expire_sweep(self, now: Optional[int] = None) -> List[str]:
@@ -461,15 +452,25 @@ class BrokerServer(Listener):
         self.token = token
 
     def _serve_client(self, conn: socket.socket):
+        # A peer silent for a heartbeat window is stale anyway; the timeout
+        # ends its thread (Listener closes the connection on OSError).
+        conn.settimeout(self.registry.heartbeat_window_ms / 1000)
         with conn.makefile("rwb") as stream:
-            for raw in stream:
-                try:
-                    reply = self._handle_line(raw.decode())
-                except Exception:  # a broken client must not kill the broker
-                    logger.exception("control request failed")
-                    reply = {"ok": False, "error": "Internal"}
+            while raw := stream.readline(REQUEST_MAX + 1):
+                too_long = len(raw) > REQUEST_MAX
+                if too_long:
+                    reply = {"ok": False, "error": BadRequest.code,
+                             "detail": f"request longer than {REQUEST_MAX} bytes"}
+                else:
+                    try:
+                        reply = self._handle_line(raw.decode())
+                    except Exception:  # a broken client must not kill the broker
+                        logger.exception("control request failed")
+                        reply = {"ok": False, "error": "Internal"}
                 stream.write((json.dumps(reply) + "\n").encode())
                 stream.flush()
+                if too_long:  # the rest of the line is never read
+                    return
 
     def _handle_line(self, line: str) -> dict:
         try:

@@ -238,26 +238,19 @@ class Rewriter:
 
     def process(self, cmd: CommandApdu, respond) -> RewriteOutcome:
         """Run one exchange through the rules; ``respond`` asks the card."""
-        cmd_rule = next((r for r in self.rules if r.matches_command(cmd)), None)
-        if cmd_rule is not None:
-            if cmd_rule.action == ACTION_DROP:
-                return RewriteOutcome(
-                    ResponseApdu(b"", *DROP_STATUS), cmd_rule.rule_id, dropped=True
-                )
-            resp = respond(cmd)
-            if cmd_rule.action == ACTION_PASS_THROUGH:
-                return RewriteOutcome(resp, cmd_rule.rule_id)
-            new = cmd_rule.apply_to_response(resp)
+        rule = next((r for r in self.rules if r.matches_command(cmd)), None)
+        if rule is not None and rule.action == ACTION_DROP:
             return RewriteOutcome(
-                new, cmd_rule.rule_id, original=resp if new != resp else None
+                ResponseApdu(b"", *DROP_STATUS), rule.rule_id, dropped=True
             )
         resp = respond(cmd)
-        resp_rule = next((r for r in self.rules if r.matches_response(resp)), None)
-        if resp_rule is None:
-            return RewriteOutcome(resp)
-        new = resp_rule.apply_to_response(resp)
+        if rule is None:
+            rule = next((r for r in self.rules if r.matches_response(resp)), None)
+            if rule is None:
+                return RewriteOutcome(resp)
+        new = rule.apply_to_response(resp)
         return RewriteOutcome(
-            new, resp_rule.rule_id, original=resp if new != resp else None
+            new, rule.rule_id, original=resp if new != resp else None
         )
 
 

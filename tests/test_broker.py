@@ -1,9 +1,12 @@
 """Registry, lease policy, persistence, and control-API tests."""
 
 import json
+import os
+import pathlib
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -12,6 +15,7 @@ from simlink.broker import (
     DEFAULT_LEASE_MS,
     HEAP_SLACK,
     HEARTBEAT_WINDOW_MS,
+    REQUEST_MAX,
     BrokerClient,
     BrokerRequestError,
     BrokerServer,
@@ -33,6 +37,7 @@ from simlink.errors import (
 from simlink.vsim import luhn_check_digit, luhn_valid
 
 TOKEN = "broker-token"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def make_iccid(n: int) -> str:
@@ -304,6 +309,187 @@ class TestPersistence:
         assert set(events) <= {"register_sim", "register_probe", "lease",
                                "release", "expire"}
 
+    def test_reopening_a_log_folds_it_like_replay(self, tmp_path):
+        reg, clock = fresh_registry(tmp_path)
+        self.drive(reg, clock)
+        before = reg.snapshot()
+        reg.close()
+        log = str(tmp_path / "state.log")
+        reopened = Registry(log_path=log, clock=clock)
+        try:
+            assert reopened.snapshot() == before
+            clock.tick(5)
+            assert reopened.release(reopened.sims[make_iccid(0)].lease_id) is True
+            after = reopened.snapshot()
+        finally:
+            reopened.close()
+        replayed = Registry.replay(log, clock=clock)
+        try:
+            assert replayed.snapshot() == after != before
+        finally:
+            replayed.close()
+
+    def test_logged_ts_is_the_time_the_change_used(self, tmp_path):
+        clock = FakeClock()
+        ticking = lambda: clock.tick(1)  # every read differs
+        reg = Registry(log_path=str(tmp_path / "state.log"), clock=ticking)
+        iccid = make_iccid(1)
+        reg.register_sim(iccid)
+        reg.register_probe("p1")
+        lease = reg.request_lease("p1", iccid=iccid, duration_ms=10)
+        assert reg.expire_sweep(now=lease.expires_at + 500) == [iccid]
+        reg.close()
+        docs = [json.loads(line)
+                for line in (tmp_path / "state.log").read_text().splitlines()]
+        assert [(d["event"], d["ts"]) for d in docs] == [
+            ("register_sim", reg.sims[iccid].registered_at),
+            ("register_probe", reg.probes["p1"].last_heartbeat),
+            ("lease", lease.granted_at),
+            ("expire", lease.expires_at + 500),
+        ]
+
+    def test_a_malformed_complete_line_still_raises(self, tmp_path):
+        lines = (DATA / "state.log").read_bytes().splitlines(keepends=True)
+        log = tmp_path / "state.log"
+        for bad in (lines[:3] + [b'{"event":"register_pro\n'] + lines[3:],
+                    lines + [b"not json\n"],
+                    lines[:3] + [lines[3][:40] + lines[4]] + lines[5:]):
+            log.write_bytes(b"".join(bad))
+            with pytest.raises(ValueError):
+                Registry(log_path=str(log))
+            assert log.read_bytes() == b"".join(bad)  # left as it was
+
+
+def recorded_sequence(reg, clock):
+    """The calls that wrote ``tests/data/state.log``, with the lease ids and
+    tokens it holds; the registry had lease_ms 20,000, heartbeat window
+    30,000 and a clock starting at 1,000,000 that moved only as here."""
+    iccids = [make_iccid(i) for i in range(6)]
+    for i, iccid in enumerate(iccids):
+        clock.tick(3)
+        reg.register_sim(iccid, tags={"AT"} if i % 2 else {"DE", "5G"},
+                         provider_endpoint=f"host:{i}")
+    reg.register_probe("p1", "vie")
+    clock.tick(1)
+    reg.register_probe("p2", "ber")
+    clock.tick(1)
+    reg.request_lease("p1", iccid=iccids[0], duration_ms=500)
+    clock.tick(7)
+    held = reg.request_lease("p2", tags={"AT"})
+    clock.tick(7)
+    reg.request_lease("p1", tags={"5G"}, duration_ms=100)
+    clock.tick(7)
+    reg.register_sim(iccids[1], tags={"DE"}, provider_endpoint="host:11")  # leased
+    reg.register_sim(iccids[3], tags={"iot"}, provider_endpoint="host:13")  # free
+    reg.release(held.lease_id)
+    clock.tick(200)
+    reg.register_probe("p2", "ams")
+    last = reg.request_lease("p2", tags=set())  # sweeps the 100-ms lease first
+    clock.tick(1000)
+    reg.expire_sweep(clock())
+    reg.register_probe("p1", "vie")
+    clock.tick(5)
+    reg.request_lease("p1", iccid=iccids[0], duration_ms=60_000)
+    reg.release(last.lease_id)
+
+
+class TestLogFormat:
+    """``tests/data/state.log`` was written by ``recorded_sequence`` before
+    every change went through one commit path, and
+    ``state.snapshot.json`` is the ``snapshot()`` it left."""
+
+    def test_recorded_log_folds_to_its_recorded_snapshot(self, tmp_path):
+        log = tmp_path / "state.log"
+        log.write_bytes((DATA / "state.log").read_bytes())
+        reg = Registry(log_path=str(log), clock=FakeClock())
+        try:
+            recorded = json.loads((DATA / "state.snapshot.json").read_text())
+            assert reg.snapshot() == recorded
+        finally:
+            reg.close()
+
+    def test_the_same_calls_write_the_same_bytes(self, tmp_path, monkeypatch):
+        recorded = (DATA / "state.log").read_bytes()
+        ids = iter([value for line in recorded.splitlines()
+                    for doc in [json.loads(line)] if doc["event"] == "lease"
+                    for value in (doc["body"]["lease_id"], doc["body"]["token"])])
+        monkeypatch.setattr(broker.secrets, "token_hex", lambda n: next(ids))
+        reg, clock = fresh_registry(tmp_path, lease_ms=20_000,
+                                    heartbeat_window_ms=30_000)
+        recorded_sequence(reg, clock)
+        reg.close()
+        assert (tmp_path / "state.log").read_bytes() == recorded
+
+
+class RecordingRegistry(Registry):
+    """Records the log size and the state after every committed event."""
+
+    def __init__(self, log_path, **kwargs):
+        super().__init__(log_path, **kwargs)
+        self._lock = threading.RLock()  # snapshot() runs inside _commit
+        self.log_path = log_path
+        self.marks = [(0, self.snapshot())]
+
+    def _commit(self, event, ts, body):
+        super()._commit(event, ts, body)
+        self.marks.append((os.path.getsize(self.log_path), self.snapshot()))
+
+
+def record_crash_points(seed, log_path, steps=40):
+    """Run a seeded operation sequence; returns the (log size, snapshot)
+    pair after every event it logged."""
+    rng = random.Random(seed)
+    clock = FakeClock()
+    reg = RecordingRegistry(log_path, clock=clock, lease_ms=2_000,
+                            heartbeat_window_ms=30_000)
+    pool = [make_iccid(i) for i in range(4)]
+    issued = []
+    for _ in range(steps):
+        clock.tick(rng.choice((0, 1, 500, 1500)))
+        roll = rng.random()
+        if roll < 0.25:
+            reg.register_sim(rng.choice(pool), rng.sample(ORACLE_TAGS, rng.randint(0, 2)),
+                             f"h:{rng.randrange(3)}")
+        elif roll < 0.4:
+            reg.register_probe(rng.choice(("p0", "p1")), "loc")
+        elif roll < 0.75:
+            lease = outcome(lambda: reg.request_lease(
+                rng.choice(("p0", "p1")), tags=rng.sample(ORACLE_TAGS, rng.randint(0, 1))))
+            if isinstance(lease, Lease):
+                issued.append(lease.lease_id)
+        elif roll < 0.9 and issued:
+            reg.release(rng.choice(issued))
+        else:
+            reg.expire_sweep()
+    reg.close()
+    return reg.marks
+
+
+class TestCrashPoints:
+    def test_every_cut_folds_to_the_last_complete_event(self, tmp_path):
+        full = tmp_path / "full.log"
+        marks = record_crash_points(2, str(full))
+        data = full.read_bytes()
+        events = {json.loads(line)["event"] for line in data.splitlines()}
+        assert len(marks) > 30 and marks[-1][0] == len(data)
+        assert events == {"register_sim", "register_probe", "lease", "release",
+                          "expire"}
+        log = tmp_path / "cut.log"
+        for cut in range(len(data) + 1):
+            log.write_bytes(data[:cut])
+            size, state = [mark for mark in marks if mark[0] <= cut][-1]
+            reg = Registry(log_path=str(log), clock=FakeClock())
+            try:
+                assert reg.snapshot() == state, cut
+                reg.register_probe("after-crash", "loc")
+            finally:
+                reg.close()
+            written = log.read_bytes()
+            assert written[:size] == data[:size], cut
+            # The next commit starts its own line after the last complete one.
+            assert json.loads(written[size:])["body"]["probe_id"] == "after-crash"
+            assert written[size:].count(b"\n") == 1 and written.endswith(b"\n")
+
 
 def raw_request(server, doc) -> dict:
     """Send one control line as given, bypassing the client's framing."""
@@ -473,6 +659,76 @@ class TestShutdown:
                 assert client.request("list")["probes"] == []
         finally:
             server.stop()
+
+
+class TestConnectionBounds:
+    """A control connection is closed after a heartbeat window of silence
+    or at its first request line longer than REQUEST_MAX bytes."""
+
+    @pytest.fixture()
+    def server(self):
+        registry = Registry(heartbeat_window_ms=300)
+        server = BrokerServer(registry, TOKEN)
+        server.start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def wait_for_threads(count, timeout=2.0):
+        deadline = time.monotonic() + timeout
+        while threading.active_count() > count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return threading.active_count() <= count
+
+    def test_silent_connections_close_after_the_heartbeat_window(self, server):
+        baseline = threading.active_count()
+        start = time.monotonic()
+        socks = [socket.create_connection(server.address, timeout=5)
+                 for _ in range(5)]
+        try:
+            for sock in socks:
+                assert sock.recv(1) == b""
+            assert time.monotonic() - start < 0.3 + 1.0
+        finally:
+            for sock in socks:
+                sock.close()
+        assert self.wait_for_threads(baseline)
+
+    def test_an_over_long_line_gets_bad_request_then_eof(self, server):
+        request = json.dumps({"op": "list", "token": TOKEN}).encode()
+        longest = request + b" " * (REQUEST_MAX - len(request) - 1) + b"\n"
+        with socket.create_connection(server.address, timeout=5) as conn, \
+                conn.makefile("rwb") as stream:
+            stream.write(longest)
+            stream.flush()
+            assert json.loads(stream.readline())["ok"] is True
+            stream.write(b"x" * (REQUEST_MAX + 1))
+            stream.flush()
+            reply = json.loads(stream.readline())
+            assert (reply["ok"], reply["error"]) == (False, "BadRequest")
+            assert stream.readline() == b""
+
+    def test_client_releases_on_a_fresh_connection_after_an_idle_close(
+            self, server, monkeypatch):
+        served = []  # the thread serving each accepted connection
+        serve_client = BrokerServer._serve_client
+
+        def recording_serve(self, conn):
+            served.append(threading.current_thread())
+            return serve_client(self, conn)
+
+        monkeypatch.setattr(BrokerServer, "_serve_client", recording_serve)
+        server.registry.register_sim(make_iccid(1), tags={"AT"})
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            client.request("register_probe", {"probe_id": "p1"})
+            lease = client.request("request_lease",
+                                   {"probe_id": "p1", "tags": ["AT"]})["lease"]
+            served[0].join(timeout=2.0)
+            assert not served[0].is_alive()  # the broker closed the idle connection
+            reply = client.request("release", {"lease_id": lease["lease_id"]})
+        assert reply["released"] is True
+        assert server.registry.leases == {}
+        assert len(served) == 2
 
 
 # -- oracle: the indexed registry against the linear-scan one -----------------

@@ -17,9 +17,13 @@ from simlink.apdu import (
 )
 from simlink.tlv import ProactiveKind
 from simlink.tracer import (
+    ACTION_DROP,
+    ACTION_PASS_THROUGH,
     DIR_MODEM_TO_SIM,
     DIR_SIM_TO_MODEM,
+    DROP_STATUS,
     FLAG_SILENT_SMS,
+    RewriteOutcome,
     RewriteRule,
     Rewriter,
     TraceEvent,
@@ -456,3 +460,66 @@ class TestRewrites:
         assert event.raw_hex == "00009000"
         assert event.decoded["original_hex"] == "98109000"
         assert event.decoded["rule_id"] == "iccid-swap"
+
+
+def two_path_process(rules, cmd, respond):
+    """``Rewriter.process`` as it was with a branch per rule target and
+    one for pass_through; the reference for the single path."""
+    cmd_rule = next((r for r in rules if r.matches_command(cmd)), None)
+    if cmd_rule is not None:
+        if cmd_rule.action == ACTION_DROP:
+            return RewriteOutcome(
+                ResponseApdu(b"", *DROP_STATUS), cmd_rule.rule_id, dropped=True
+            )
+        resp = respond(cmd)
+        if cmd_rule.action == ACTION_PASS_THROUGH:
+            return RewriteOutcome(resp, cmd_rule.rule_id)
+        new = cmd_rule.apply_to_response(resp)
+        return RewriteOutcome(
+            new, cmd_rule.rule_id, original=resp if new != resp else None
+        )
+    resp = respond(cmd)
+    resp_rule = next((r for r in rules if r.matches_response(resp)), None)
+    if resp_rule is None:
+        return RewriteOutcome(resp)
+    new = resp_rule.apply_to_response(resp)
+    return RewriteOutcome(
+        new, resp_rule.rule_id, original=resp if new != resp else None
+    )
+
+
+def random_rule(rng, i):
+    on = rng.choice(["command", "response"])
+    fields = ("cla", "ins", "p1", "p2") if on == "command" else ("sw1", "sw2")
+    match = {name: rng.choice((0x00, 0x90, 0xA4, 0xB0)) for name in fields
+             if rng.random() < 0.4}
+    if rng.random() < 0.3:
+        match["data_prefix"] = bytes(rng.choice((0x00, 0x90)) for _ in range(rng.randrange(2)))
+    action = rng.choice(["replace_response_data", "replace_status", "drop",
+                         "pass_through"])
+    return RewriteRule(
+        f"r{i}", on, match, action,
+        data=rng.choice((b"", b"\x90", bytes(rng.randrange(256) for _ in range(3)))),
+        sw=(rng.choice((0x90, 0x6F)), 0x00) if action == "replace_status" else None,
+    )
+
+
+class TestRewriterSinglePath:
+    def test_matches_the_two_path_method(self):
+        rng = random.Random(0x5E71)
+        bytes_pool = (0x00, 0x90, 0xA4, 0xB0)
+        for _ in range(3000):
+            rules = [random_rule(rng, i) for i in range(rng.randint(0, 6))]
+            cmd = CommandApdu(*(rng.choice(bytes_pool) for _ in range(4)),
+                              data=bytes(rng.choice(bytes_pool)
+                                         for _ in range(rng.randrange(3))))
+            resp = ResponseApdu(bytes(rng.choice(bytes_pool)
+                                      for _ in range(rng.randrange(3))),
+                                rng.choice((0x90, 0x6F)), rng.choice((0x00, 0x90)))
+            got_calls, want_calls = [], []
+            got = Rewriter(rules).process(
+                cmd, lambda c: got_calls.append(c) or resp)
+            want = two_path_process(
+                rules, cmd, lambda c: want_calls.append(c) or resp)
+            assert got == want, (rules, cmd, resp)
+            assert got_calls == want_calls
