@@ -4,8 +4,10 @@ The registry is one logical state machine: every public call serializes
 through a single lock, so concurrent requests observe atomic grant /
 release / expiry transitions and at most one active lease exists per
 ICCID at any instant. Handlers never touch the network while holding the
-lock. Free SIMs and lease expiries are indexed by heaps, so a grant, a
-release and an expiry sweep cost O(log n) amortized in the fleet size.
+lock. Free SIMs are indexed by one sorted list per tag and active leases
+by one sorted list of expiry times, each holding exactly the live entries:
+a grant or a release bisects, then shifts the tail of one list per tag of
+the SIM, and a sweep with nothing due reads one list head.
 
 Every state change is one event: ``Registry._commit`` runs it through
 ``Registry._apply``, then appends it as a JSON line to an optional log
@@ -14,7 +16,7 @@ event through the same ``_apply``, so a restart after a crash rebuilds the
 state exactly, with already-expired leases recovered as Free by the first
 sweep; a torn last line, left by a crash mid-write, is cut off.
 
-The control API is newline-delimited JSON over TCP:
+The control API is newline-delimited UTF-8 JSON over TCP:
 
     {"op": "register_sim", "token": "...", "body": {...}}\n
 
@@ -26,7 +28,6 @@ that sends nothing for the registry's heartbeat window is closed.
 
 from __future__ import annotations
 
-import heapq
 import hmac
 import json
 import logging
@@ -34,7 +35,8 @@ import secrets
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import (
@@ -47,7 +49,7 @@ from .errors import (
     RegistryClosed,
     UnknownLease,
 )
-from .listener import Listener
+from .listener import Listener, parse_hostport
 from .vsim import luhn_valid
 
 logger = logging.getLogger(__name__)
@@ -57,10 +59,6 @@ HEARTBEAT_WINDOW_MS = 60 * 1000
 
 STATUS_FREE = "Free"
 STATUS_LEASED = "Leased"
-
-# A heap is re-heapified from its live entries once it holds more than
-# twice as many entries as are live, plus this slack.
-HEAP_SLACK = 64
 
 RECV_BYTES = 65536
 REQUEST_MAX = 64 * 1024  # bytes in one control request line, newline included
@@ -78,9 +76,6 @@ class SimRecord:
     registered_at: int
     lease_id: Optional[str] = None
     last_leased_at: Optional[int] = None
-    # Bumped whenever the SIM leaves the free set or changes tags, so the
-    # free-index entries pushed before then can never come back to life.
-    index_gen: int = field(default=0, repr=False, compare=False)
 
     @property
     def status(self) -> str:
@@ -131,9 +126,8 @@ class Lease:
         }
 
 
-# A free-index entry: the grant order key (last lease time or -1, then
-# ICCID) and the SIM's index_gen when the entry was pushed.
-FreeEntry = Tuple[int, str, int]
+# A free-index entry in grant order: last lease time (or -1), then ICCID.
+FreeEntry = Tuple[int, str]
 
 
 class Registry:
@@ -142,12 +136,11 @@ class Registry:
     State changes only in ``_apply``: a live call checks its input under
     the lock and ``_commit``s one event; opening a log folds its events.
 
-    Free SIMs are indexed by one heap per tag plus one heap (key None)
-    over every free SIM, active leases by a heap of expiry times. Both use
-    lazy deletion: a free entry is live while its SIM's ``index_gen`` still
-    equals the one it was pushed with (the SIM is still free and has kept
-    its tags, hence its key), an expiry entry while its lease is active.
-    The indexes are derived state; the fold rebuilds them.
+    Free SIMs are indexed by tag: each tag's sorted list holds the entry
+    of every free SIM carrying it, untagged SIMs under None, and a tag with
+    no free SIM has no list. Active leases are indexed by one sorted list
+    of ``(expires_at, lease_id)``. Both hold exactly the live entries. The
+    indexes are derived state; the fold rebuilds them.
     """
 
     def __init__(self, log_path: Optional[str] = None,
@@ -162,8 +155,7 @@ class Registry:
         self.probes: Dict[str, ProbeRecord] = {}
         self.leases: Dict[str, Lease] = {}  # active only
         self._issued_lease_ids: Set[str] = set()
-        self._free_heaps: Dict[Optional[str], List[FreeEntry]] = {}
-        self._free_live: Dict[Optional[str], int] = {}  # live entries per heap
+        self._free_index: Dict[Optional[str], List[FreeEntry]] = {}
         self._expiries: List[Tuple[int, str]] = []
         if log_path:
             self._fold(log_path)
@@ -244,8 +236,7 @@ class Registry:
             lease = Lease(**body)
             self.leases[lease.lease_id] = lease
             self._issued_lease_ids.add(lease.lease_id)
-            heapq.heappush(self._expiries, (lease.expires_at, lease.lease_id))
-            self._compact_expiries()
+            insort(self._expiries, (lease.expires_at, lease.lease_id))
             sim = self.sims.get(lease.iccid)
             if sim is not None:
                 if sim.lease_id is None:
@@ -262,77 +253,55 @@ class Registry:
         lease = self.leases.pop(lease_id, None)
         if lease is None:
             return
-        self._compact_expiries()
+        expiries = self._expiries
+        del expiries[bisect_left(expiries, (lease.expires_at, lease_id))]
         sim = self.sims.get(lease.iccid)
         if sim is not None and sim.lease_id == lease_id:
             sim.lease_id = None
             self._index(sim)
 
     def _sweep(self, now: int) -> List[str]:
-        expired = []
-        while self._expiries and self._expiries[0][0] <= now:
-            lease_id = heapq.heappop(self._expiries)[1]
-            if lease_id in self.leases:
-                expired.append(lease_id)
+        expiries = self._expiries
+        if not expiries or expiries[0][0] > now:
+            return []
+        due = bisect_right(expiries, now, key=lambda entry: entry[0])
+        expired = [lease_id for _, lease_id in expiries[:due]]
         freed = [self.leases[lease_id].iccid for lease_id in expired]
-        if expired:
-            self._commit("expire", now, {"lease_ids": expired})
+        self._commit("expire", now, {"lease_ids": expired})
         return freed
 
     def _index(self, sim: SimRecord):
-        """Push a free SIM into the heaps of its tags and the all-free heap."""
-        entry = (sim.last_leased_at or -1, sim.iccid, sim.index_gen)
-        for key in (None, *sim.tags):
-            heapq.heappush(self._free_heaps.setdefault(key, []), entry)
-            self._free_live[key] = self._free_live.get(key, 0) + 1
-            self._compact_free(key)
+        """Insert a free SIM into the list of each of its tags."""
+        entry = (sim.last_leased_at or -1, sim.iccid)
+        for key in sim.tags or (None,):
+            insort(self._free_index.setdefault(key, []), entry)
 
     def _unindex(self, sim: SimRecord):
-        """Kill every index entry of a free SIM about to be leased or retagged."""
-        sim.index_gen += 1
-        for key in (None, *sim.tags):
-            self._free_live[key] -= 1
-            self._compact_free(key)
-
-    def _compact_free(self, key: Optional[str]):
-        heap = self._free_heaps[key]
-        if len(heap) > 2 * self._free_live[key] + HEAP_SLACK:
-            sims = self.sims
-            heap[:] = [e for e in heap if sims[e[1]].index_gen == e[2]]
-            heapq.heapify(heap)
-
-    def _compact_expiries(self):
-        if len(self._expiries) > 2 * len(self.leases) + HEAP_SLACK:
-            self._expiries[:] = [(l.expires_at, l.lease_id)
-                                 for l in self.leases.values()]
-            heapq.heapify(self._expiries)
+        """Delete a free SIM about to be leased or retagged from its lists."""
+        entry = (sim.last_leased_at or -1, sim.iccid)
+        for key in sim.tags or (None,):
+            entries = self._free_index[key]
+            del entries[bisect_left(entries, entry)]
+            if not entries:
+                del self._free_index[key]
 
     def _pick_free(self, wanted: Set[str]) -> Optional[SimRecord]:
         """The least recently leased free SIM carrying every wanted tag,
         lowest ICCID first; None when no free SIM matches.
 
-        Walks the heap of the rarest wanted tag, dropping dead entries and
-        setting aside live ones that lack another wanted tag.
+        With tags wanted, walks the list of the rarest one; with none,
+        takes the least of every list's head.
         """
-        key = min(wanted, key=lambda t: self._free_live.get(t, 0)) if wanted else None
-        heap = self._free_heaps.get(key)
-        if not heap:
-            return None
-        sims = self.sims
-        skipped = []
-        found = None
-        while heap:
-            entry = heapq.heappop(heap)
-            sim = sims[entry[1]]
-            if sim.index_gen != entry[2]:
-                continue
+        index = self._free_index
+        if not wanted:
+            head = min((entries[0] for entries in index.values()), default=None)
+            return None if head is None else self.sims[head[1]]
+        rarest = min(wanted, key=lambda tag: len(index.get(tag, ())))
+        for _, iccid in index.get(rarest, ()):
+            sim = self.sims[iccid]
             if wanted <= sim.tags:
-                found = sim
-                break
-            skipped.append(entry)
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        return found
+                return sim
+        return None
 
     # -- public operations -----------------------------------------------------
 
@@ -463,7 +432,7 @@ class BrokerServer(Listener):
                              "detail": f"request longer than {REQUEST_MAX} bytes"}
                 else:
                     try:
-                        reply = self._handle_line(raw.decode())
+                        reply = self._handle_line(raw)
                     except Exception:  # a broken client must not kill the broker
                         logger.exception("control request failed")
                         reply = {"ok": False, "error": "Internal"}
@@ -472,10 +441,10 @@ class BrokerServer(Listener):
                 if too_long:  # the rest of the line is never read
                     return
 
-    def _handle_line(self, line: str) -> dict:
+    def _handle_line(self, raw: bytes) -> dict:
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(raw.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             return {"ok": False, "error": BadRequest.code, "detail": str(exc)}
         if not isinstance(doc, dict):
             return {"ok": False, "error": BadRequest.code,
@@ -516,8 +485,6 @@ class BrokerServer(Listener):
         if op == "release":
             released = reg.release(_field(body, "lease_id", str, required=True))
             return {"released": released}
-        if op == "expire_sweep":
-            return {"freed": reg.expire_sweep(_field(body, "now", int))}
         if op == "list":
             return reg.list_state()
         raise BadRequest(f"unknown op {op!r}")
@@ -557,8 +524,7 @@ class BrokerClient:
     """
 
     def __init__(self, endpoint: str, token: str, timeout: float = 5.0):
-        host, _, port = endpoint.rpartition(":")
-        self.address = (host or "127.0.0.1", int(port))
+        self.address = parse_hostport(endpoint)
         self.token = token
         self.timeout = timeout
         self._conn: Optional[socket.socket] = None

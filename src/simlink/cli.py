@@ -23,6 +23,7 @@ from . import __version__
 from .broker import BrokerClient, BrokerRequestError, BrokerServer, Registry
 from .errors import BrokerError, ConfigError, RegistryClosed, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
+from .listener import parse_hostport
 from .modem import ModemSim, default_script, script_from_json
 from .relay import LinkClosed, ProbeLink, ProviderServer
 from .tracer import (
@@ -53,13 +54,6 @@ def resolve_token(args) -> str:
     if not token:
         raise ConfigError(f"a token is required: pass --token or set {TOKEN_ENV}")
     return token
-
-
-def parse_hostport(value: str) -> tuple:
-    host, _, port = value.rpartition(":")
-    if not port.isdigit():
-        raise ConfigError(f"bad host:port {value!r}")
-    return host or "127.0.0.1", int(port)
 
 
 def require_file(path: Optional[str], what: str) -> Optional[str]:
@@ -122,11 +116,12 @@ def cmd_provide(args) -> int:
     profile = load_profile(args.profile)
     rules = load_rules(args.rules)
     host, port = parse_hostport(args.listen)
+    client = BrokerClient(args.broker, token)  # checks --broker before binding
     server = ProviderServer(
         profile, token, host=host, port=port,
         rules=rules, trace_dir=args.trace_dir,
     )
-    with BrokerClient(args.broker, token) as client:
+    with client:
         client.request("register_sim", {
             "iccid": profile.iccid,
             "tags": args.tag,
@@ -198,6 +193,8 @@ def cmd_probe(args) -> int:
             rtt = link.keepalive_roundtrip()
             tracer = Tracer(link.session.session_id, sink=trace_file)
             report = modem.run(link, tracer=tracer)
+        except ConfigError as exc:  # the endpoint came from the broker, not --options
+            raise BrokerError(f"provider endpoint: {exc}") from None
         finally:
             if link is not None:
                 link.close()

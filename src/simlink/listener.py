@@ -1,14 +1,25 @@
 """The socket shell both daemons share: one listening socket, one accept
-loop and one thread per accepted connection."""
+loop and one thread per accepted connection; and the one parser of the
+``host:port`` endpoints that name them."""
 
 from __future__ import annotations
 
 import logging
 import socket
 import threading
-from typing import Set
+from typing import Set, Tuple
+
+from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
+
+
+def parse_hostport(value: str) -> Tuple[str, int]:
+    """``"host:port"`` as an address; an empty host is 127.0.0.1."""
+    host, _, port = value.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigError(f"bad host:port {value!r}")
+    return host or "127.0.0.1", int(port)
 
 
 class Listener:

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from .apdu import CommandApdu
 from .errors import CodecError, ProtocolViolation, SimlinkError
-from .listener import Listener
+from .listener import Listener, parse_hostport
 from .modem import Timing
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
 from .tunnel import (
@@ -253,8 +253,7 @@ class ProbeLink:
 
     def __init__(self, endpoint: str, token: str,
                  session_id: Optional[int] = None, timeout_s: float = 10.0):
-        host, _, port = endpoint.rpartition(":")
-        sock = socket.create_connection((host or "127.0.0.1", int(port)),
+        sock = socket.create_connection(parse_hostport(endpoint),
                                         timeout=timeout_s)
         self.channel = FrameChannel(sock)
         self.session = Session(

@@ -1,6 +1,7 @@
 """Registry, lease policy, persistence, and control-API tests."""
 
 import json
+import logging
 import os
 import pathlib
 import random
@@ -13,7 +14,6 @@ import pytest
 from simlink import broker
 from simlink.broker import (
     DEFAULT_LEASE_MS,
-    HEAP_SLACK,
     HEARTBEAT_WINDOW_MS,
     REQUEST_MAX,
     BrokerClient,
@@ -579,6 +579,54 @@ class TestControlApi:
             server.stop()
 
 
+class TestHostileRequests:
+    """A request the broker cannot read is answered BadRequest, never
+    Internal, and the connection keeps serving."""
+
+    @pytest.fixture()
+    def server(self):
+        registry = Registry()
+        server = BrokerServer(registry, TOKEN)
+        server.start()
+        yield server
+        server.stop()
+
+    # Each line fits in REQUEST_MAX; the nested ones go deeper than the
+    # JSON decoder recurses.
+    @pytest.mark.parametrize("line", [
+        b'{"op": "list", "token": "t\xff"}\n',
+        b'\xfe\xff\n',
+        b"[" * 60_000 + b"\n",
+        b'{"a": ' * 10_000 + b"\n",
+    ], ids=["token-not-utf8", "not-utf8", "deep-array", "deep-object"])
+    def test_unreadable_line_gets_bad_request(self, server, line, caplog):
+        with socket.create_connection(server.address, timeout=5) as conn, \
+                conn.makefile("rwb") as stream:
+            stream.write(line)
+            stream.write((json.dumps({"op": "list", "token": TOKEN}) + "\n").encode())
+            stream.flush()
+            reply = json.loads(stream.readline())
+            assert (reply["ok"], reply["error"]) == (False, "BadRequest")
+            assert json.loads(stream.readline())["ok"] is True
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_expire_sweep_is_not_a_control_op(self, server):
+        # Its client-chosen "now" would let any token holder end every lease.
+        iccid = make_iccid(1)
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            client.request("register_sim", {"iccid": iccid, "tags": ["AT"]})
+            client.request("register_probe", {"probe_id": "p1"})
+            client.request("register_probe", {"probe_id": "p2"})
+            lease = client.request("request_lease", {"probe_id": "p1"})["lease"]
+            reply = raw_request(server, {"op": "expire_sweep", "token": TOKEN,
+                                         "body": {"now": 10**13}})
+            assert (reply["ok"], reply["error"]) == (False, "BadRequest")
+            with pytest.raises(BrokerRequestError) as err:
+                client.request("request_lease", {"probe_id": "p2", "iccid": iccid})
+            assert err.value.code == "AlreadyLeased"
+        assert list(server.registry.leases) == [lease["lease_id"]]
+
+
 class TestShutdown:
     """stop() ends live connections; a closed registry refuses changes, so
     its log never falls behind its state."""
@@ -841,30 +889,18 @@ def comparable(snapshot, ids):
                 issued=sorted(ids.get(i, i) for i in snapshot["issued"]))
 
 
-def check_index(reg, slack=HEAP_SLACK):
-    """Live heap entries are exactly the free SIMs per tag, each once, with
-    its current key; heaps stay within the rebuild bound."""
+def check_index(reg):
+    """The indexes hold exactly the live entries, in grant order: a list per
+    tag (None for untagged SIMs) of the free SIMs carrying it, and the
+    active leases by expiry."""
     free = {}
     for sim in reg.sims.values():
         if sim.lease_id is None:
-            for key in (None, *sim.tags):
-                free.setdefault(key, set()).add(sim.iccid)
-    assert set(free) <= set(reg._free_heaps)
-    for key, heap in reg._free_heaps.items():
-        live = [e for e in heap if reg.sims[e[1]].index_gen == e[2]]
-        for order_key, iccid, _ in live:
-            sim = reg.sims[iccid]
-            assert sim.lease_id is None
-            assert order_key == (sim.last_leased_at or -1)
-            assert key is None or key in sim.tags
-        assert sorted(e[1] for e in live) == sorted(free.get(key, ()))
-        assert reg._free_live[key] == len(live)
-        assert len(heap) <= 2 * len(live) + slack, key
-    expiries = reg._expiries
-    assert {lid for _, lid in expiries if lid in reg.leases} == set(reg.leases)
-    assert all(reg.leases[lid].expires_at == t
-               for t, lid in expiries if lid in reg.leases)
-    assert len(expiries) <= 2 * len(reg.leases) + slack
+            for key in sim.tags or (None,):
+                free.setdefault(key, []).append((sim.last_leased_at or -1, sim.iccid))
+    assert reg._free_index == {key: sorted(entries) for key, entries in free.items()}
+    assert reg._expiries == sorted((lease.expires_at, lease.lease_id)
+                                   for lease in reg.leases.values())
 
 
 def outcome(call):
@@ -877,7 +913,7 @@ def outcome(call):
 ORACLE_TAGS = ("AT", "DE", "5G", "iot")
 
 
-def run_oracle_sequence(seed, steps, tmp_path, slack=HEAP_SLACK):
+def run_oracle_sequence(seed, steps, tmp_path):
     rng = random.Random(seed)
     clock = FakeClock()
     log = str(tmp_path / f"oracle-{seed}.log")
@@ -934,25 +970,19 @@ def run_oracle_sequence(seed, steps, tmp_path, slack=HEAP_SLACK):
             got = want = None
         assert got == want, (seed, step)
         assert comparable(reg.snapshot(), ids) == ref.snapshot(), (seed, step)
-        check_index(reg, slack)
+        check_index(reg)
     reg.close()
 
 
 class TestIndexedRegistryOracle:
     def test_matches_linear_scan_on_random_sequences(self, tmp_path):
-        for seed in range(200):
+        for seed in (*range(200), *range(1000, 1200)):
             run_oracle_sequence(seed, 200, tmp_path)
 
-    def test_matches_linear_scan_with_eager_rebuilds(self, tmp_path, monkeypatch):
-        # The fleets here are too small to reach the real slack, so shrink
-        # it: heaps are then re-heapified every few operations.
-        monkeypatch.setattr(broker, "HEAP_SLACK", 1)
-        for seed in range(1000, 1200):
-            run_oracle_sequence(seed, 200, tmp_path, slack=1)
-
-    def test_heaps_stay_bounded_over_many_cycles(self):
-        # Leases by ICCID and by tag leave dead entries in the all-free heap
-        # and the tag heaps; early releases leave them in the expiry heap.
+    def test_indexes_hold_exactly_the_live_entries_over_many_cycles(self):
+        # Leases by ICCID and by tag, each released at once, so every SIM
+        # leaves its tag list and comes back at its tail, and every expiry
+        # entry is deleted before it falls due.
         reg, clock = fresh_registry()
         iccids = [make_iccid(i) for i in range(50)]
         for i, iccid in enumerate(iccids):
@@ -969,7 +999,8 @@ class TestIndexedRegistryOracle:
                 lease = reg.request_lease("p1", tags={rng.choice(ORACLE_TAGS)})
             reg.release(lease.lease_id)
             check_index(reg)
-        assert max(len(h) for h in reg._free_heaps.values()) <= 50 * 2 + HEAP_SLACK
+        assert sum(map(len, reg._free_index.values())) == 50
+        assert reg._expiries == []
 
 
 # -- client reconnect rule ------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from simlink import cli
 from simlink.broker import BrokerClient, BrokerServer, Registry
+from simlink.errors import ConfigError
+from simlink.listener import parse_hostport
 from simlink.relay import ProviderServer
 from simlink.vsim import demo_profile
 
@@ -223,6 +225,34 @@ class TestProbe:
         assert registry.sims[demo_profile().iccid].status == "Free"
         assert registry.leases == {}
 
+    def test_bad_provider_endpoint_releases_the_lease(self, capsys, monkeypatch,
+                                                      broker_server):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        iccid = demo_profile().iccid
+        with BrokerClient(broker_server.endpoint, TOKEN) as client:
+            client.request("register_sim", {
+                "iccid": iccid, "tags": ["AT"], "provider_endpoint": "no-port-here",
+            })
+        code, _, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT"],
+            capsys,
+        )
+        assert code == 1
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "BrokerError"
+        assert "no-port-here" in json.loads(line)["detail"]
+        assert broker_server.registry.leases == {}
+        assert broker_server.registry.sims[iccid].status == "Free"
+
+    @pytest.mark.parametrize("endpoint", ["no-port-here", "127.0.0.1:", "h:99999"])
+    def test_bad_broker_endpoint_is_config_error(self, capsys, monkeypatch,
+                                                 endpoint):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        code, _, err = run_cli(["probe", "--broker", endpoint, "--lease", "tag:AT"],
+                               capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
     def test_one_control_connection_per_probe_run(self, capsys, monkeypatch,
                                                   broker_server, provider_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
@@ -257,6 +287,17 @@ class TestBrokerCmdConfig:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
+    def test_provide_bad_broker_endpoint_fails_before_binding(self, capsys,
+                                                              monkeypatch):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        bound = []
+        monkeypatch.setattr(ProviderServer, "__init__",
+                            lambda self, *a, **k: bound.append(self))
+        code, _, err = run_cli(["provide", "--broker", "no-port-here"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+        assert bound == []
+
     def test_provide_missing_profile_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
         code, _, err = run_cli(
@@ -265,3 +306,20 @@ class TestBrokerCmdConfig:
         )
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+
+
+class TestParseHostport:
+    @pytest.mark.parametrize("value, address", [
+        ("127.0.0.1:7400", ("127.0.0.1", 7400)),
+        (":0", ("127.0.0.1", 0)),
+        ("7400", ("127.0.0.1", 7400)),
+        ("host.example:65535", ("host.example", 65535)),
+    ])
+    def test_accepted(self, value, address):
+        assert parse_hostport(value) == address
+
+    @pytest.mark.parametrize("value", ["", "no-port-here", "h:", "h:-1",
+                                       "h:65536", "h:\u00b2", "h:1 "])
+    def test_refused(self, value):
+        with pytest.raises(ConfigError):
+            parse_hostport(value)
