@@ -43,6 +43,7 @@ from .errors import (
     AlreadyLeased,
     BadRequest,
     BrokerError,
+    ConfigError,
     InvalidIccid,
     NoMatch,
     ProbeStale,
@@ -465,9 +466,13 @@ class BrokerServer(Listener):
     def _dispatch(self, op: str, body: dict) -> dict:
         reg = self.registry
         if op == "register_sim":
+            endpoint = _field(body, "provider_endpoint", str, required=True)
+            try:
+                parse_hostport(endpoint)  # a probe that leases the SIM must reach it
+            except ConfigError as exc:
+                raise BadRequest(f"provider_endpoint: {exc}") from None
             sim = reg.register_sim(_field(body, "iccid", str, required=True),
-                                   _field(body, "tags", list) or [],
-                                   _field(body, "provider_endpoint", str) or "")
+                                   _field(body, "tags", list) or [], endpoint)
             return {"sim": sim.to_dict()}
         if op == "register_probe":
             probe = reg.register_probe(_field(body, "probe_id", str, required=True),

@@ -26,13 +26,7 @@ from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .listener import parse_hostport
 from .modem import ModemSim, default_script, script_from_json
 from .relay import LinkClosed, ProbeLink, ProviderServer
-from .tracer import (
-    Tracer,
-    detect_silent_sms,
-    read_trace,
-    rules_from_json,
-    write_trace,
-)
+from .tracer import Tracer, detect_silent_sms, read_trace, rules_from_json
 from .vsim import SimProfile, demo_profile
 
 logger = logging.getLogger(__name__)
@@ -185,7 +179,7 @@ def cmd_probe(args) -> int:
 
         # Everything that can fail once the lease is held sits inside the
         # try, so the lease is released even when the tunnel never opens.
-        trace_file = link = None
+        trace_file = link = tracer = None
         try:
             if args.trace_out:
                 trace_file = open(args.trace_out, "w", encoding="utf-8")
@@ -198,6 +192,8 @@ def cmd_probe(args) -> int:
         finally:
             if link is not None:
                 link.close()
+            if tracer is not None:
+                tracer.close()
             if trace_file is not None:
                 trace_file.close()
             try:
@@ -206,8 +202,6 @@ def cmd_probe(args) -> int:
                 logger.warning("release failed: %s", exc)
 
     flagged = detect_silent_sms(tracer.events)
-    if args.trace_out:
-        write_trace(args.trace_out, tracer.events)  # persist pairing flags
 
     doc = report.to_dict()
     doc["lease"] = lease

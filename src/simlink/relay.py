@@ -22,6 +22,7 @@ from .apdu import CommandApdu
 from .errors import CodecError, ProtocolViolation, SimlinkError
 from .listener import Listener, parse_hostport
 from .modem import Timing
+# detect_silent_sms and write_trace stay bound: bench/spans.py wraps them here.
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
 from .tunnel import (
     Closed,
@@ -119,7 +120,6 @@ class ProviderCore:
         self.deadline_ms: Optional[float] = now_ms + HANDSHAKE_TIMEOUT_MS
         self._decoder = FrameDecoder()
         self._trace_file = None
-        self._trace_path: Optional[str] = None
         self._t0: Optional[float] = None
 
     @property
@@ -146,14 +146,11 @@ class ProviderCore:
         return self._run(self.session.violate("HandshakeTimeout", detail), now_ms)
 
     def finish(self):
-        """Close the trace file, then rewrite it with the flags that need
-        the whole session to pair up."""
-        if self._trace_file is None:
-            return
-        self._trace_file.close()
-        self._trace_file = None
-        detect_silent_sms(self.tracer.events)
-        write_trace(self._trace_path, self.tracer.events)
+        """Write the trace events still held, then close the trace file."""
+        if self._trace_file is not None:
+            self.tracer.close()
+            self._trace_file.close()
+            self._trace_file = None
 
     def _run(self, actions, now_ms: float) -> bytes:
         """Carry out the machine's actions; return the frames they emit."""
@@ -181,17 +178,17 @@ class ProviderCore:
     def _open_trace(self):
         if self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
-            self._trace_path = os.path.join(
+            path = os.path.join(
                 self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
             )
-            self._trace_file = open(self._trace_path, "w", encoding="utf-8")
+            self._trace_file = open(path, "w", encoding="utf-8")
         self.tracer = Tracer(self.session.session_id, sink=self._trace_file)
 
     def _relay(self, cmd: CommandApdu, now_ms: float):
         if self._t0 is None:
             self._t0 = now_ms
         ts = now_ms - self._t0
-        # Both events reach the trace before the response is sent.
+        # Both events are traced before the response is sent.
         self.tracer.command(ts, cmd)
         outcome = self.rewriter.process(cmd, self.card.process)
         self.tracer.response(ts, outcome.response, command=cmd,

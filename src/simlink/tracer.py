@@ -1,7 +1,11 @@
 """Inspect, decode, rewrite, and persist the relayed command stream.
 
-Trace files are JSON Lines, one event per line, flushed per event so a
-crash never loses acknowledged traffic. The schema is stable:
+Trace files are JSON Lines, one event per line, each written once. A
+fetched SEND SHORT MESSAGE is flagged ``silent_sms`` when its TERMINAL
+RESPONSE arrives; until then it and every later event are held back, so
+the file keeps stream order. Every other exchange reaches the file before
+its response is sent, so a crash loses only the events held behind an
+unacknowledged SEND SHORT MESSAGE. The schema is stable:
 
     {"ts_ms": int, "dir": "m2s"|"s2m", "raw_hex": str,
      "decoded": {...}, "session": int, "flags": [str]}
@@ -19,9 +23,8 @@ One tracer serves one session and its sink is exclusive to it.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import tlv
 from .apdu import (
@@ -260,30 +263,56 @@ class Rewriter:
 
 
 class Tracer:
-    """Collects one session's events, optionally mirroring them to a sink."""
+    """Collects one session's events, flagging silent SMS as they pair up.
+
+    With a sink, each ``response()`` writes the events not yet written in
+    one write and flush, unless a fetched SEND SHORT MESSAGE still waits
+    for its TERMINAL RESPONSE; ``close()`` writes whatever is still held.
+    """
 
     def __init__(self, session_id: int, sink: Optional[IO[str]] = None):
         self.session_id = session_id
         self.sink = sink
         self.events: List[TraceEvent] = []
+        self._waiting: Dict[object, List[TraceEvent]] = {}  # fetches by number
+        self._written = 0  # events already in the sink
 
-    def _record(self, event: TraceEvent) -> TraceEvent:
+    def record(self, event: TraceEvent) -> List[TraceEvent]:
+        """Append one event in stream order; return the fetched SEND SHORT
+        MESSAGEs it acknowledges, which it flags ``silent_sms``."""
         self.events.append(event)
-        if self.sink is not None:
-            self.sink.write(event.to_json() + "\n")
+        decoded = event.decoded
+        number = decoded.get("proactive_number")
+        if event.direction == DIR_MODEM_TO_SIM:
+            if decoded.get("ins_name") == "TERMINAL RESPONSE":
+                acked = self._waiting.pop(number, [])
+                for fetched in acked:
+                    if FLAG_SILENT_SMS not in fetched.flags:
+                        fetched.flags.append(FLAG_SILENT_SMS)
+                return acked
+        elif (event.direction == DIR_SIM_TO_MODEM and number is not None
+              and decoded.get("proactive_type") == "SEND_SHORT_MESSAGE"):
+            self._waiting.setdefault(number, []).append(event)
+        return []
+
+    def close(self):
+        """Write the events still held, unflagged; the sink stays open."""
+        if self.sink is not None and self._written < len(self.events):
+            held = self.events[self._written:]
+            self.sink.write("".join(event.to_json() + "\n" for event in held))
             self.sink.flush()
-        return event
+            self._written = len(self.events)
 
     def command(self, ts_ms: float, cmd: CommandApdu) -> TraceEvent:
-        return self._record(
-            TraceEvent(
-                ts_ms=int(ts_ms),
-                direction=DIR_MODEM_TO_SIM,
-                raw_hex=encode_command(cmd).hex().upper(),
-                decoded=decode_event(cmd),
-                session_id=self.session_id,
-            )
+        event = TraceEvent(
+            ts_ms=int(ts_ms),
+            direction=DIR_MODEM_TO_SIM,
+            raw_hex=encode_command(cmd).hex().upper(),
+            decoded=decode_event(cmd),
+            session_id=self.session_id,
         )
+        self.record(event)
+        return event
 
     def response(
         self,
@@ -300,16 +329,18 @@ class Tracer:
             flags.append(FLAG_REWRITTEN)
             if original is not None:
                 decoded["original_hex"] = original.to_bytes().hex().upper()
-        return self._record(
-            TraceEvent(
-                ts_ms=int(ts_ms),
-                direction=DIR_SIM_TO_MODEM,
-                raw_hex=resp.to_bytes().hex().upper(),
-                decoded=decoded,
-                session_id=self.session_id,
-                flags=flags,
-            )
+        event = TraceEvent(
+            ts_ms=int(ts_ms),
+            direction=DIR_SIM_TO_MODEM,
+            raw_hex=resp.to_bytes().hex().upper(),
+            decoded=decoded,
+            session_id=self.session_id,
+            flags=flags,
         )
+        self.record(event)
+        if not self._waiting:
+            self.close()  # writes the held events; the sink stays open
+        return event
 
 
 def read_trace(lines: Iterable[str]) -> List[TraceEvent]:
@@ -317,42 +348,17 @@ def read_trace(lines: Iterable[str]) -> List[TraceEvent]:
 
 
 def write_trace(path: str, events: List[TraceEvent]):
-    """Rewrite a trace file in one atomic replace.
-
-    Used to annotate a completed session's stream (e.g. silent-SMS flags,
-    which need the whole session to pair up); the per-event flushed file
-    stays intact until the replacement is fully written.
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(event.to_json() + "\n")
-    os.replace(tmp, path)
+    """Write a whole trace file at once."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(event.to_json() + "\n" for event in events)
 
 
 def detect_silent_sms(events: List[TraceEvent]) -> List[TraceEvent]:
     """Flag fetched SEND SHORT MESSAGE commands the terminal acknowledged.
 
-    A FETCH response event qualifies iff a later modem-to-sim TERMINAL
-    RESPONSE carries the same proactive command number. Qualifying events
-    get the silent_sms flag added and are returned in stream order. One
-    pass from the end collects the numbers acknowledged so far.
+    Folds the events through a ``Tracer``, whose pairing this is, and
+    returns the flagged events in stream order.
     """
-    acked = set()
-    flagged = []
-    for event in reversed(events):
-        decoded = event.decoded
-        if event.direction == DIR_MODEM_TO_SIM:
-            if decoded.get("ins_name") == "TERMINAL RESPONSE":
-                acked.add(decoded.get("proactive_number"))
-            continue
-        if (event.direction != DIR_SIM_TO_MODEM
-                or decoded.get("proactive_type") != "SEND_SHORT_MESSAGE"):
-            continue
-        number = decoded.get("proactive_number")
-        if number is not None and number in acked:
-            if FLAG_SILENT_SMS not in event.flags:
-                event.flags.append(FLAG_SILENT_SMS)
-            flagged.append(event)
-    flagged.reverse()
-    return flagged
+    tracer = Tracer(session_id=0)
+    acked = {id(fetched) for event in events for fetched in tracer.record(event)}
+    return [event for event in events if id(event) in acked]

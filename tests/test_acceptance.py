@@ -161,15 +161,9 @@ def test_criterion_2_end_to_end_loopback(stack):
         assert report.aka_ok is True
         assert report.iccid == profile.iccid
 
+        # The provider writes each event once, flags included, as it goes.
         trace_path = tmp_path / "traces" / f"session-{session_id:08x}.jsonl"
-        events = []
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:  # until the close annotation lands
-            if trace_path.exists():
-                events = read_trace(trace_path.read_text().splitlines())
-                if any("silent_sms" in e.flags for e in events):
-                    break
-            time.sleep(0.01)
+        events = read_trace(trace_path.read_text().splitlines())
         requests = [e for e in events if e.direction == "m2s"]
         responses = [e for e in events if e.direction == "s2m"]
         assert len(requests) == len(responses)

@@ -546,6 +546,17 @@ class TestControlApi:
             assert raw_request(server, line)["error"] == "BadRequest", (op, body)
         assert raw_request(server, [TOKEN])["error"] == "BadRequest"
 
+    @pytest.mark.parametrize("endpoint", [None, "", "no-port-here", "h:99999",
+                                          "h:\u00b2", 9])
+    def test_register_sim_needs_a_reachable_endpoint(self, server, endpoint):
+        body = {"iccid": make_iccid(1), "tags": ["AT"]}
+        if endpoint is not None:
+            body["provider_endpoint"] = endpoint
+        reply = raw_request(server, {"op": "register_sim", "token": TOKEN,
+                                     "body": body})
+        assert (reply["ok"], reply["error"]) == (False, "BadRequest")
+        assert server.registry.sims == {}
+
     def test_bad_token_refused(self, server):
         with BrokerClient(server.endpoint, "wrong") as client:
             with pytest.raises(BrokerRequestError) as err:
@@ -614,7 +625,8 @@ class TestHostileRequests:
         # Its client-chosen "now" would let any token holder end every lease.
         iccid = make_iccid(1)
         with BrokerClient(server.endpoint, TOKEN) as client:
-            client.request("register_sim", {"iccid": iccid, "tags": ["AT"]})
+            client.request("register_sim", {"iccid": iccid, "tags": ["AT"],
+                                            "provider_endpoint": "host:9"})
             client.request("register_probe", {"probe_id": "p1"})
             client.request("register_probe", {"probe_id": "p2"})
             lease = client.request("request_lease", {"probe_id": "p1"})["lease"]

@@ -229,10 +229,8 @@ class TestProbe:
                                                       broker_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
         iccid = demo_profile().iccid
-        with BrokerClient(broker_server.endpoint, TOKEN) as client:
-            client.request("register_sim", {
-                "iccid": iccid, "tags": ["AT"], "provider_endpoint": "no-port-here",
-            })
+        # The control API refuses such an endpoint, so register it directly.
+        broker_server.registry.register_sim(iccid, ["AT"], "no-port-here")
         code, _, err = run_cli(
             ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT"],
             capsys,

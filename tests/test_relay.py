@@ -3,6 +3,7 @@ server + probe link over real sockets."""
 
 import dataclasses
 import json
+import random
 import socket
 import threading
 import time
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from simlink import relay
-from simlink.apdu import CommandApdu, INS_SELECT
+from simlink.apdu import CommandApdu, INS_SELECT, encode_command
 from simlink.modem import ModemSim, Timing, default_script
 from simlink.relay import (
     HANDSHAKE_TIMEOUT_MS,
@@ -55,18 +56,9 @@ def connect(server, token=TOKEN, session_id=None):
     return ProbeLink(server.endpoint, token, session_id=session_id).connect()
 
 
-def wait_for_annotated_trace(path, timeout_s=2.0):
-    """A provider's trace once its close-time silent-SMS flag is in (the
-    annotation happens after the probe has closed)."""
-    deadline = time.monotonic() + timeout_s
-    events = []
-    while time.monotonic() < deadline:
-        if path.exists():
-            events = read_trace(path.read_text().splitlines())
-            if any("silent_sms" in e.flags for e in events):
-                break
-        time.sleep(0.01)
-    return events
+def read_provider_trace(directory, session_id):
+    path = directory / f"session-{session_id:08x}.jsonl"
+    return read_trace(path.read_text().splitlines())
 
 
 class TestLoopback:
@@ -129,10 +121,10 @@ class TestLoopback:
         link = connect(provider, session_id=session_id)
         modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
         report = modem.run(link)
+        # Complete and flagged once the last response is in, before close.
+        events = read_provider_trace(tmp_path / "traces", session_id)
         link.close()
         assert report.failure is None
-        path = tmp_path / "traces" / f"session-{session_id:08x}.jsonl"
-        events = wait_for_annotated_trace(path)
         assert len(events) == 2 * report.exchanges
         assert sum("silent_sms" in e.flags for e in events) == 1
         assert len(detect_silent_sms(events)) == 1
@@ -345,9 +337,7 @@ class TestProviderCore:
         core_seen = Tracer(session_id)
         core_report = modem().run(CoreLink(core, session_id), tracer=core_seen)
         core.finish()
-        core_trace = read_trace(
-            (tmp_path / "core" / f"session-{session_id:08x}.jsonl")
-            .read_text().splitlines())
+        core_trace = read_provider_trace(tmp_path / "core", session_id)
 
         server = ProviderServer(profile, TOKEN, rules=rules,
                                 trace_dir=str(tmp_path / "socket"))
@@ -356,9 +346,8 @@ class TestProviderCore:
             link = connect(server, session_id=session_id)
             socket_seen = Tracer(session_id)
             socket_report = modem().run(link, tracer=socket_seen)
+            socket_trace = read_provider_trace(tmp_path / "socket", session_id)
             link.close()
-            path = tmp_path / "socket" / f"session-{session_id:08x}.jsonl"
-            socket_trace = wait_for_annotated_trace(path)
         finally:
             server.stop()
 
@@ -369,6 +358,81 @@ class TestProviderCore:
         assert untimed(core_seen.events) == untimed(socket_seen.events)
         assert len(core_trace) == 2 * core_report.exchanges
         assert untimed(core_trace) == untimed(socket_trace)
+
+
+FUZZ_COMMANDS = [
+    STATUS,
+    CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=b"\x3F\x00"),
+    CommandApdu(0x00, 0xB0, 0x00, 0x00, le=10),
+    CommandApdu(0x80, 0x12, 0x00, 0x00, le=16),
+]
+
+
+def fuzz_wire(rng, session_id) -> bytes:
+    """A Hello, then Resets, ApduReqs, keepalives and unknown types, with
+    a few seq and session-id faults; one byte corrupted in 10 % of them."""
+    token = TOKEN if rng.random() < 0.95 else "wrong"
+    frames = [frame_encode(MessageType.HELLO, session_id, 0,
+                           b"\x01" + token.encode())]
+    for seq in range(1, rng.randint(1, 30)):
+        kind = "reset" if seq == 1 and rng.random() < 0.7 else rng.choice(
+            ("reset",) + ("apdu",) * 12 + ("keepalive",) * 3 + ("other",))
+        if kind == "reset":
+            msg_type, payload = MessageType.RESET, b""
+        elif kind == "apdu":
+            msg_type = MessageType.APDU_REQ
+            payload = (rng.randbytes(rng.randint(0, 6)) if rng.random() < 0.05
+                       else encode_command(rng.choice(FUZZ_COMMANDS)))
+        elif kind == "keepalive":
+            msg_type, payload = MessageType.KEEPALIVE, rng.randbytes(8)
+        else:  # an unknown type, or one the provider must not receive
+            msg_type = rng.choice((0x00, 0x09, 0x33, 0xFF, MessageType.HELLO,
+                                   MessageType.ATR_IND, MessageType.APDU_RESP,
+                                   MessageType.CLOSE))
+            payload = rng.randbytes(rng.randint(0, 4))
+        fault = rng.random()
+        frames.append(frame_encode(
+            msg_type,
+            session_id ^ 1 if 0.01 <= fault < 0.02 else session_id,
+            seq + rng.choice((-1, 1, 5)) if fault < 0.01 else seq,
+            payload))
+    wire = b"".join(frames)
+    if rng.random() < 0.1:
+        i = rng.randrange(len(wire))
+        wire = patched(wire, i, bytes([wire[i] ^ rng.randint(1, 255)]))
+    return wire
+
+
+class TestProviderCoreFuzz:
+    def test_seeded_frame_streams(self, tmp_path):
+        rng = random.Random(0xF422)
+        answered_in_all = 0
+        for n in range(2500):
+            core = ProviderCore(demo_profile(), TOKEN, now_ms=0.0,
+                                trace_dir=str(tmp_path))
+            wire, out, pos = fuzz_wire(rng, n + 2), b"", 0
+            while pos < len(wire):
+                size = rng.randint(1, 39)
+                out += core.on_bytes(wire[pos:pos + size], float(pos))
+                pos += size
+            core.finish()
+
+            decoder = FrameDecoder()
+            frames = decoder.feed(out)
+            assert decoder.pending == 0, n
+            assert [f.seq for f in frames] == list(range(len(frames))), n
+            types = [f.msg_type for f in frames]
+            assert types.count(MessageType.ERROR) <= 1, n
+            answered = types.count(MessageType.APDU_RESP)
+            if answered:  # the card answers nothing before a Reset
+                first = types.index(MessageType.APDU_RESP)
+                assert MessageType.ATR_IND in types[:first], n
+            for path in tmp_path.iterdir():
+                assert len(read_trace(path.read_text().splitlines())) == \
+                    2 * answered, n
+                path.unlink()
+            answered_in_all += answered
+        assert answered_in_all > 2500  # most streams reach the card
 
 
 # -- provider faults over real sockets ------------------------------------------

@@ -1,5 +1,6 @@
 """Tracer tests: decoding, silent-SMS pairing, rewrite rules."""
 
+import dataclasses
 import io
 import random
 
@@ -32,8 +33,9 @@ from simlink.tracer import (
     detect_silent_sms,
     read_trace,
     rules_from_json,
+    write_trace,
 )
-from simlink.vsim import Card, ProactiveQueue, demo_profile
+from simlink.vsim import Card, ProactiveCommand, ProactiveQueue, demo_profile
 
 FETCH = CommandApdu(0x80, INS_FETCH, 0x00, 0x00, le=256)
 
@@ -309,6 +311,128 @@ class TestSilentSmsOnePass:
         for _ in range(300):
             events = [random_event(rng, ts) for ts in range(rng.randint(0, 40))]
             assert_same_as_forward_scan(events)
+
+
+def terminal_response(body: bytes) -> CommandApdu:
+    return CommandApdu(0x80, INS_TERMINAL_RESPONSE, 0, 0, data=body)
+
+
+def acknowledgement(number: int) -> bytes:
+    return tlv.encode_tlv(
+        tlv.TAG_COMMAND_DETAILS,
+        bytes([number, ProactiveKind.SEND_SHORT_MESSAGE, 0x00]),
+    ) + tlv.encode_tlv(tlv.TAG_RESULT, b"\x00")
+
+
+def fetched(number: int, kind=ProactiveKind.SEND_SHORT_MESSAGE) -> ResponseApdu:
+    return ResponseApdu(ProactiveCommand(number, kind, b"\x01").to_bytes(),
+                        0x90, 0x00)
+
+
+def random_exchange(rng):
+    """One command and the response the relay traced for it. Fetches and
+    TERMINAL RESPONSEs share a pool of four numbers, so several SEND SHORT
+    MESSAGEs wait at once, numbers repeat and acknowledgements come before
+    their fetch; some acknowledgements name a number never fetched, or none."""
+    roll = rng.random()
+    if roll < 0.35:
+        if rng.random() < 0.1:  # an envelope that does not parse
+            return FETCH, ResponseApdu(b"\xD0\x01", 0x90, 0x00)
+        kind = rng.choice((ProactiveKind.SEND_SHORT_MESSAGE,) * 3
+                          + (ProactiveKind.PROVIDE_LOCAL_INFO,))
+        return FETCH, fetched(rng.randint(1, 4), kind)
+    if roll < 0.65:
+        roll = rng.random()
+        if roll < 0.8:
+            body = acknowledgement(rng.randint(1, 4))
+        elif roll < 0.9:
+            body = acknowledgement(200)  # never fetched
+        else:
+            body = tlv.encode_tlv(tlv.TAG_RESULT, b"\x00")  # no number
+        return terminal_response(body), ResponseApdu(b"", 0x90, 0x00)
+    status = CommandApdu(0x80, INS_STATUS, 0, 0)
+    return status, ResponseApdu(b"", 0x91, rng.randint(0x10, 0x20))
+
+
+def close_time_output(events, path):
+    """What the provider wrote at close before trace files were written
+    once: the stream, flagged by ``detect_silent_sms``, rewritten whole."""
+    # Copies without the flag only the pairing sets.
+    events = [dataclasses.replace(e, flags=[f for f in e.flags if f != FLAG_SILENT_SMS])
+              for e in events]
+    detect_silent_sms(events)
+    write_trace(str(path), events)
+    return path.read_bytes()
+
+
+def sms_waiting(events) -> bool:
+    """Whether a fetched SEND SHORT MESSAGE among ``events`` has no later
+    TERMINAL RESPONSE with its number."""
+    acked = set()
+    for event in reversed(events):
+        decoded = event.decoded
+        number = decoded.get("proactive_number")
+        if event.direction == DIR_MODEM_TO_SIM:
+            if decoded.get("ins_name") == "TERMINAL RESPONSE":
+                acked.add(number)
+        elif (event.direction == DIR_SIM_TO_MODEM and number is not None
+              and decoded.get("proactive_type") == "SEND_SHORT_MESSAGE"
+              and number not in acked):
+            return True
+    return False
+
+
+class TestStreamedTraceEqualsCloseTimeRewrite:
+    def test_random_streams(self, tmp_path):
+        rng = random.Random(0x57AE)
+        streamed, reference = tmp_path / "streamed.jsonl", tmp_path / "ref.jsonl"
+        with open(streamed, "w", encoding="utf-8") as sink, \
+                open(streamed, "rb") as reader:
+            for n in range(2000):
+                sink.seek(0)
+                sink.truncate()
+                tracer = Tracer(session_id=n, sink=sink)
+                exchanges = [random_exchange(rng)
+                             for _ in range(rng.randint(0, 24))]
+                if n % 4 == 0:  # the session ends with a fetch pending
+                    exchanges.append((FETCH, fetched(rng.randint(5, 9))))
+                written = 0  # events in the file after the last response
+                seen = []  # (file contents, events expected in it) per response
+                for ts, (cmd, resp) in enumerate(exchanges):
+                    rewritten = rng.random() < 0.2
+                    tracer.command(ts, cmd)
+                    tracer.response(ts, resp, command=cmd,
+                                    rule_id="r" if rewritten else None,
+                                    original=resp if rewritten else None)
+                    if not sms_waiting(tracer.events):
+                        written = len(tracer.events)
+                    reader.seek(0)
+                    seen.append((reader.read(), written))
+                tracer.close()
+                reader.seek(0)
+                final = reader.read()
+                assert final == close_time_output(tracer.events, reference), n
+                for contents, expected in seen:  # written once, in stream order
+                    assert final.startswith(contents)
+                    assert contents.count(b"\n") == expected
+
+    def test_demo_session(self, tmp_path):
+        from simlink.lab import DelayModel, VirtualLink
+        from simlink.modem import ModemSim
+
+        profile = demo_profile()
+        path = tmp_path / "demo.jsonl"
+        with open(path, "w", encoding="utf-8") as sink:
+            tracer = Tracer(session_id=3, sink=sink)
+            modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
+            report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
+                               tracer=tracer)
+            # The TERMINAL RESPONSE follows its fetch, so nothing is held.
+            assert len(path.read_text().splitlines()) == 2 * report.exchanges
+            tracer.close()
+        assert sum(FLAG_SILENT_SMS in e.flags for e in tracer.events) == 1
+        assert path.read_bytes() == \
+            close_time_output(tracer.events, tmp_path / "ref.jsonl")
 
 
 # Only response rules appear where this command is used, so no command
