@@ -21,10 +21,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .apdu import CommandApdu
-from .modem import ModemSim, Phase, Timing, default_script
+from .modem import (
+    DEFAULT_NULL_INTERVAL_MS,
+    ModemSim,
+    Phase,
+    Timing,
+    default_script,
+    null_ticks,
+)
 from .vsim import Card, SimProfile, demo_profile
-
-DEFAULT_NULL_INTERVAL_MS = 100.0
 
 CSV_HEADER = ["rtt_ms", "stall", "success_rate", "median_elapsed_ms"]
 
@@ -87,16 +92,10 @@ class VirtualLink:
     def exchange(self, cmd: CommandApdu):
         start = self.clock.now_ms
         rtt = self._sample()
-        nulls = []
-        if self.stall.enabled and self.stall.null_interval_ms > 0:
-            tick = self.stall.null_interval_ms
-            k = 1
-            while k * tick < rtt:
-                nulls.append(start + k * tick)
-                k += 1
+        interval = self.stall.null_interval_ms if self.stall.enabled else 0.0
         resp = self.card.process(cmd)
         self.clock.advance(rtt)
-        return resp, Timing(start, tuple(nulls), start + rtt)
+        return resp, Timing(start, null_ticks(start, rtt, interval), start + rtt)
 
     def idle(self, ms: float):
         self.clock.advance(ms)

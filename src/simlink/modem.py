@@ -35,6 +35,7 @@ from .tracer import Tracer
 from .vsim import USIM_AID, decode_iccid, decode_imsi, verify_aka_response
 
 DEFAULT_WAITING_TIME_MS = 300.0
+DEFAULT_NULL_INTERVAL_MS = 100.0
 
 PHASE_RESET = "reset"
 PHASE_READ_ICCID = "read_iccid"
@@ -63,6 +64,22 @@ class Timing:
     start_ms: float
     nulls: Tuple[float, ...] = ()
     done_ms: float = 0.0
+
+
+def null_ticks(start_ms: float, wait_ms: float,
+               interval_ms: float) -> Tuple[float, ...]:
+    """The NULL procedure bytes a stalling front-end sends while a reply
+    is awaited: one every ``interval_ms`` after ``start_ms``, strictly
+    within the ``wait_ms`` the reply took; none when ``interval_ms`` is 0
+    (stalling off). Counted from the wait's length, not its end, so a
+    recomputed ``done - start`` cannot cross a tick boundary."""
+    nulls = []
+    if interval_ms > 0:
+        k = 1
+        while k * interval_ms < wait_ms:
+            nulls.append(start_ms + k * interval_ms)
+            k += 1
+    return tuple(nulls)
 
 
 @dataclass(frozen=True)

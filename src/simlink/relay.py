@@ -1,12 +1,13 @@
 """Socket endpoints: the SIM-provider service and the probe-side link.
 
-The provider serves one card session per connection. Its protocol is
-``ProviderCore``, which does no socket I/O: bytes in, frame decoding,
-session machine transitions, card + rewrite rules + tracer on every
-relayed command, bytes out. ``ProviderServer`` is the shell around it,
-one thread per connection from the shared ``Listener``. The probe side
-exposes the same link protocol the virtual modem drives (reset /
-exchange / idle), so a ModemSim runs unchanged over a real TCP tunnel.
+Both ends feed the bytes they read to the tunnel's ``Session`` and send
+what its actions emit through one encoder, ``wire``. The provider serves
+one card session per connection through ``ProviderCore``, which does no
+socket I/O: bytes in, card + rewrite rules + tracer on every relayed
+command, bytes out; ``ProviderServer`` is its shell, one thread per
+connection from the shared ``Listener``. The probe side exposes the link
+protocol the virtual modem drives (reset / exchange / idle), with the
+lab's NULL stalling, so a ModemSim runs unchanged over a real TCP tunnel.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import os
 import secrets
 import socket
 import time
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .apdu import CommandApdu
-from .errors import CodecError, ProtocolViolation, SimlinkError
+from .errors import ProtocolViolation, SimlinkError
 from .listener import Listener, parse_hostport
-from .modem import Timing
+from .modem import DEFAULT_NULL_INTERVAL_MS, Timing, null_ticks
 # detect_silent_sms and write_trace stay bound: bench/spans.py wraps them here.
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
 from .tunnel import (
@@ -31,13 +32,11 @@ from .tunnel import (
     DeliverResponse,
     EmitFrame,
     Established,
-    FrameDecoder,
     KeepaliveAcked,
     Phase,
     ResetIndication,
     Role,
     Session,
-    TunnelFrame,
     Violation,
     frame_encode,
 )
@@ -56,33 +55,27 @@ class LinkClosed(SimlinkError):
     """The tunnel ended while a delivery was still awaited."""
 
 
+def wire(actions) -> bytes:
+    """The bytes of the frames among a session machine's actions, in order."""
+    return b"".join(
+        frame_encode(a.frame.msg_type, a.frame.session_id, a.frame.seq,
+                     a.frame.payload)
+        for a in actions if isinstance(a, EmitFrame)
+    )
+
+
 class FrameChannel:
-    """Blocking frame I/O over one connected socket."""
+    """Blocking byte I/O over the probe's connected socket."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._decoder = FrameDecoder()
-        self._queued: List[TunnelFrame] = []
 
-    def send(self, frame: TunnelFrame):
-        self.sock.sendall(
-            frame_encode(frame.msg_type, frame.session_id, frame.seq, frame.payload)
-        )
+    def send(self, data: bytes):
+        self.sock.sendall(data)
 
-    def emit(self, actions):
-        """Send the frames among a session machine's actions, in order."""
-        for action in actions:
-            if isinstance(action, EmitFrame):
-                self.send(action.frame)
-
-    def recv(self) -> Optional[TunnelFrame]:
-        """Next frame, or None at end of stream."""
-        while not self._queued:
-            chunk = self.sock.recv(RECV_BYTES)
-            if not chunk:
-                return None
-            self._queued.extend(self._decoder.feed(chunk))
-        return self._queued.pop(0)
+    def recv(self) -> bytes:
+        """One read; ``b""`` at end of stream."""
+        return self.sock.recv(RECV_BYTES)
 
     def close(self):
         try:
@@ -118,7 +111,6 @@ class ProviderCore:
         self.tracer: Optional[Tracer] = None
         # The handshake deadline until Hello; no deadline after it.
         self.deadline_ms: Optional[float] = now_ms + HANDSHAKE_TIMEOUT_MS
-        self._decoder = FrameDecoder()
         self._trace_file = None
         self._t0: Optional[float] = None
 
@@ -127,17 +119,10 @@ class ProviderCore:
         return self.session.phase is Phase.CLOSED
 
     def on_bytes(self, chunk: bytes, now_ms: float) -> bytes:
-        if self.closed:
-            return b""
         if self.deadline_ms is not None and now_ms >= self.deadline_ms:
             return self.on_deadline(now_ms)  # a peer trickling bytes
-        try:
-            frames = self._decoder.feed(chunk)
-        except CodecError as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            return self._run(self.session.violate("BadFrame", detail), now_ms)
-        return b"".join(self._run(self.session.on_frame(frame, now_ms), now_ms)
-                        for frame in frames)
+        return b"".join(self._run(actions, now_ms)
+                        for actions in self.session.on_bytes(chunk, now_ms))
 
     def on_deadline(self, now_ms: float) -> bytes:
         if self.closed or self.deadline_ms is None or now_ms < self.deadline_ms:
@@ -169,30 +154,29 @@ class ProviderCore:
             elif isinstance(action, Closed):
                 logger.debug("session %s closed (%s)",
                              self.session.session_id, action.reason)
-        return b"".join(
-            frame_encode(a.frame.msg_type, a.frame.session_id, a.frame.seq,
-                         a.frame.payload)
-            for a in emitted if isinstance(a, EmitFrame)
-        )
+        return wire(emitted)
 
     def _open_trace(self):
-        if self.trace_dir is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
-            path = os.path.join(
-                self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
-            )
-            self._trace_file = open(path, "w", encoding="utf-8")
+        if self.trace_dir is None:  # nothing would read a tracer's events
+            return
+        os.makedirs(self.trace_dir, exist_ok=True)
+        path = os.path.join(
+            self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
+        )
+        self._trace_file = open(path, "w", encoding="utf-8")
         self.tracer = Tracer(self.session.session_id, sink=self._trace_file)
 
     def _relay(self, cmd: CommandApdu, now_ms: float):
-        if self._t0 is None:
-            self._t0 = now_ms
-        ts = now_ms - self._t0
-        # Both events are traced before the response is sent.
-        self.tracer.command(ts, cmd)
         outcome = self.rewriter.process(cmd, self.card.process)
-        self.tracer.response(ts, outcome.response, command=cmd,
-                             rule_id=outcome.rule_id, original=outcome.original)
+        if self.tracer is not None:
+            if self._t0 is None:
+                self._t0 = now_ms
+            ts = now_ms - self._t0
+            # Both events are traced before the response is sent.
+            self.tracer.command(ts, cmd)
+            self.tracer.response(ts, outcome.response, command=cmd,
+                                 rule_id=outcome.rule_id,
+                                 original=outcome.original)
         return self.session.send_response(outcome.response)
 
 
@@ -240,12 +224,17 @@ class ProviderServer(Listener):
 # Probe side
 # ---------------------------------------------------------------------------
 
+# The probe front-end's NULL cadence while a reset or exchange is awaited;
+# 0 turns stalling off.
+NULL_INTERVAL_MS = DEFAULT_NULL_INTERVAL_MS
+
 
 class ProbeLink:
     """Modem-facing link over a live tunnel connection.
 
     Implements the same reset/exchange/idle surface as the lab's virtual
-    link, with wall-clock Timings, so a ModemSim needs no changes.
+    link, with wall-clock Timings, so a ModemSim needs no changes. Each
+    Timing carries the NULL ticks due over the measured wait.
     """
 
     def __init__(self, endpoint: str, token: str,
@@ -258,12 +247,14 @@ class ProbeLink:
             session_id=session_id if session_id is not None
             else secrets.randbelow(1 << 32),
         )
+        # The frames of the last chunk read that no wait has taken yet.
+        self._arrivals: Iterator[List] = iter(())
 
     # -- handshake / teardown ------------------------------------------------
 
     def connect(self):
         try:
-            self.channel.emit(self.session.start())
+            self.channel.send(wire(self.session.start()))
             self._pump_until(Established)
         except BaseException:
             self.channel.close()
@@ -272,7 +263,7 @@ class ProbeLink:
 
     def close(self):
         try:
-            self.channel.emit(self.session.send_close())
+            self.channel.send(wire(self.session.send_close()))
         except OSError:
             pass
         self.channel.close()
@@ -281,41 +272,48 @@ class ProbeLink:
 
     def reset(self):
         start = wall_ms()
-        self.channel.emit(self.session.send_reset())
+        self.channel.send(wire(self.session.send_reset()))
         delivered = self._pump_until(DeliverAtr)
-        return delivered.atr, Timing(start, (), wall_ms())
+        return delivered.atr, self._timing(start)
 
     def exchange(self, cmd: CommandApdu):
         start = wall_ms()
-        self.channel.emit(self.session.send_command(cmd))
+        self.channel.send(wire(self.session.send_command(cmd)))
         delivered = self._pump_until(DeliverResponse)
-        return delivered.response, Timing(start, (), wall_ms())
+        return delivered.response, self._timing(start)
 
     def idle(self, ms: float):
         time.sleep(ms / 1000.0)
 
     def keepalive_roundtrip(self) -> float:
-        self.channel.emit(self.session.send_keepalive(wall_ms()))
+        self.channel.send(wire(self.session.send_keepalive(wall_ms())))
         self._pump_until(KeepaliveAcked)
         return self.session.rtt_estimate()
 
     # -- pump -------------------------------------------------------------------
 
-    def _dispatch(self) -> List:
-        frame = self.channel.recv()
-        if frame is None:
-            raise LinkClosed("stream ended")
-        actions = self.session.on_frame(frame, wall_ms())
-        self.channel.emit(actions)
-        for action in actions:
-            if isinstance(action, Violation):
-                raise ProtocolViolation(action.kind, action.detail)
-            if isinstance(action, Closed):
-                raise LinkClosed(action.reason or "closed by peer")
-        return actions
+    @staticmethod
+    def _timing(start: float) -> Timing:
+        done = wall_ms()
+        return Timing(start, null_ticks(start, done - start, NULL_INTERVAL_MS),
+                      done)
 
     def _pump_until(self, action_type):
+        """Run arriving frames through the session, sending what they emit,
+        until one delivers ``action_type``; frames read after it wait for
+        the next call."""
         while True:
-            for action in self._dispatch():
-                if isinstance(action, action_type):
-                    return action
+            for actions in self._arrivals:
+                for action in actions:
+                    if isinstance(action, action_type):
+                        return action
+                    if isinstance(action, EmitFrame):  # a keepalive ack, an Error
+                        self.channel.send(wire((action,)))
+                    elif isinstance(action, Violation):
+                        raise ProtocolViolation(action.kind, action.detail)
+                    elif isinstance(action, Closed):
+                        raise LinkClosed(action.reason or "closed by peer")
+            chunk = self.channel.recv()
+            if not chunk:
+                raise LinkClosed("stream ended")
+            self._arrivals = self.session.on_bytes(chunk, wall_ms())

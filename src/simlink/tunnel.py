@@ -9,8 +9,9 @@ Sequence numbers increase by exactly one per frame per direction per
 session. One command is in flight at a time, mirroring the card's
 half-duplex link; keepalives may interleave freely once established.
 
-Each :class:`Session` is a single sequential state machine: feed it
-frames in arrival order and execute the actions it returns. A process
+Each :class:`Session` is a single sequential state machine that both
+tunnel ends drive the same way: feed it the bytes read from the stream
+and execute the actions it returns for each completed frame. A process
 may run many sessions concurrently as independent machines.
 """
 
@@ -20,12 +21,13 @@ import enum
 import hmac
 import statistics
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .apdu import CommandApdu, ResponseApdu, decode_command, encode_command
 from .errors import (
     BadMagic,
     BadVersion,
+    CodecError,
     NoSamples,
     Oversize,
     ProtocolViolation,
@@ -212,17 +214,19 @@ _IN_FLIGHT_RESET = "reset"
 class Session:
     """One end of a tunnel session.
 
-    The machine never does I/O: every transition returns the frames to
-    emit and the payloads to deliver. The pre-shared token rides in the
-    Hello payload; the provider end checks it before acknowledging.
+    The machine never does I/O: it takes the bytes read from the stream
+    and every transition returns the frames to emit and the payloads to
+    deliver. The pre-shared token rides in the Hello payload; the
+    provider end checks it before acknowledging.
     """
 
     role: Role
     token: str
     session_id: Optional[int] = None
     phase: Phase = Phase.AWAIT_HELLO
-    in_flight: Optional[Tuple[str, int]] = None
+    in_flight: Optional[str] = None  # _IN_FLIGHT_APDU or _IN_FLIGHT_RESET
     rtt_samples: List[Tuple[float, float]] = field(default_factory=list)
+    _decoder: FrameDecoder = field(default_factory=FrameDecoder, repr=False)
     _send_seq: int = 0
     _recv_seq: int = 0
     _reset_seen: bool = False
@@ -259,26 +263,26 @@ class Session:
         self._require(Phase.ESTABLISHED)
         if self.in_flight is not None:
             raise ProtocolViolation("AlternationBroken", "reset while in flight")
-        self.in_flight = (_IN_FLIGHT_RESET, self._send_seq)
+        self.in_flight = _IN_FLIGHT_RESET
         return [self._emit(MessageType.RESET)]
 
     def send_command(self, cmd: CommandApdu) -> List[Action]:
         self._require(Phase.ESTABLISHED)
         if self.in_flight is not None:
             raise ProtocolViolation("AlternationBroken", "request while in flight")
-        self.in_flight = (_IN_FLIGHT_APDU, self._send_seq)
+        self.in_flight = _IN_FLIGHT_APDU
         return [self._emit(MessageType.APDU_REQ, encode_command(cmd))]
 
     def send_response(self, resp: ResponseApdu) -> List[Action]:
         self._require(Phase.ESTABLISHED)
-        if self.in_flight is None or self.in_flight[0] != _IN_FLIGHT_APDU:
+        if self.in_flight != _IN_FLIGHT_APDU:
             raise ProtocolViolation("AlternationBroken", "response with no request")
         self.in_flight = None
         return [self._emit(MessageType.APDU_RESP, resp.to_bytes())]
 
     def send_atr(self, atr: bytes) -> List[Action]:
         self._require(Phase.ESTABLISHED)
-        if self.in_flight is None or self.in_flight[0] != _IN_FLIGHT_RESET:
+        if self.in_flight != _IN_FLIGHT_RESET:
             raise ProtocolViolation("AlternationBroken", "ATR with no reset pending")
         self.in_flight = None
         return [self._emit(MessageType.ATR_IND, atr)]
@@ -296,7 +300,24 @@ class Session:
         self.phase = Phase.CLOSED
         return [self._emit(MessageType.CLOSE)]
 
-    # -- frame arrival ---------------------------------------------------------
+    # -- stream arrival --------------------------------------------------------
+
+    def on_bytes(self, chunk: bytes, now_ms: float) -> Iterator[List[Action]]:
+        """Absorb a chunk read from the stream; yield the actions of each
+        frame it completes, in order. Frames enter the machine one at a
+        time as the caller asks for them, so it runs a frame's actions
+        (an ATR sent for a Reset, say) before the next frame arrives. An
+        undecodable stream closes the session with Error ``BadFrame``; a
+        closed session ignores its input."""
+        if self.phase is Phase.CLOSED:
+            return
+        try:
+            frames = self._decoder.feed(chunk)
+        except CodecError as exc:
+            yield self.violate("BadFrame", f"{type(exc).__name__}: {exc}")
+            return
+        for frame in frames:
+            yield self.on_frame(frame, now_ms)
 
     def on_frame(self, frame: TunnelFrame, now_ms: float = 0.0) -> List[Action]:
         if self.phase is Phase.CLOSED:
@@ -363,13 +384,13 @@ class Session:
                 return self.violate("AlternationBroken", "Reset toward the probe")
             if self.in_flight is not None:
                 return self.violate("AlternationBroken", "Reset while in flight")
-            self.in_flight = (_IN_FLIGHT_RESET, frame.seq)
+            self.in_flight = _IN_FLIGHT_RESET
             self._reset_seen = True
             return [ResetIndication()]
         if msg_type is MessageType.ATR_IND:
             if self.role is not Role.PROBE:
                 return self.violate("AlternationBroken", "AtrInd toward the provider")
-            if self.in_flight is None or self.in_flight[0] != _IN_FLIGHT_RESET:
+            if self.in_flight != _IN_FLIGHT_RESET:
                 return self.violate("AlternationBroken", "AtrInd with no reset in flight")
             self.in_flight = None
             return [DeliverAtr(frame.payload)]
@@ -384,12 +405,12 @@ class Session:
                 cmd = decode_command(frame.payload)
             except Exception as exc:
                 return self.violate("UnknownType", f"undecodable ApduReq: {exc}")
-            self.in_flight = (_IN_FLIGHT_APDU, frame.seq)
+            self.in_flight = _IN_FLIGHT_APDU
             return [DeliverCommand(cmd)]
         if msg_type is MessageType.APDU_RESP:
             if self.role is not Role.PROBE:
                 return self.violate("AlternationBroken", "ApduResp toward the provider")
-            if self.in_flight is None or self.in_flight[0] != _IN_FLIGHT_APDU:
+            if self.in_flight != _IN_FLIGHT_APDU:
                 return self.violate("AlternationBroken", "ApduResp with no request in flight")
             try:
                 resp = ResponseApdu.from_bytes(frame.payload)

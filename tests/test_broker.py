@@ -639,6 +639,95 @@ class TestHostileRequests:
         assert list(server.registry.leases) == [lease["lease_id"]]
 
 
+CONTROL_FUZZ_REQUESTS = 60_000  # about 2 s
+# Every code a control reply may carry besides ok; "Internal" is not one.
+TYPED_CODES = {"BadRequest", "BadToken", "InvalidIccid", "NoMatch",
+               "ProbeStale", "AlreadyLeased", "UnknownLease"}
+FUZZ_OPS = {  # each op's fields
+    "register_sim": ("iccid", "tags", "provider_endpoint"),
+    "register_probe": ("probe_id", "location_tag"),
+    "request_lease": ("probe_id", "iccid", "tags", "duration_ms"),
+    "release": ("lease_id",),
+    "list": (),
+}
+FUZZ_FIELDS = ("iccid", "tags", "provider_endpoint", "probe_id",
+               "location_tag", "duration_ms", "lease_id")
+FUZZ_STRINGS = ("", "AT", "p1", "host:1", "\ud800", "x\udfff", "\u4e2d",
+                "8943019900000000019", "0" * 300)
+
+
+def fuzz_value(rng, depth=0):
+    """Any JSON value: scalars of every type, lone surrogates, nesting."""
+    kind = rng.randrange(7 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice((None, True, False))
+    if kind == 1:
+        return rng.choice((0, -1, 1, 2 ** 64, -(2 ** 70), rng.randint(-10 ** 9, 10 ** 9)))
+    if kind == 2:
+        return rng.choice((0.5, -0.0, 1e300, float("inf"), float("nan")))
+    if kind in (3, 4):
+        return rng.choice(FUZZ_STRINGS)
+    if kind == 5:
+        return [fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(FUZZ_FIELDS + FUZZ_STRINGS): fuzz_value(rng, depth + 1)
+            for _ in range(rng.randint(0, 3))}
+
+
+def fuzz_request(rng, iccids, lease_ids) -> bytes:
+    """One control line: mostly a real op with most of its fields, a few
+    others, and values that mostly fit; otherwise any JSON value or raw
+    bytes."""
+    roll = rng.random()
+    if roll < 0.03:
+        return rng.randbytes(rng.randint(0, 40)) + b"\n"
+    if roll < 0.06:
+        return (json.dumps(fuzz_value(rng)) + "\n").encode()
+    plausible = {
+        "iccid": lambda: rng.choice(iccids),
+        "tags": lambda: rng.sample(["AT", "DE", "FR"], rng.randint(0, 2)),
+        "provider_endpoint": lambda: f"host:{rng.randint(1, 9)}",
+        "probe_id": lambda: rng.choice(("p1", "p2", "p3")),
+        "location_tag": lambda: "vie",
+        "duration_ms": lambda: rng.choice((1, 500, 10 ** 6)),
+        "lease_id": lambda: rng.choice(lease_ids[-4:] or ["nope"]),
+    }
+    op = rng.choice(list(FUZZ_OPS))
+    names = [name for name in FUZZ_OPS[op] if rng.random() < 0.7]
+    body = {name: plausible[name]() if rng.random() < 0.85 else fuzz_value(rng)
+            for name in names + rng.sample(FUZZ_FIELDS, rng.randint(0, 2))}
+    doc = {"op": op if rng.random() < 0.9 else fuzz_value(rng),
+           "token": TOKEN if rng.random() < 0.9 else fuzz_value(rng),
+           "body": body if rng.random() < 0.95 else fuzz_value(rng)}
+    return (json.dumps(doc) + "\n").encode()
+
+
+class TestControlRequestFuzz:
+    def test_seeded_requests_get_ok_or_a_typed_code(self, tmp_path):
+        reg, clock = fresh_registry(tmp_path)
+        server = BrokerServer(reg, TOKEN)  # never started: lines go to _handle_line
+        rng = random.Random(0xF0CC)
+        iccids = [make_iccid(i) for i in range(6)] + ["123", "8943019900000000011"]
+        lease_ids, answered = [], set()
+        try:
+            for n in range(CONTROL_FUZZ_REQUESTS):
+                clock.tick(rng.choice((0, 1, 100, 20_000)))
+                reply = server._handle_line(fuzz_request(rng, iccids, lease_ids))
+                if reply["ok"]:
+                    answered.update(reply)
+                    if "lease" in reply:
+                        lease_ids.append(reply["lease"]["lease_id"])
+                else:
+                    assert reply["error"] in TYPED_CODES, (n, reply)
+        finally:
+            server.stop()
+        # Every op changed or read the registry at least once.
+        assert answered >= {"sim", "probe", "lease", "released", "sims"}
+        replayed = Registry.replay(str(tmp_path / "state.log"), clock=clock)
+        assert replayed.snapshot() == reg.snapshot()
+        replayed.close()
+        reg.close()
+
+
 class TestShutdown:
     """stop() ends live connections; a closed registry refuses changes, so
     its log never falls behind its state."""

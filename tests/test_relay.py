@@ -1,5 +1,5 @@
 """Provider core tests with no socket, and loopback tunnel tests: provider
-server + probe link over real sockets."""
+server + probe link over real sockets, directly or through a delay proxy."""
 
 import dataclasses
 import json
@@ -12,6 +12,8 @@ import pytest
 
 from simlink import relay
 from simlink.apdu import CommandApdu, INS_SELECT, encode_command
+from simlink.errors import ProtocolViolation
+from simlink.lab import StallPolicy, lab_sweep
 from simlink.modem import ModemSim, Timing, default_script
 from simlink.relay import (
     HANDSHAKE_TIMEOUT_MS,
@@ -19,6 +21,7 @@ from simlink.relay import (
     ProbeLink,
     ProviderCore,
     ProviderServer,
+    wire,
 )
 from simlink.tracer import (
     Tracer,
@@ -29,7 +32,6 @@ from simlink.tracer import (
 from simlink.tunnel import (
     DeliverAtr,
     DeliverResponse,
-    EmitFrame,
     Established,
     FrameDecoder,
     MessageType,
@@ -213,14 +215,6 @@ class TestRewriteThroughTunnel:
 STATUS = CommandApdu(0x80, 0xF2, 0x00, 0x00)
 
 
-def wire(actions) -> bytes:
-    return b"".join(
-        frame_encode(a.frame.msg_type, a.frame.session_id, a.frame.seq,
-                     a.frame.payload)
-        for a in actions if isinstance(a, EmitFrame)
-    )
-
-
 def hello(token=TOKEN, session_id=7) -> bytes:
     return wire(Session(Role.PROBE, token, session_id=session_id).start())
 
@@ -233,15 +227,14 @@ class CoreLink:
         self.core = core
         self.session = Session(Role.PROBE, TOKEN, session_id=session_id)
         self.now = 0.0
-        self._decoder = FrameDecoder()
         self._feed(self.session.start(), Established)
 
     def _feed(self, actions, wanted):
         self.now += 1.0
-        replies = self._decoder.feed(self.core.on_bytes(wire(actions), self.now))
-        delivered = [action for frame in replies
-                     for action in self.session.on_frame(frame, self.now)
-                     if isinstance(action, wanted)]
+        replies = self.core.on_bytes(wire(actions), self.now)
+        delivered = [action
+                     for frame_actions in self.session.on_bytes(replies, self.now)
+                     for action in frame_actions if isinstance(action, wanted)]
         assert len(delivered) == 1, replies
         return delivered[0]
 
@@ -259,8 +252,7 @@ class CoreLink:
 
 def established(core: ProviderCore) -> Session:
     probe = Session(Role.PROBE, TOKEN, session_id=7)
-    for frame in FrameDecoder().feed(core.on_bytes(wire(probe.start()), 1.0)):
-        probe.on_frame(frame)
+    list(probe.on_bytes(core.on_bytes(wire(probe.start()), 1.0), 1.0))
     return probe
 
 
@@ -358,6 +350,15 @@ class TestProviderCore:
         assert untimed(core_seen.events) == untimed(socket_seen.events)
         assert len(core_trace) == 2 * core_report.exchanges
         assert untimed(core_trace) == untimed(socket_trace)
+
+    def test_no_trace_dir_builds_no_tracer(self):
+        profile = demo_profile()
+        core = ProviderCore(profile, TOKEN, now_ms=0.0)
+        report = ModemSim(verify_aka=True, k=profile.k,
+                          op_salt=profile.op_salt).run(CoreLink(core, 0x7E))
+        core.finish()
+        assert report.failure is None and report.exchanges == 13
+        assert core.tracer is None
 
 
 FUZZ_COMMANDS = [
@@ -494,3 +495,124 @@ class TestProviderFaultsOverSockets:
                 link.exchange(STATUS)
         finally:
             link.close()
+
+
+# -- the probe over real sockets: NULL stalling and a hostile provider ----------
+
+
+class DelayProxy:
+    """A loopback proxy for one connection to ``upstream``: it forwards
+    each chunk half a round trip after reading it, in each direction."""
+
+    def __init__(self, upstream, rtt_ms: float):
+        self.upstream = upstream
+        self.delay_s = rtt_ms / 2000.0
+        self._server = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = "127.0.0.1:%d" % self._server.getsockname()[1]
+        self._thread = threading.Thread(target=self._accept_one, daemon=True)
+        self._thread.start()
+
+    def _accept_one(self):
+        client, _ = self._server.accept()
+        client.settimeout(5)
+        server = socket.create_connection(self.upstream, timeout=5)
+        pumps = [threading.Thread(target=self._pump, args=pair, daemon=True)
+                 for pair in ((client, server), (server, client))]
+        for pump in pumps:
+            pump.start()
+        for pump in pumps:
+            pump.join()
+        client.close()
+        server.close()
+
+    def _pump(self, src, dst):
+        try:
+            while chunk := src.recv(65536):
+                time.sleep(self.delay_s)
+                dst.sendall(chunk)
+            dst.shutdown(socket.SHUT_WR)
+        except OSError:  # the other direction closed first
+            pass
+
+    def close(self):
+        self._thread.join(timeout=5)
+        self._server.close()
+        assert not self._thread.is_alive()
+
+
+AGREEMENT_RTTS = [0.0, 20.0, 40.0, 80.0]
+# A socket wait only ever exceeds its RTT (the proxy sleeps at least half
+# of it each way), so the budget sits just under the 40 ms cell: the 20 ms
+# cell keeps 18 ms of room for scheduling delays, which reached 10 ms on
+# an idle 2-vCPU VM and 18 ms under load.
+AGREEMENT_BUDGET_MS = 38.0
+AGREEMENT_CADENCE_MS = 10.0
+
+
+class TestStallingOverSockets:
+    """The real probe stalls as the lab's front-end does: over a delayed
+    tunnel, which sessions survive matches ``lab_sweep`` cell for cell.
+    Only success is compared: a socket reset costs a round trip, while a
+    lab reset costs none."""
+
+    def socket_success(self, server, rtt_ms):
+        profile = demo_profile()
+        proxy = DelayProxy(server.address, rtt_ms)
+        try:
+            link = ProbeLink(proxy.endpoint, TOKEN).connect()
+            modem = ModemSim(waiting_time_ms=AGREEMENT_BUDGET_MS, verify_aka=True,
+                             k=profile.k, op_salt=profile.op_salt)
+            report = modem.run(link)
+            link.close()
+        finally:
+            proxy.close()
+        return 1.0 if report.completed else 0.0
+
+    @pytest.mark.parametrize("cadence_ms", [0.0, AGREEMENT_CADENCE_MS],
+                             ids=["stall-off", "stall-on"])
+    def test_socket_success_matches_the_lab(self, cadence_ms, monkeypatch):
+        monkeypatch.setattr(relay, "NULL_INTERVAL_MS", cadence_ms)
+        lab = lab_sweep(AGREEMENT_RTTS,
+                        StallPolicy(enabled=cadence_ms > 0,
+                                    null_interval_ms=cadence_ms),
+                        repetitions=1, waiting_time_ms=AGREEMENT_BUDGET_MS)
+        server = ProviderServer(demo_profile(), TOKEN)
+        server.start()
+        try:
+            real = [self.socket_success(server, rtt) for rtt in AGREEMENT_RTTS]
+        finally:
+            server.stop()
+        assert real == [row.success_rate for row in lab]
+        # The grid straddles the budget, so both outcomes are exercised.
+        assert real == ([1.0, 1.0, 0.0, 0.0] if cadence_ms == 0 else [1.0] * 4)
+
+
+class TestHostileProvider:
+    def test_non_frame_answer_gets_bad_frame_error(self):
+        received = []
+
+        def fake_provider(listener):
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                decoder = FrameDecoder()
+                while not decoder.feed(conn.recv(65536)):  # the Hello
+                    assert decoder.pending, "closed before Hello"
+                conn.sendall(b"HTTP/1.1 400 Bad Request\r\n\r\n")
+                while chunk := conn.recv(65536):
+                    received.append(chunk)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=fake_provider, args=(listener,),
+                                      daemon=True)
+            thread.start()
+            link = ProbeLink("127.0.0.1:%d" % listener.getsockname()[1], TOKEN,
+                             timeout_s=5)
+            with pytest.raises(ProtocolViolation) as err:
+                link.connect()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert err.value.kind == "BadFrame"
+        (frame,) = FrameDecoder().feed(b"".join(received))
+        assert frame.msg_type == MessageType.ERROR
+        assert frame.payload.startswith(b"BadFrame: BadMagic")

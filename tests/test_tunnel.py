@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from simlink.apdu import CommandApdu, ResponseApdu
+from simlink.apdu import CommandApdu, ResponseApdu, encode_command
 from simlink.errors import (
     BadMagic,
     BadVersion,
@@ -260,6 +260,7 @@ class TestRelayDiscipline:
         reset = only_frame(probe.send_reset())
         actions = provider.on_frame(reset)
         assert any(isinstance(a, ResetIndication) for a in actions)
+        assert probe.in_flight == provider.in_flight == "reset"
         atr_frame = only_frame(provider.send_atr(bytes.fromhex("3B00")))
         delivered = probe.on_frame(atr_frame)
         assert DeliverAtr(bytes.fromhex("3B00")) in delivered
@@ -292,6 +293,21 @@ class TestRelayDiscipline:
         assert provider.phase is Phase.CLOSED
         # Frames after close are ignored, not violations.
         assert provider.on_frame(TunnelFrame(MessageType.KEEPALIVE, 1, 99, b"")) == []
+
+
+class TestStream:
+    def test_pipelined_frames_enter_the_machine_one_at_a_time(self):
+        # The ATR for a Reset goes out before a pipelined ApduReq is
+        # checked, so that ApduReq is no longer "while in flight".
+        _, provider = establish_pair()
+        cmd = CommandApdu(0x00, 0xF2, 0x00, 0x00)
+        chunk = (frame_encode(MessageType.RESET, 1, 1)
+                 + frame_encode(MessageType.APDU_REQ, 1, 2, encode_command(cmd)))
+        arrivals = provider.on_bytes(chunk, 0.0)
+        assert next(arrivals) == [ResetIndication()]
+        provider.send_atr(bytes.fromhex("3B00"))
+        assert next(arrivals) == [DeliverCommand(cmd)]
+        assert next(arrivals, None) is None
 
 
 class TestKeepaliveRtt:
