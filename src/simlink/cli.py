@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import socket
 import sys
@@ -48,6 +49,11 @@ def resolve_token(args) -> str:
     if not token:
         raise ConfigError(f"a token is required: pass --token or set {TOKEN_ENV}")
     return token
+
+
+def require_number(value: float, flag: str, low: float = 0.0):
+    if not (math.isfinite(value) and value >= low):
+        raise ConfigError(f"{flag} must be a finite number >= {low:g}, not {value}")
 
 
 def require_file(path: Optional[str], what: str) -> Optional[str]:
@@ -162,6 +168,8 @@ def cmd_probe(args) -> int:
     token = resolve_token(args)
     require_file(args.script, "script")
     criteria = parse_lease_selector(args.lease)
+    if args.duration_s is not None:
+        require_number(args.duration_s, "--duration-s", 1)
     modem = build_modem(args)
 
     with BrokerClient(args.broker, token) as client:
@@ -179,13 +187,11 @@ def cmd_probe(args) -> int:
 
         # Everything that can fail once the lease is held sits inside the
         # try, so the lease is released even when the tunnel never opens.
-        trace_file = link = tracer = None
+        link = tracer = None
         try:
-            if args.trace_out:
-                trace_file = open(args.trace_out, "w", encoding="utf-8")
             link = ProbeLink(endpoint, token).connect()
             rtt = link.keepalive_roundtrip()
-            tracer = Tracer(link.session.session_id, sink=trace_file)
+            tracer = Tracer(link.session.session_id, path=args.trace_out)
             report = modem.run(link, tracer=tracer)
         except ConfigError as exc:  # the endpoint came from the broker, not --options
             raise BrokerError(f"provider endpoint: {exc}") from None
@@ -194,20 +200,16 @@ def cmd_probe(args) -> int:
                 link.close()
             if tracer is not None:
                 tracer.close()
-            if trace_file is not None:
-                trace_file.close()
             try:
                 client.request("release", {"lease_id": lease["lease_id"]})
             except (BrokerError, OSError) as exc:
                 logger.warning("release failed: %s", exc)
 
-    flagged = detect_silent_sms(tracer.events)
-
     doc = report.to_dict()
     doc["lease"] = lease
     doc["provider_endpoint"] = endpoint
     doc["tunnel_rtt_ms"] = round(rtt, 3)
-    doc["silent_sms_flags"] = len(flagged)
+    doc["silent_sms_flags"] = tracer.silent_sms
     print(json.dumps(doc, indent=2))
     if report.failure is not None:
         return fail("SessionFailed", report.failure)
@@ -237,6 +239,14 @@ def cmd_lab(args) -> int:
         grid = [float(x) for x in args.rtt_grid.split(",") if x != ""]
     except ValueError:
         raise ConfigError(f"bad --rtt-grid {args.rtt_grid!r}") from None
+    if not grid:
+        raise ConfigError("--rtt-grid names no RTT")
+    for rtt in grid:
+        require_number(rtt, "an --rtt-grid value")
+    require_number(args.repetitions, "--repetitions", 1)
+    require_number(args.null_interval_ms, "--null-interval-ms")
+    require_number(args.waiting_time_ms, "--waiting-time-ms")
+    require_number(args.jitter_ms, "--jitter-ms")
     stall = StallPolicy(enabled=args.stall == "on",
                         null_interval_ms=args.null_interval_ms)
     profile = load_profile(require_file(args.profile, "profile"))

@@ -111,7 +111,6 @@ class ProviderCore:
         self.tracer: Optional[Tracer] = None
         # The handshake deadline until Hello; no deadline after it.
         self.deadline_ms: Optional[float] = now_ms + HANDSHAKE_TIMEOUT_MS
-        self._trace_file = None
         self._t0: Optional[float] = None
 
     @property
@@ -132,10 +131,8 @@ class ProviderCore:
 
     def finish(self):
         """Write the trace events still held, then close the trace file."""
-        if self._trace_file is not None:
+        if self.tracer is not None:
             self.tracer.close()
-            self._trace_file.close()
-            self._trace_file = None
 
     def _run(self, actions, now_ms: float) -> bytes:
         """Carry out the machine's actions; return the frames they emit."""
@@ -163,8 +160,7 @@ class ProviderCore:
         path = os.path.join(
             self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
         )
-        self._trace_file = open(path, "w", encoding="utf-8")
-        self.tracer = Tracer(self.session.session_id, sink=self._trace_file)
+        self.tracer = Tracer(self.session.session_id, path=path)
 
     def _relay(self, cmd: CommandApdu, now_ms: float):
         outcome = self.rewriter.process(cmd, self.card.process)

@@ -17,14 +17,14 @@ changed the octets, the original is preserved in ``decoded.original_hex``
 next to the matched ``rule_id``, so both endpoint views stay
 reconstructible from one file.
 
-One tracer serves one session and its sink is exclusive to it.
+One tracer serves one session and owns its file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import tlv
 from .apdu import (
@@ -263,19 +263,20 @@ class Rewriter:
 
 
 class Tracer:
-    """Collects one session's events, flagging silent SMS as they pair up.
+    """Records one session's events, flagging silent SMS as they pair up.
 
-    With a sink, each ``response()`` writes the events not yet written in
-    one write and flush, unless a fetched SEND SHORT MESSAGE still waits
-    for its TERMINAL RESPONSE; ``close()`` writes whatever is still held.
-    """
+    With a ``path`` it owns that file: each ``response()`` writes the held
+    events in one write and flush unless a fetched SEND SHORT MESSAGE still
+    waits for its TERMINAL RESPONSE, and ``close()`` writes the rest and
+    closes it. ``events`` holds what is unwritten (all, without a file);
+    ``silent_sms`` counts the fetches flagged."""
 
-    def __init__(self, session_id: int, sink: Optional[IO[str]] = None):
+    def __init__(self, session_id: int, path: Optional[str] = None):
         self.session_id = session_id
-        self.sink = sink
         self.events: List[TraceEvent] = []
+        self.silent_sms = 0
         self._waiting: Dict[object, List[TraceEvent]] = {}  # fetches by number
-        self._written = 0  # events already in the sink
+        self._file = None if path is None else open(path, "w", encoding="utf-8")
 
     def record(self, event: TraceEvent) -> List[TraceEvent]:
         """Append one event in stream order; return the fetched SEND SHORT
@@ -289,6 +290,7 @@ class Tracer:
                 for fetched in acked:
                     if FLAG_SILENT_SMS not in fetched.flags:
                         fetched.flags.append(FLAG_SILENT_SMS)
+                self.silent_sms += len(acked)
                 return acked
         elif (event.direction == DIR_SIM_TO_MODEM and number is not None
               and decoded.get("proactive_type") == "SEND_SHORT_MESSAGE"):
@@ -296,12 +298,16 @@ class Tracer:
         return []
 
     def close(self):
-        """Write the events still held, unflagged; the sink stays open."""
-        if self.sink is not None and self._written < len(self.events):
-            held = self.events[self._written:]
-            self.sink.write("".join(event.to_json() + "\n" for event in held))
-            self.sink.flush()
-            self._written = len(self.events)
+        """Write the events still held, unflagged, and close the file."""
+        if self._file is not None:
+            self._write()
+            self._file.close()
+            self._file = None
+
+    def _write(self):
+        self._file.write("".join(event.to_json() + "\n" for event in self.events))
+        self._file.flush()
+        self.events.clear()
 
     def command(self, ts_ms: float, cmd: CommandApdu) -> TraceEvent:
         event = TraceEvent(
@@ -338,8 +344,8 @@ class Tracer:
             flags=flags,
         )
         self.record(event)
-        if not self._waiting:
-            self.close()  # writes the held events; the sink stays open
+        if self._file is not None and not self._waiting:
+            self._write()
         return event
 
 

@@ -12,7 +12,9 @@ half-duplex link; keepalives may interleave freely once established.
 Each :class:`Session` is a single sequential state machine that both
 tunnel ends drive the same way: feed it the bytes read from the stream
 and execute the actions it returns for each completed frame. A process
-may run many sessions concurrently as independent machines.
+may run many sessions concurrently as independent machines. The frames
+before octets that cannot start a frame are answered, then Error
+``BadFrame`` closes the session, however TCP segmented the stream.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     NoSamples,
     Oversize,
     ProtocolViolation,
-    Truncated,
 )
 
 MAGIC = b"\x4D\x41"
@@ -62,9 +63,6 @@ class TunnelFrame:
     seq: int
     payload: bytes = b""
 
-    def __post_init__(self):
-        object.__setattr__(self, "payload", bytes(self.payload))
-
 
 def frame_encode(msg_type: int, session_id: int, seq: int,
                  payload: bytes = b"") -> bytes:
@@ -82,50 +80,41 @@ def frame_encode(msg_type: int, session_id: int, seq: int,
     )
 
 
-def frame_decode(raw: bytes) -> Tuple[TunnelFrame, bytes]:
-    """Decode one frame from the head of ``raw``.
-
-    Returns the frame and the unconsumed remainder, so callers can run it
-    directly over a byte stream. Truncated means "wait for more bytes".
-    """
-    if len(raw) < HEADER_LEN:
-        raise Truncated(f"{len(raw)} octets, header needs {HEADER_LEN}")
-    if raw[0:2] != MAGIC:
-        raise BadMagic(f"{raw[0]:02X} {raw[1]:02X}")
-    if raw[2] != VERSION:
-        raise BadVersion(f"{raw[2]:02X}")
-    payload_len = int.from_bytes(raw[12:14], "big")
-    if payload_len > PAYLOAD_MAX:
-        raise Oversize(f"announced payload of {payload_len} octets")
-    total = HEADER_LEN + payload_len
-    if len(raw) < total:
-        raise Truncated(f"{len(raw)} of {total} octets")
-    frame = TunnelFrame(
-        msg_type=raw[3],
-        session_id=int.from_bytes(raw[4:8], "big"),
-        seq=int.from_bytes(raw[8:12], "big"),
-        payload=raw[14:total],
-    )
-    return frame, bytes(raw[total:])
-
-
 class FrameDecoder:
-    """Incremental frame reassembly over arbitrary stream segmentation."""
+    """Frame reassembly holding only the octets after the last whole frame;
+    at a header that cannot start a frame it stops and sets ``fault``."""
 
     def __init__(self):
-        self._buf = bytearray()
+        self._buf = b""
+        self.fault: Optional[CodecError] = None
 
     def feed(self, data: bytes) -> List[TunnelFrame]:
-        """Absorb a chunk; return every frame completed by it."""
-        self._buf.extend(data)
+        """Absorb a chunk; return every frame it completes before any fault."""
+        buf = self._buf + data  # bytes, whatever buffer type ``data`` is
         frames = []
-        while True:
-            try:
-                frame, rest = frame_decode(bytes(self._buf))
-            except Truncated:
+        pos = 0
+        while len(buf) - pos >= HEADER_LEN:
+            if buf[pos:pos + 2] != MAGIC:
+                self.fault = BadMagic(f"{buf[pos]:02X} {buf[pos + 1]:02X}")
                 break
-            frames.append(frame)
-            self._buf = bytearray(rest)
+            if buf[pos + 2] != VERSION:
+                self.fault = BadVersion(f"{buf[pos + 2]:02X}")
+                break
+            payload_len = int.from_bytes(buf[pos + 12:pos + 14], "big")
+            if payload_len > PAYLOAD_MAX:
+                self.fault = Oversize(f"announced payload of {payload_len} octets")
+                break
+            end = pos + HEADER_LEN + payload_len
+            if end > len(buf):
+                break
+            frames.append(TunnelFrame(
+                buf[pos + 3],
+                int.from_bytes(buf[pos + 4:pos + 8], "big"),
+                int.from_bytes(buf[pos + 8:pos + 12], "big"),
+                buf[pos + HEADER_LEN:end],
+            ))
+            pos = end
+        self._buf = buf[pos:]
         return frames
 
     @property
@@ -306,18 +295,16 @@ class Session:
         """Absorb a chunk read from the stream; yield the actions of each
         frame it completes, in order. Frames enter the machine one at a
         time as the caller asks for them, so it runs a frame's actions
-        (an ATR sent for a Reset, say) before the next frame arrives. An
-        undecodable stream closes the session with Error ``BadFrame``; a
-        closed session ignores its input."""
+        (an ATR sent for a Reset, say) before the next frame arrives.
+        Undecodable octets then close the session with Error ``BadFrame``;
+        a closed session ignores its input."""
         if self.phase is Phase.CLOSED:
             return
-        try:
-            frames = self._decoder.feed(chunk)
-        except CodecError as exc:
-            yield self.violate("BadFrame", f"{type(exc).__name__}: {exc}")
-            return
-        for frame in frames:
+        for frame in self._decoder.feed(chunk):
             yield self.on_frame(frame, now_ms)
+        fault = self._decoder.fault
+        if fault is not None and self.phase is not Phase.CLOSED:
+            yield self.violate("BadFrame", f"{type(fault).__name__}: {fault}")
 
     def on_frame(self, frame: TunnelFrame, now_ms: float = 0.0) -> List[Action]:
         if self.phase is Phase.CLOSED:

@@ -66,6 +66,22 @@ class TestLab:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("flags", [
+        ["--repetitions", "0"], ["--repetitions", "-3"],
+        ["--rtt-grid", ""], ["--rtt-grid", ","], ["--rtt-grid", "-5"],
+        ["--rtt-grid", "nan"], ["--rtt-grid", "0,inf"],
+        ["--jitter-ms", "-1"], ["--null-interval-ms", "nan"],
+        ["--waiting-time-ms", "-300"], ["--waiting-time-ms", "inf"],
+    ])
+    def test_bad_numbers_are_config_errors_before_any_sweep(self, capsys,
+                                                            monkeypatch, flags):
+        swept = []
+        monkeypatch.setattr(cli, "lab_sweep", lambda *a, **k: swept.append(a))
+        code, out, err = run_cli(["lab", *flags], capsys)
+        assert (code, out, swept) == (2, "", [])
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+
 
 class TestTraceTool:
     @pytest.fixture()
@@ -77,11 +93,13 @@ class TestTraceTool:
 
         profile = demo_profile()
         path = tmp_path / "session.jsonl"
-        with open(path, "w", encoding="utf-8") as sink:
-            tracer = Tracer(session_id=3, sink=sink)
+        tracer = Tracer(session_id=3, path=str(path))
+        try:
             modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
             report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
                                tracer=tracer)
+        finally:
+            tracer.close()
         assert report.failure is None
         return path
 
@@ -153,6 +171,20 @@ class TestProbe:
         )
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("duration", ["0", "-2"])
+    def test_bad_duration_is_config_error_before_any_request(
+            self, capsys, monkeypatch, broker_server, duration):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        code, _, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
+             "--duration-s", duration],
+            capsys,
+        )
+        assert code == 2
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert broker_server.registry.probes == {}
 
     def test_bad_lease_spec(self, capsys, monkeypatch, broker_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)

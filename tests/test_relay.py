@@ -435,6 +435,30 @@ class TestProviderCoreFuzz:
             answered_in_all += answered
         assert answered_in_all > 2500  # most streams reach the card
 
+    def test_output_does_not_depend_on_segmentation(self, tmp_path):
+        # The whole stream in one read and in random reads of 1-39 bytes,
+        # at one fixed time, give the same bytes out and the same traces.
+        rng = random.Random(0x5E6)
+        for n in range(1000):
+            wire = fuzz_wire(rng, n + 2)
+            seen = []
+            for split in (False, True):
+                trace_dir = tmp_path / f"split-{split}"
+                core = ProviderCore(demo_profile(), TOKEN, now_ms=0.0,
+                                    trace_dir=str(trace_dir))
+                out, pos = b"", 0
+                while pos < len(wire):
+                    size = rng.randint(1, 39) if split else len(wire)
+                    out += core.on_bytes(wire[pos:pos + size], 5.0)
+                    pos += size
+                core.finish()
+                traces = {}
+                for path in trace_dir.glob("*.jsonl"):
+                    traces[path.name] = path.read_bytes()
+                    path.unlink()
+                seen.append((out, traces))
+            assert seen[0] == seen[1], n
+
 
 # -- provider faults over real sockets ------------------------------------------
 

@@ -1,7 +1,6 @@
 """Tracer tests: decoding, silent-SMS pairing, rewrite rules."""
 
 import dataclasses
-import io
 import random
 
 import pytest
@@ -83,13 +82,14 @@ class TestDecodeEvent:
 
 
 class TestTracerPersistence:
-    def test_jsonl_roundtrip_and_schema(self):
-        sink = io.StringIO()
-        tracer = Tracer(session_id=5, sink=sink)
+    def test_jsonl_roundtrip_and_schema(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(session_id=5, path=str(path))
         cmd = CommandApdu(0x00, INS_READ_BINARY, 0, 0, le=10)
         tracer.command(10, cmd)
         tracer.response(12, ResponseApdu(b"\x98\x10", 0x90, 0x00), command=cmd)
-        lines = sink.getvalue().splitlines()
+        lines = path.read_text().splitlines()
+        tracer.close()
         assert len(lines) == 2
         events = read_trace(lines)
         assert events[0].direction == DIR_MODEM_TO_SIM
@@ -100,14 +100,33 @@ class TestTracerPersistence:
         doc = json.loads(lines[0])
         assert set(doc) == {"ts_ms", "dir", "raw_hex", "decoded", "session", "flags"}
 
-    def test_replay_decodes_identically(self):
-        sink = io.StringIO()
-        tracer = Tracer(session_id=1, sink=sink)
+    def test_replay_decodes_identically(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(session_id=1, path=str(path))
         cmd = CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=b"\x2F\xE2")
-        tracer.command(0, cmd)
-        tracer.response(1, ResponseApdu(b"", 0x90, 0x00), command=cmd)
-        replayed = read_trace(sink.getvalue().splitlines())
-        assert [e.decoded for e in replayed] == [e.decoded for e in tracer.events]
+        events = [tracer.command(0, cmd),
+                  tracer.response(1, ResponseApdu(b"", 0x90, 0x00), command=cmd)]
+        tracer.close()
+        replayed = read_trace(path.read_text().splitlines())
+        assert [e.decoded for e in replayed] == [e.decoded for e in events]
+
+    def test_a_tracer_holds_only_what_it_has_not_written(self, tmp_path):
+        # Without a file every event stays held; with one, the events from
+        # a fetched SEND SHORT MESSAGE on stay held until it is acknowledged.
+        status = CommandApdu(0x80, INS_STATUS, 0, 0)
+        ok = ResponseApdu(b"", 0x90, 0x00)
+        ack = terminal_response(acknowledgement(4))
+        for path in (None, tmp_path / "trace.jsonl"):
+            tracer = Tracer(session_id=2, path=path)
+            events = [tracer.command(0, FETCH), tracer.response(0, fetched(4), FETCH),
+                      tracer.command(1, status), tracer.response(1, ok, status)]
+            assert tracer.events == events
+            events += [tracer.command(2, ack), tracer.response(2, ok, ack)]
+            assert tracer.events == ([] if path else events)
+            assert tracer.silent_sms == 1
+            tracer.close()
+            if path:
+                assert read_trace(path.read_text().splitlines()) == events
 
     def test_lossless_capture_redecodes_from_raw(self):
         # Running the decoder over a persisted session's raw octets must
@@ -192,7 +211,7 @@ class TestDetectSilentSms:
         tracer = Tracer(session_id=1)
         drive_proactive(card, tracer, ack_numbers={1})
         flagged = detect_silent_sms(tracer.events)
-        assert len(flagged) == 1
+        assert len(flagged) == 1 == tracer.silent_sms
         assert FLAG_SILENT_SMS in flagged[0].flags
 
     def test_status_only_session_has_zero_flags(self):
@@ -202,6 +221,7 @@ class TestDetectSilentSms:
         commands = [CommandApdu(0x00, INS_STATUS, 0, 0)] * 5
         trace_card_session(card, commands, tracer)
         assert detect_silent_sms(tracer.events) == []
+        assert tracer.silent_sms == 0
 
     def test_unacknowledged_sms_not_flagged(self):
         profile = demo_profile()
@@ -211,7 +231,7 @@ class TestDetectSilentSms:
         tracer = Tracer(session_id=1)
         drive_proactive(card, tracer, ack_numbers={2})  # ack only the second
         flagged = detect_silent_sms(tracer.events)
-        assert len(flagged) == 1
+        assert len(flagged) == 1 == tracer.silent_sms
         assert flagged[0].decoded["proactive_number"] == 2
         assert oracle_pairing(tracer.events) == {
             tracer.events.index(flagged[0])
@@ -386,32 +406,33 @@ class TestStreamedTraceEqualsCloseTimeRewrite:
     def test_random_streams(self, tmp_path):
         rng = random.Random(0x57AE)
         streamed, reference = tmp_path / "streamed.jsonl", tmp_path / "ref.jsonl"
-        with open(streamed, "w", encoding="utf-8") as sink, \
-                open(streamed, "rb") as reader:
+        streamed.touch()
+        with open(streamed, "rb") as reader:
             for n in range(2000):
-                sink.seek(0)
-                sink.truncate()
-                tracer = Tracer(session_id=n, sink=sink)
+                tracer = Tracer(session_id=n, path=str(streamed))  # truncates
                 exchanges = [random_exchange(rng)
                              for _ in range(rng.randint(0, 24))]
                 if n % 4 == 0:  # the session ends with a fetch pending
                     exchanges.append((FETCH, fetched(rng.randint(5, 9))))
+                events = []  # every event the tracer returned
                 written = 0  # events in the file after the last response
                 seen = []  # (file contents, events expected in it) per response
                 for ts, (cmd, resp) in enumerate(exchanges):
                     rewritten = rng.random() < 0.2
-                    tracer.command(ts, cmd)
-                    tracer.response(ts, resp, command=cmd,
-                                    rule_id="r" if rewritten else None,
-                                    original=resp if rewritten else None)
-                    if not sms_waiting(tracer.events):
-                        written = len(tracer.events)
+                    events.append(tracer.command(ts, cmd))
+                    events.append(tracer.response(
+                        ts, resp, command=cmd,
+                        rule_id="r" if rewritten else None,
+                        original=resp if rewritten else None))
+                    if not sms_waiting(events):
+                        written = len(events)
+                    assert tracer.events == events[written:], n  # only unwritten
                     reader.seek(0)
                     seen.append((reader.read(), written))
                 tracer.close()
                 reader.seek(0)
                 final = reader.read()
-                assert final == close_time_output(tracer.events, reference), n
+                assert final == close_time_output(events, reference), n
                 for contents, expected in seen:  # written once, in stream order
                     assert final.startswith(contents)
                     assert contents.count(b"\n") == expected
@@ -422,17 +443,25 @@ class TestStreamedTraceEqualsCloseTimeRewrite:
 
         profile = demo_profile()
         path = tmp_path / "demo.jsonl"
-        with open(path, "w", encoding="utf-8") as sink:
-            tracer = Tracer(session_id=3, sink=sink)
-            modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
-            report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
-                               tracer=tracer)
-            # The TERMINAL RESPONSE follows its fetch, so nothing is held.
-            assert len(path.read_text().splitlines()) == 2 * report.exchanges
-            tracer.close()
-        assert sum(FLAG_SILENT_SMS in e.flags for e in tracer.events) == 1
+        events = []  # every event the tracer returned
+
+        class KeepingTracer(Tracer):
+            def record(self, event):
+                events.append(event)
+                return super().record(event)
+
+        tracer = KeepingTracer(session_id=3, path=str(path))
+        modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
+        report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
+                           tracer=tracer)
+        # The TERMINAL RESPONSE follows its fetch, so nothing is held.
+        assert len(path.read_text().splitlines()) == 2 * report.exchanges
+        assert tracer.events == []
+        tracer.close()
+        assert sum(FLAG_SILENT_SMS in e.flags for e in events) == 1
+        assert tracer.silent_sms == 1
         assert path.read_bytes() == \
-            close_time_output(tracer.events, tmp_path / "ref.jsonl")
+            close_time_output(events, tmp_path / "ref.jsonl")
 
 
 # Only response rules appear where this command is used, so no command

@@ -11,7 +11,6 @@ from simlink.errors import (
     NoSamples,
     Oversize,
     ProtocolViolation,
-    Truncated,
 )
 from simlink.tunnel import (
     Closed,
@@ -28,7 +27,6 @@ from simlink.tunnel import (
     Session,
     TunnelFrame,
     Violation,
-    frame_decode,
     frame_encode,
 )
 
@@ -43,37 +41,48 @@ class TestFrameCodec:
     def test_bad_magic(self):
         raw = bytearray(frame_encode(MessageType.HELLO, 1, 0, b""))
         raw[1] = 0x42
-        with pytest.raises(BadMagic):
-            frame_decode(bytes(raw))
+        decoder = FrameDecoder()
+        assert decoder.feed(bytes(raw)) == []
+        assert isinstance(decoder.fault, BadMagic)
 
     def test_bad_version(self):
         raw = bytearray(frame_encode(MessageType.HELLO, 1, 0, b""))
         raw[2] = 0x02
-        with pytest.raises(BadVersion):
-            frame_decode(bytes(raw))
+        decoder = FrameDecoder()
+        assert decoder.feed(bytes(raw)) == []
+        assert isinstance(decoder.fault, BadVersion)
 
     def test_oversize_rejected_both_ways(self):
         with pytest.raises(Oversize):
             frame_encode(MessageType.APDU_REQ, 1, 0, bytes(4097))
         raw = bytearray(frame_encode(MessageType.APDU_REQ, 1, 0, b""))
         raw[12:14] = (4097).to_bytes(2, "big")
-        with pytest.raises(Oversize):
-            frame_decode(bytes(raw))
+        decoder = FrameDecoder()
+        assert decoder.feed(bytes(raw)) == []
+        assert isinstance(decoder.fault, Oversize)
 
     def test_truncated_stream(self):
         raw = frame_encode(MessageType.APDU_REQ, 1, 2, b"\x00" * 10)
-        with pytest.raises(Truncated):
-            frame_decode(raw[:8])
-        with pytest.raises(Truncated):
-            frame_decode(raw[:-1])
+        for cut in (8, len(raw) - 1):
+            decoder = FrameDecoder()
+            assert decoder.feed(raw[:cut]) == []
+            assert decoder.fault is None and decoder.pending == cut
 
     def test_decode_returns_remainder(self):
         one = frame_encode(MessageType.RESET, 7, 3, b"")
         two = frame_encode(MessageType.ATR_IND, 7, 4, b"\x3B\x00")
-        frame, rest = frame_decode(one + two)
+        decoder = FrameDecoder()
+        frame, frame2 = decoder.feed(one + two)
         assert frame.msg_type == MessageType.RESET and frame.seq == 3
-        frame2, rest2 = frame_decode(rest)
-        assert frame2.payload == b"\x3B\x00" and rest2 == b""
+        assert frame2.payload == b"\x3B\x00" and decoder.pending == 0
+
+    def test_frames_before_a_fault_are_returned(self):
+        one = frame_encode(MessageType.RESET, 7, 3, b"")
+        decoder = FrameDecoder()
+        (frame,) = decoder.feed(one + b"GET / HTTP/1.1\r\n\r\n")
+        assert frame.msg_type == MessageType.RESET
+        assert isinstance(decoder.fault, BadMagic)
+        assert str(decoder.fault) == "47 45"
 
     def test_roundtrip_fuzz(self):
         rng = random.Random(0x7E57)
@@ -82,9 +91,11 @@ class TestFrameCodec:
             session = rng.randint(0, 2**32 - 1)
             seq = rng.randint(0, 2**32 - 1)
             payload = bytes(rng.randint(0, 255) for _ in range(rng.randint(0, 4096)))
-            frame, rest = frame_decode(frame_encode(msg_type, session, seq, payload))
-            assert rest == b""
+            decoder = FrameDecoder()
+            (frame,) = decoder.feed(frame_encode(msg_type, session, seq, payload))
+            assert decoder.pending == 0 and decoder.fault is None
             assert frame == TunnelFrame(msg_type, session, seq, payload)
+            assert type(frame.payload) is bytes
 
     def test_reassembly_under_any_segmentation(self):
         rng = random.Random(0x5119)
@@ -308,6 +319,26 @@ class TestStream:
         provider.send_atr(bytes.fromhex("3B00"))
         assert next(arrivals) == [DeliverCommand(cmd)]
         assert next(arrivals, None) is None
+
+    @pytest.mark.parametrize("split", [None, "after Hello"])
+    def test_frames_before_non_frame_bytes_are_answered(self, split):
+        # Hello and then non-frame bytes get HelloAck, then Error BadFrame
+        # from the established session, in one read or in two.
+        provider = Session(Role.PROVIDER, TOKEN)
+        hello = frame_encode(MessageType.HELLO, 7, 0, b"\x01" + TOKEN.encode())
+        junk = b"GET / HTTP/1.1\r\n\r\n"
+        chunks = [hello + junk] if split is None else [hello, junk]
+        actions = [a for chunk in chunks
+                   for frame_actions in provider.on_bytes(chunk, 0.0)
+                   for a in frame_actions]
+        ack, error = [a.frame for a in actions if isinstance(a, EmitFrame)]
+        assert (ack.msg_type, ack.session_id, ack.seq) == \
+            (MessageType.HELLO_ACK, 7, 0)
+        assert (error.msg_type, error.session_id, error.seq) == \
+            (MessageType.ERROR, 7, 1)
+        assert error.payload == b"BadFrame: BadMagic: 47 45"
+        assert Violation("BadFrame", "BadMagic: 47 45") in actions
+        assert provider.phase is Phase.CLOSED
 
 
 class TestKeepaliveRtt:
