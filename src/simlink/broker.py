@@ -21,9 +21,12 @@ The control API is newline-delimited UTF-8 JSON over TCP:
     {"op": "register_sim", "token": "...", "body": {...}}\n
 
 answered by ``{"ok": true, ...}`` or ``{"ok": false, "error": "NoMatch"}``.
-One connection carries any number of requests, answered in order. A
-request line may be at most ``REQUEST_MAX`` bytes long, and a connection
-that sends nothing for the registry's heartbeat window is closed.
+One connection carries any number of requests, answered in order, one
+reply at a time: a request is read only once the reply before it has been
+sent. A request line may be at most ``REQUEST_MAX`` bytes long, and a
+connection that sends nothing for the registry's heartbeat window is
+closed. ``ControlCore`` runs this protocol with no I/O; the listener's one
+loop thread serves every control connection through one core each.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     RegistryClosed,
     UnknownLease,
 )
-from .listener import Listener, parse_hostport
+from .listener import RECV_BYTES, Listener, parse_hostport
 from .vsim import luhn_valid
 
 logger = logging.getLogger(__name__)
@@ -61,7 +64,6 @@ HEARTBEAT_WINDOW_MS = 60 * 1000
 STATUS_FREE = "Free"
 STATUS_LEASED = "Leased"
 
-RECV_BYTES = 65536
 REQUEST_MAX = 64 * 1024  # bytes in one control request line, newline included
 
 
@@ -421,26 +423,9 @@ class BrokerServer(Listener):
         self.registry = registry
         self.token = token
 
-    def _serve_client(self, conn: socket.socket):
-        # A peer silent for a heartbeat window is stale anyway; the timeout
-        # ends its thread (Listener closes the connection on OSError).
-        conn.settimeout(self.registry.heartbeat_window_ms / 1000)
-        with conn.makefile("rwb") as stream:
-            while raw := stream.readline(REQUEST_MAX + 1):
-                too_long = len(raw) > REQUEST_MAX
-                if too_long:
-                    reply = {"ok": False, "error": BadRequest.code,
-                             "detail": f"request longer than {REQUEST_MAX} bytes"}
-                else:
-                    try:
-                        reply = self._handle_line(raw)
-                    except Exception:  # a broken client must not kill the broker
-                        logger.exception("control request failed")
-                        reply = {"ok": False, "error": "Internal"}
-                stream.write((json.dumps(reply) + "\n").encode())
-                stream.flush()
-                if too_long:  # the rest of the line is never read
-                    return
+    def _open(self, now_ms: float) -> "ControlCore":
+        return ControlCore(self._handle_line,
+                           self.registry.heartbeat_window_ms, now_ms)
 
     def _handle_line(self, raw: bytes) -> dict:
         try:
@@ -493,6 +478,75 @@ class BrokerServer(Listener):
         if op == "list":
             return reg.list_state()
         raise BadRequest(f"unknown op {op!r}")
+
+
+class ControlCore:
+    """One control connection's line protocol, with no socket I/O.
+
+    ``on_bytes`` and ``on_deadline`` answer at most one request line each,
+    so the next line is answered only once the listener has sent the last
+    reply. A line longer than ``REQUEST_MAX`` bytes is answered
+    ``BadRequest`` and closes the connection; so does a heartbeat window
+    with nothing read. An unterminated last line before the end of the
+    stream is answered too.
+    """
+
+    def __init__(self, handle_line: Callable[[bytes], dict], window_ms: int,
+                 now_ms: float):
+        self._handle_line = handle_line
+        self._window_ms = window_ms
+        self._buf = b""
+        self._pos = 0  # the first byte of _buf not yet answered
+        self._eof = False
+        self.closed = False
+        self.deadline_ms = now_ms + window_ms
+
+    def on_bytes(self, chunk: bytes, now_ms: float) -> bytes:
+        if chunk:
+            self._buf = self._buf[self._pos:] + chunk
+            self._pos = 0
+            self.deadline_ms = now_ms + self._window_ms
+        else:
+            self._eof = True
+        return self._answer()
+
+    def on_deadline(self, now_ms: float) -> bytes:
+        if now_ms >= self.deadline_ms:  # a peer silent for a heartbeat window
+            self.closed = True
+        return self._answer()
+
+    def finish(self):
+        pass
+
+    def _answer(self) -> bytes:
+        """The reply to the next request line; ``b""`` until one is whole."""
+        if self.closed:
+            return b""
+        buf, pos = self._buf, self._pos
+        end = buf.find(b"\n", pos, pos + REQUEST_MAX)
+        if end >= 0:
+            self._pos = end + 1
+            return self._reply(buf[pos:end + 1])
+        if len(buf) - pos > REQUEST_MAX:  # the rest of the line is never read
+            self.closed = True
+            return _encode({"ok": False, "error": BadRequest.code,
+                            "detail": f"request longer than {REQUEST_MAX} bytes"})
+        if not self._eof:
+            return b""
+        self.closed = True
+        return self._reply(buf[pos:]) if pos < len(buf) else b""
+
+    def _reply(self, raw: bytes) -> bytes:
+        try:
+            reply = self._handle_line(raw)
+        except Exception:  # a broken client must not kill the broker
+            logger.exception("control request failed")
+            reply = {"ok": False, "error": "Internal"}
+        return _encode(reply)
+
+
+def _encode(reply: dict) -> bytes:
+    return (json.dumps(reply) + "\n").encode()
 
 
 def _field(body: dict, name: str, kind: type, required: bool = False):

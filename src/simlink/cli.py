@@ -245,6 +245,11 @@ def cmd_lab(args) -> int:
         require_number(rtt, "an --rtt-grid value")
     require_number(args.repetitions, "--repetitions", 1)
     require_number(args.null_interval_ms, "--null-interval-ms")
+    # One NULL tick is built per interval of a wait, so an interval near
+    # zero makes a sweep's time and memory grow without bound.
+    if 0 < args.null_interval_ms < 1:
+        raise ConfigError("--null-interval-ms must be 0 (no NULLs) or at "
+                          f"least 1 ms, not {args.null_interval_ms}")
     require_number(args.waiting_time_ms, "--waiting-time-ms")
     require_number(args.jitter_ms, "--jitter-ms")
     stall = StallPolicy(enabled=args.stall == "on",

@@ -4,10 +4,11 @@ Both ends feed the bytes they read to the tunnel's ``Session`` and send
 what its actions emit through one encoder, ``wire``. The provider serves
 one card session per connection through ``ProviderCore``, which does no
 socket I/O: bytes in, card + rewrite rules + tracer on every relayed
-command, bytes out; ``ProviderServer`` is its shell, one thread per
-connection from the shared ``Listener``. The probe side exposes the link
-protocol the virtual modem drives (reset / exchange / idle), with the
-lab's NULL stalling, so a ModemSim runs unchanged over a real TCP tunnel.
+command, bytes out; ``ProviderServer`` only builds one per connection
+for the shared ``Listener``, whose one loop thread serves them all. The
+probe side exposes the link protocol the virtual modem drives (reset /
+exchange / idle), with the lab's NULL stalling, so a ModemSim runs
+unchanged over a real TCP tunnel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, List, Optional
 
 from .apdu import CommandApdu
 from .errors import ProtocolViolation, SimlinkError
-from .listener import Listener, parse_hostport
+from .listener import RECV_BYTES, Listener, parse_hostport, wall_ms
 from .modem import DEFAULT_NULL_INTERVAL_MS, Timing, null_ticks
 # detect_silent_sms and write_trace stay bound: bench/spans.py wraps them here.
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
@@ -43,12 +44,6 @@ from .tunnel import (
 from .vsim import Card, SimProfile
 
 logger = logging.getLogger(__name__)
-
-RECV_BYTES = 65536
-
-
-def wall_ms() -> float:
-    return time.monotonic() * 1000.0
 
 
 class LinkClosed(SimlinkError):
@@ -96,11 +91,12 @@ HANDSHAKE_TIMEOUT_MS = 10_000.0
 
 class ProviderCore:
     """One tunnel session bound to one fresh card instance, with no socket
-    I/O: ``on_bytes`` takes each chunk read, ``on_deadline`` runs once
-    ``deadline_ms`` passes with nothing read, and both return the bytes
-    to send. Every fault of the peer becomes one Error frame and
-    ``closed``. An exchange's two trace events carry the ``now_ms`` of
-    its command's chunk, relative to the first traced command."""
+    I/O: ``on_bytes`` takes each chunk read (``b""`` at the end of the
+    stream), ``on_deadline`` does nothing until ``deadline_ms`` passes,
+    and both return the bytes to send. Every fault of the peer becomes
+    one Error frame and ``closed``. An exchange's two trace events carry
+    the ``now_ms`` of its command's chunk, relative to the first traced
+    command."""
 
     def __init__(self, profile: SimProfile, token: str, now_ms: float,
                  rules: Optional[list] = None, trace_dir: Optional[str] = None):
@@ -189,31 +185,9 @@ class ProviderServer(Listener):
         self.rules = rules or []
         self.trace_dir = trace_dir
 
-    def _serve_client(self, conn: socket.socket):
-        """The I/O shell around one ProviderCore."""
-        core = ProviderCore(self.profile, self.token, wall_ms(),
+    def _open(self, now_ms: float) -> ProviderCore:
+        return ProviderCore(self.profile, self.token, now_ms,
                             rules=self.rules, trace_dir=self.trace_dir)
-        deadline_ms = None
-        try:
-            while not core.closed:
-                if core.deadline_ms != deadline_ms:
-                    deadline_ms = core.deadline_ms
-                    # At least 1 ms: a zero timeout makes the socket
-                    # non-blocking instead of timing out.
-                    conn.settimeout(None if deadline_ms is None else
-                                    max(deadline_ms - wall_ms(), 1.0) / 1000.0)
-                try:
-                    chunk = conn.recv(RECV_BYTES)
-                except socket.timeout:
-                    out = core.on_deadline(wall_ms())
-                else:
-                    if not chunk:
-                        break
-                    out = core.on_bytes(chunk, wall_ms())
-                if out:
-                    conn.sendall(out)
-        finally:
-            core.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -810,9 +810,33 @@ class TestShutdown:
             server.stop()
 
 
+def recording_connection_ends(monkeypatch):
+    """One event per control connection the broker accepts from now on,
+    set when the broker has ended that connection."""
+    ended = []
+    open_core = BrokerServer._open
+
+    def recording_open(self, now_ms):
+        core = open_core(self, now_ms)
+        done = threading.Event()
+        finish = core.finish
+
+        def finishing():
+            finish()
+            done.set()
+
+        core.finish = finishing
+        ended.append(done)
+        return core
+
+    monkeypatch.setattr(BrokerServer, "_open", recording_open)
+    return ended
+
+
 class TestConnectionBounds:
     """A control connection is closed after a heartbeat window of silence
-    or at its first request line longer than REQUEST_MAX bytes."""
+    or at its first request line longer than REQUEST_MAX bytes, and is
+    answered one request at a time."""
 
     @pytest.fixture()
     def server(self):
@@ -857,27 +881,50 @@ class TestConnectionBounds:
             assert (reply["ok"], reply["error"]) == (False, "BadRequest")
             assert stream.readline() == b""
 
+    def test_a_half_closed_peer_gets_the_reply_to_its_unterminated_line(
+            self, server):
+        with socket.create_connection(server.address, timeout=5) as conn, \
+                conn.makefile("rb") as stream:
+            conn.sendall(json.dumps({"op": "list", "token": TOKEN}).encode())
+            conn.shutdown(socket.SHUT_WR)
+            assert json.loads(stream.readline())["ok"] is True
+            assert stream.readline() == b""
+
+    def test_a_peer_that_pipelines_and_reads_nothing_holds_one_reply(
+            self, server, monkeypatch):
+        for n in range(100):
+            server.registry.register_sim(make_iccid(n), tags={"AT", f"T{n}"},
+                                         provider_endpoint="127.0.0.1:1")
+        request = (json.dumps({"op": "list", "token": TOKEN}) + "\n").encode()
+        ended = recording_connection_ends(monkeypatch)
+        with socket.create_connection(server.address, timeout=5) as flooder, \
+                BrokerClient(server.endpoint, TOKEN) as other:
+            start = time.monotonic()
+            flooder.sendall(request * (64 * 1024 // len(request)))
+            reply_bytes = len(json.dumps(other.request("list")) + "\n")
+            held = []  # the unsent output the broker holds, while it holds any
+            while not ended[0].is_set() and time.monotonic() - start < 2.0:
+                held += [len(c.out) for c in dict(server._conns).values() if c.out]
+                time.sleep(0.005)
+            assert ended[0].is_set()  # closed at the heartbeat window
+            assert time.monotonic() - start < 0.3 + 1.0
+            assert held and max(held) <= reply_bytes
+            assert other.request("list")["ok"] is True
+
     def test_client_releases_on_a_fresh_connection_after_an_idle_close(
             self, server, monkeypatch):
-        served = []  # the thread serving each accepted connection
-        serve_client = BrokerServer._serve_client
-
-        def recording_serve(self, conn):
-            served.append(threading.current_thread())
-            return serve_client(self, conn)
-
-        monkeypatch.setattr(BrokerServer, "_serve_client", recording_serve)
+        ended = recording_connection_ends(monkeypatch)
         server.registry.register_sim(make_iccid(1), tags={"AT"})
         with BrokerClient(server.endpoint, TOKEN) as client:
             client.request("register_probe", {"probe_id": "p1"})
             lease = client.request("request_lease",
                                    {"probe_id": "p1", "tags": ["AT"]})["lease"]
-            served[0].join(timeout=2.0)
-            assert not served[0].is_alive()  # the broker closed the idle connection
+            # The broker closed the idle connection.
+            assert ended[0].wait(timeout=2.0)
             reply = client.request("release", {"lease_id": lease["lease_id"]})
         assert reply["released"] is True
         assert server.registry.leases == {}
-        assert len(served) == 2
+        assert len(ended) == 2
 
 
 # -- oracle: the indexed registry against the linear-scan one -----------------

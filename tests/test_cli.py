@@ -71,6 +71,7 @@ class TestLab:
         ["--rtt-grid", ""], ["--rtt-grid", ","], ["--rtt-grid", "-5"],
         ["--rtt-grid", "nan"], ["--rtt-grid", "0,inf"],
         ["--jitter-ms", "-1"], ["--null-interval-ms", "nan"],
+        ["--null-interval-ms", "0.5"], ["--null-interval-ms", "1e-6"],
         ["--waiting-time-ms", "-300"], ["--waiting-time-ms", "inf"],
     ])
     def test_bad_numbers_are_config_errors_before_any_sweep(self, capsys,
@@ -81,6 +82,16 @@ class TestLab:
         assert (code, out, swept) == (2, "", [])
         [line] = err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("interval", ["0", "1"])
+    def test_null_interval_of_zero_or_at_least_one_ms_is_swept(
+            self, capsys, monkeypatch, interval):
+        stalls = []
+        monkeypatch.setattr(cli, "lab_sweep",
+                            lambda grid, stall, **k: stalls.append(stall) or [])
+        code, _, err = run_cli(["lab", "--null-interval-ms", interval], capsys)
+        assert code == 0, err
+        assert [s.null_interval_ms for s in stalls] == [float(interval)]
 
 
 class TestTraceTool:
@@ -287,18 +298,18 @@ class TestProbe:
                                                   broker_server, provider_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
         accepted, handled = [], []
-        serve_client = BrokerServer._serve_client
+        open_core = BrokerServer._open
         handle_line = BrokerServer._handle_line
 
-        def counting_serve(self, conn):
-            accepted.append(conn)
-            return serve_client(self, conn)
+        def counting_open(self, now_ms):
+            accepted.append(now_ms)
+            return open_core(self, now_ms)
 
         def counting_handle(self, line):
             handled.append(json.loads(line)["op"])
             return handle_line(self, line)
 
-        monkeypatch.setattr(BrokerServer, "_serve_client", counting_serve)
+        monkeypatch.setattr(BrokerServer, "_open", counting_open)
         monkeypatch.setattr(BrokerServer, "_handle_line", counting_handle)
         code, _, err = run_cli(
             ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
