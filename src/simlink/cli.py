@@ -10,6 +10,7 @@ variable and is required for every networked role.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -62,18 +63,33 @@ def require_file(path: Optional[str], what: str) -> Optional[str]:
     return path
 
 
+@contextlib.contextmanager
+def loading(path: Optional[str], what: str):
+    """Report a file whose contents do not parse as a ConfigError naming it."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(
+            f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
+
+
+def read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_profile(path: Optional[str]) -> SimProfile:
     if path is None:
         return demo_profile()
-    with open(path, encoding="utf-8") as fh:
-        return SimProfile.from_json(fh.read())
+    with loading(path, "profile"):
+        return SimProfile.from_json(read_text(path))
 
 
 def load_rules(path: Optional[str]) -> list:
     if path is None:
         return []
-    with open(path, encoding="utf-8") as fh:
-        return rules_from_json(fh.read())
+    with loading(path, "rules file"):
+        return rules_from_json(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +99,10 @@ def load_rules(path: Optional[str]) -> list:
 
 def cmd_broker(args) -> int:
     token = resolve_token(args)
+    interval = args.sweep_interval_s
+    if not (math.isfinite(interval) and interval > 0):
+        raise ConfigError(
+            f"--sweep-interval-s must be a finite number > 0, not {interval}")
     host, port = parse_hostport(args.listen)
     registry = Registry.replay(args.state_log) if args.state_log else Registry()
     server = BrokerServer(registry, token, host=host, port=port)
@@ -90,7 +110,7 @@ def cmd_broker(args) -> int:
 
     def sweeper():
         while True:
-            time.sleep(args.sweep_interval_s)
+            time.sleep(interval)
             try:
                 freed = registry.expire_sweep()
             except RegistryClosed:  # the broker is shutting down
@@ -148,20 +168,26 @@ def parse_lease_selector(value: str) -> dict:
 
 
 def build_modem(args) -> ModemSim:
+    """The probe's modem: the --script file's settings over the flags."""
+    require_number(args.waiting_time_ms, "--waiting-time-ms")
     settings = {}
-    if args.script is not None:
-        with open(args.script, encoding="utf-8") as fh:
-            settings = script_from_json(fh.read())
-    verify = settings.get("verify")
-    return ModemSim(
-        script=settings.get("phases", default_script()),
-        waiting_time_ms=float(settings.get("waiting_time_ms",
-                                           args.waiting_time_ms)),
-        verify_aka=verify is not None,
-        k=bytes.fromhex(verify["k_hex"]) if verify else None,
-        op_salt=bytes.fromhex(verify["op_salt_hex"]) if verify else None,
-        seed=int(settings.get("seed", args.seed)),
-    )
+    with loading(args.script, "script"):
+        if args.script is not None:
+            settings = script_from_json(read_text(args.script))
+        verify = settings.get("verify")
+        modem = ModemSim(
+            script=settings.get("phases", default_script()),
+            waiting_time_ms=float(settings.get("waiting_time_ms",
+                                               args.waiting_time_ms)),
+            verify_aka=verify is not None,
+            k=bytes.fromhex(verify["k_hex"]) if verify else None,
+            op_salt=bytes.fromhex(verify["op_salt_hex"]) if verify else None,
+            seed=int(settings.get("seed", args.seed)),
+        )
+    if "waiting_time_ms" in settings:
+        require_number(modem.waiting_time_ms,
+                       f"waiting_time_ms in {args.script}")
+    return modem
 
 
 def cmd_probe(args) -> int:
@@ -218,20 +244,24 @@ def cmd_probe(args) -> int:
 
 def cmd_trace(args) -> int:
     require_file(args.file, "trace file")
-    with open(args.file, encoding="utf-8") as fh:
-        events = read_trace(fh)
-    if args.action == "grep-silent-sms":
-        for event in detect_silent_sms(events):
-            print(event.to_json())
-        return EXIT_OK
-    for event in events:
-        decoded = dict(event.decoded)
-        name = decoded.pop("ins_name", "?")
-        extra = " ".join(f"{k}={v}" for k, v in sorted(decoded.items()))
-        flags = f" [{','.join(event.flags)}]" if event.flags else ""
-        print(f"{event.ts_ms:>8} {event.direction} {name:<18} "
-              f"{event.raw_hex:<48} {extra}{flags}")
+    with loading(args.file, "trace file"):
+        events = read_trace(read_text(args.file).splitlines())
+        if args.action == "grep-silent-sms":
+            lines = [event.to_json() for event in detect_silent_sms(events)]
+        else:
+            lines = [decode_line(event) for event in events]
+    for line in lines:
+        print(line)
     return EXIT_OK
+
+
+def decode_line(event) -> str:
+    decoded = dict(event.decoded)
+    name = decoded.pop("ins_name", "?")
+    extra = " ".join(f"{k}={v}" for k, v in sorted(decoded.items()))
+    flags = f" [{','.join(event.flags)}]" if event.flags else ""
+    return (f"{event.ts_ms:>8} {event.direction} {name:<18} "
+            f"{event.raw_hex:<48} {extra}{flags}")
 
 
 def cmd_lab(args) -> int:
@@ -245,11 +275,6 @@ def cmd_lab(args) -> int:
         require_number(rtt, "an --rtt-grid value")
     require_number(args.repetitions, "--repetitions", 1)
     require_number(args.null_interval_ms, "--null-interval-ms")
-    # One NULL tick is built per interval of a wait, so an interval near
-    # zero makes a sweep's time and memory grow without bound.
-    if 0 < args.null_interval_ms < 1:
-        raise ConfigError("--null-interval-ms must be 0 (no NULLs) or at "
-                          f"least 1 ms, not {args.null_interval_ms}")
     require_number(args.waiting_time_ms, "--waiting-time-ms")
     require_number(args.jitter_ms, "--jitter-ms")
     stall = StallPolicy(enabled=args.stall == "on",

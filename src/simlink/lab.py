@@ -3,9 +3,10 @@
 Time here is simulated: a sweep over intercontinental round-trip times
 runs in milliseconds of wall clock and is fully reproducible per seed.
 The virtual link charges each relayed exchange one sampled RTT and,
-when stalling is enabled, schedules NULL procedure bytes toward the
-modem at a fixed cadence while the tunneled response is outstanding;
-the modem's waiting budget then decides survival.
+when stalling is enabled, reports the fixed cadence at which the
+front-end sends NULL procedure bytes toward the modem while the
+tunneled response is outstanding; the modem's waiting budget then
+decides survival.
 
 The answer-to-reset is served locally by the front-end (it was learned
 when the session attached), so reset costs no tunnel round-trip.
@@ -27,7 +28,6 @@ from .modem import (
     Phase,
     Timing,
     default_script,
-    null_ticks,
 )
 from .vsim import Card, SimProfile, demo_profile
 
@@ -87,7 +87,7 @@ class VirtualLink:
     def reset(self):
         start = self.clock.now_ms
         self.card.reset()
-        return self._atr.to_bytes(), Timing(start, (), start)
+        return self._atr.to_bytes(), Timing(start)
 
     def exchange(self, cmd: CommandApdu):
         start = self.clock.now_ms
@@ -95,7 +95,7 @@ class VirtualLink:
         interval = self.stall.null_interval_ms if self.stall.enabled else 0.0
         resp = self.card.process(cmd)
         self.clock.advance(rtt)
-        return resp, Timing(start, null_ticks(start, rtt, interval), start + rtt)
+        return resp, Timing(start, rtt, interval)
 
     def idle(self, ms: float):
         self.clock.advance(ms)

@@ -2,10 +2,11 @@
 
 The modem owns the T=0 work-waiting budget: if no procedure byte or
 status arrives within ``waiting_time_ms`` of the previous NULL or
-transfer, the session aborts with TimeoutExpired. Links report the
-observable event times of each exchange in a :class:`Timing`, which the
-modem also replays through the procedure-byte machine, exactly as the
-front-end would feed a hardware modem.
+transfer, the session aborts with TimeoutExpired. Links report each
+exchange as a :class:`Timing`: when it started, how long the reply took
+and the NULL cadence the front-end kept meanwhile. The modem checks the
+longest silence that implies and replays the exchange through the
+procedure-byte machine, as the front-end would feed a hardware modem.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import tlv
 from .apdu import (
@@ -59,27 +60,18 @@ STATUS = CommandApdu(0x00, INS_STATUS, 0x00, 0x00)
 
 @dataclass(frozen=True)
 class Timing:
-    """Observable arrivals for one exchange, in link-clock milliseconds."""
+    """One exchange as the modem observes it, in link-clock milliseconds:
+    sent at ``start_ms`` and answered ``wait_ms`` later, with a NULL
+    procedure byte every ``null_interval_ms`` while the answer was
+    awaited (0: stalling off)."""
 
     start_ms: float
-    nulls: Tuple[float, ...] = ()
-    done_ms: float = 0.0
+    wait_ms: float = 0.0
+    null_interval_ms: float = 0.0
 
-
-def null_ticks(start_ms: float, wait_ms: float,
-               interval_ms: float) -> Tuple[float, ...]:
-    """The NULL procedure bytes a stalling front-end sends while a reply
-    is awaited: one every ``interval_ms`` after ``start_ms``, strictly
-    within the ``wait_ms`` the reply took; none when ``interval_ms`` is 0
-    (stalling off). Counted from the wait's length, not its end, so a
-    recomputed ``done - start`` cannot cross a tick boundary."""
-    nulls = []
-    if interval_ms > 0:
-        k = 1
-        while k * interval_ms < wait_ms:
-            nulls.append(start_ms + k * interval_ms)
-            k += 1
-    return tuple(nulls)
+    @property
+    def done_ms(self) -> float:
+        return self.start_ms + self.wait_ms
 
 
 @dataclass(frozen=True)
@@ -231,34 +223,33 @@ class _SessionRun:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _note_timing(self, timing: Timing):
-        """Check every gap of start, nulls..., done against the budget."""
+    def _note_timing(self, timing: Timing) -> bool:
+        """Check the exchange's longest silence against the budget and
+        return whether a NULL arrived. NULLs come every interval strictly
+        within the wait, so the longest silence is the interval when one
+        arrives and the whole wait when none does."""
         if self.t0 is None:
             self.t0 = timing.start_ms
+        interval, wait = timing.null_interval_ms, timing.wait_ms
+        stalled = 0 < interval < wait
+        silence = interval if stalled else wait
         budget = self.m.waiting_time_ms
-        previous = timing.start_ms
-        for arrival in timing.nulls:
-            if arrival - previous > budget:
-                self._expire(previous, arrival - previous)
-            previous = arrival
-        if timing.done_ms - previous > budget:
-            self._expire(previous, timing.done_ms - previous)
+        if silence > budget:
+            self.last_event = timing.start_ms + budget
+            raise TimeoutExpired(
+                self.phase_name, f"{silence:.0f} ms gap, budget {budget:.0f} ms"
+            )
         self.last_event = timing.done_ms
-
-    def _expire(self, previous: float, gap: float):
-        budget = self.m.waiting_time_ms
-        self.last_event = previous + budget
-        raise TimeoutExpired(
-            self.phase_name, f"{gap:.0f} ms gap, budget {budget:.0f} ms"
-        )
+        return stalled
 
     def _walk_procedure(self, cmd: CommandApdu, resp: ResponseApdu,
-                        timing: Timing):
-        # Replay the byte-level view: NULL per stall tick, then the INS
+                        stalled: bool):
+        # Replay the byte-level view: a NULL if the front-end stalled (a
+        # NULL changes no state, so one stands for all), then the INS
         # echo transferring the body, then SW1. SW2 is taken from the
         # response itself (the pair is already complete at APDU level).
         step = ProcedureState(cmd.ins).step
-        for _ in timing.nulls:
+        if stalled:
             kind = step(0x60).kind
             if kind is not StepKind.WAITED:
                 raise _misread(0x60, kind, StepKind.WAITED)
@@ -271,8 +262,7 @@ class _SessionRun:
 
     def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
         resp, timing = self.link.exchange(cmd)
-        self._note_timing(timing)
-        self._walk_procedure(cmd, resp, timing)
+        self._walk_procedure(cmd, resp, self._note_timing(timing))
         if self.tracer is not None:
             base = self.t0 or 0.0
             self.tracer.command(timing.start_ms - base, cmd)

@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional
 from .apdu import CommandApdu
 from .errors import ProtocolViolation, SimlinkError
 from .listener import RECV_BYTES, Listener, parse_hostport, wall_ms
-from .modem import DEFAULT_NULL_INTERVAL_MS, Timing, null_ticks
+from .modem import DEFAULT_NULL_INTERVAL_MS, Timing
 # detect_silent_sms and write_trace stay bound: bench/spans.py wraps them here.
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
 from .tunnel import (
@@ -204,7 +204,8 @@ class ProbeLink:
 
     Implements the same reset/exchange/idle surface as the lab's virtual
     link, with wall-clock Timings, so a ModemSim needs no changes. Each
-    Timing carries the NULL ticks due over the measured wait.
+    Timing carries the measured wait and the front-end's NULL cadence,
+    ``NULL_INTERVAL_MS``.
     """
 
     def __init__(self, endpoint: str, token: str,
@@ -264,9 +265,7 @@ class ProbeLink:
 
     @staticmethod
     def _timing(start: float) -> Timing:
-        done = wall_ms()
-        return Timing(start, null_ticks(start, done - start, NULL_INTERVAL_MS),
-                      done)
+        return Timing(start, wall_ms() - start, NULL_INTERVAL_MS)
 
     def _pump_until(self, action_type):
         """Run arriving frames through the session, sending what they emit,

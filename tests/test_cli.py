@@ -71,7 +71,7 @@ class TestLab:
         ["--rtt-grid", ""], ["--rtt-grid", ","], ["--rtt-grid", "-5"],
         ["--rtt-grid", "nan"], ["--rtt-grid", "0,inf"],
         ["--jitter-ms", "-1"], ["--null-interval-ms", "nan"],
-        ["--null-interval-ms", "0.5"], ["--null-interval-ms", "1e-6"],
+        ["--null-interval-ms", "-1"], ["--null-interval-ms", "inf"],
         ["--waiting-time-ms", "-300"], ["--waiting-time-ms", "inf"],
     ])
     def test_bad_numbers_are_config_errors_before_any_sweep(self, capsys,
@@ -83,8 +83,8 @@ class TestLab:
         [line] = err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("interval", ["0", "1"])
-    def test_null_interval_of_zero_or_at_least_one_ms_is_swept(
+    @pytest.mark.parametrize("interval", ["0", "1", "0.5", "1e-6"])
+    def test_any_non_negative_null_interval_is_swept(
             self, capsys, monkeypatch, interval):
         stalls = []
         monkeypatch.setattr(cli, "lab_sweep",
@@ -92,6 +92,16 @@ class TestLab:
         code, _, err = run_cli(["lab", "--null-interval-ms", interval], capsys)
         assert code == 0, err
         assert [s.null_interval_ms for s in stalls] == [float(interval)]
+
+    def test_sub_microsecond_cadence_bridges_a_long_round_trip(self, capsys):
+        code, out, err = run_cli(
+            ["lab", "--stall", "on", "--null-interval-ms", "1e-6",
+             "--rtt-grid", "900", "--repetitions", "1"],
+            capsys,
+        )
+        assert code == 0, err
+        [row] = out.splitlines()[1:]
+        assert row.split(",")[:3] == ["900", "on", "1.0"]
 
 
 class TestTraceTool:
@@ -195,6 +205,31 @@ class TestProbe:
         assert code == 2
         [line] = err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
+        assert broker_server.registry.probes == {}
+
+    @pytest.mark.parametrize("flags, script", [
+        (["--waiting-time-ms", "nan"], None),
+        (["--waiting-time-ms", "-300"], None),
+        ([], '{"waiting_time_ms": NaN}'),
+        ([], '{"waiting_time_ms": -1}'),
+    ])
+    def test_bad_waiting_budget_is_config_error_before_any_request(
+            self, capsys, monkeypatch, tmp_path, broker_server, flags, script):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        if script is not None:
+            path = tmp_path / "script.json"
+            path.write_text(script)
+            flags = ["--script", str(path)]
+        code, out, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
+             *flags],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert "waiting" in doc["detail"]
         assert broker_server.registry.probes == {}
 
     def test_bad_lease_spec(self, capsys, monkeypatch, broker_server):
@@ -328,6 +363,22 @@ class TestBrokerCmdConfig:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
+    def test_bad_sweep_interval_fails_before_binding(self, capsys, monkeypatch,
+                                                     interval):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        built = []
+        monkeypatch.setattr(cli, "BrokerServer",
+                            lambda *a, **k: built.append(a))
+        code, out, err = run_cli(
+            ["broker", "--listen", "127.0.0.1:0",
+             "--sweep-interval-s", interval],
+            capsys,
+        )
+        assert (code, out, built) == (2, "", [])
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+
     def test_provide_bad_broker_endpoint_fails_before_binding(self, capsys,
                                                               monkeypatch):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
@@ -347,6 +398,39 @@ class TestBrokerCmdConfig:
         )
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+
+
+def profile_without_imsi() -> str:
+    doc = json.loads(demo_profile().to_json())
+    del doc["imsi"]
+    return json.dumps(doc)
+
+
+MALFORMED_FILES = {
+    "lab --profile": (["lab", "--profile"], profile_without_imsi()),
+    "probe --script": (["probe", "--broker", "127.0.0.1:1", "--lease", "tag:AT",
+                        "--script"], '{"phases": [{"count": 2}]}'),
+    "provide --rules": (["provide", "--broker", "127.0.0.1:1", "--rules"],
+                        '[{"rule_id": "r1", "on": "command"}]'),
+    "trace decode": (["trace", "decode"], '{"dir": "m2s", "raw_hex": ""}\n'),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("fault", ["not JSON", "a field missing"])
+    @pytest.mark.parametrize("loader", sorted(MALFORMED_FILES))
+    def test_is_one_config_error_line_naming_the_file(
+            self, capsys, monkeypatch, tmp_path, loader, fault):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        argv, lacking_a_field = MALFORMED_FILES[loader]
+        path = tmp_path / "input.json"
+        path.write_text("{not json" if fault == "not JSON" else lacking_a_field)
+        code, out, err = run_cli([*argv, str(path)], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert str(path) in doc["detail"]
 
 
 class TestParseHostport:

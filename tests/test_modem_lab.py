@@ -1,5 +1,8 @@
 """Virtual modem and latency-lab tests."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from simlink.apdu import ResponseApdu
@@ -63,10 +66,10 @@ class TestRunSession:
             """Answers every command with SW1 60, a NULL, not a status byte."""
 
             def reset(self):
-                return bytes.fromhex(demo_profile().atr_hex), Timing(0.0, (), 0.0)
+                return bytes.fromhex(demo_profile().atr_hex), Timing(0.0)
 
             def exchange(self, cmd):
-                return ResponseApdu(b"", 0x60, 0x00), Timing(0.0, (), 0.0)
+                return ResponseApdu(b"", 0x60, 0x00), Timing(0.0)
 
             def idle(self, ms):
                 pass
@@ -97,16 +100,30 @@ class TestRunSession:
         assert reports[0] == reports[1]
 
 
-def oracle_exchange_survives(rtt, stall, waiting):
-    """Independent walk of one exchange's NULL/transfer timeline."""
-    events = [0.0]
-    if stall.enabled and stall.null_interval_ms > 0:
-        k = 1
-        while k * stall.null_interval_ms < rtt:
-            events.append(k * stall.null_interval_ms)
-            k += 1
-    events.append(rtt)
-    return all(b - a <= waiting for a, b in zip(events, events[1:]))
+def oracle_wait_survives(wait, stall, waiting):
+    """Independent walk of one exchange's NULL/transfer timeline in exact
+    rationals: a NULL at every multiple of the cadence strictly before the
+    reply, then the reply; every gap must fit in the budget. The NULLs are
+    evenly spaced, so their gaps are walked as one run."""
+    wait, waiting = Fraction(wait), Fraction(waiting)
+    interval = Fraction(stall.null_interval_ms if stall.enabled else 0)
+    nulls = max(0, math.ceil(wait / interval) - 1) if interval else 0
+    gaps = [interval] * min(nulls, 1) + [wait - nulls * interval]
+    return all(gap <= waiting for gap in gaps)
+
+
+def oracle_session(rtt, stall, seed, jitter_ms, waiting):
+    """(completed, elapsed_ms) of a lab session, from the waits its link
+    samples: it ends at the first wait that does not survive, one budget
+    after that wait began."""
+    sample = DelayModel(rtt, jitter_ms, seed).sampler()
+    elapsed = 0.0
+    for _ in range(run_one(0.0, STALL_OFF, seed=seed).exchanges):
+        wait = sample()
+        if not oracle_wait_survives(wait, stall, waiting):
+            return False, elapsed + waiting
+        elapsed += wait
+    return True, elapsed
 
 
 class TestTimeouts:
@@ -123,12 +140,25 @@ class TestTimeouts:
         assert not run_one(WAITING + 1, STALL_OFF, waiting_time_ms=WAITING).completed
 
     def test_matches_discrete_event_oracle(self):
-        for rtt in (0, 50, 99, 100, 101, 250, 299, 300, 301, 450, 600, 900):
-            for stall in (STALL_OFF, STALL_100,
-                          StallPolicy(True, 350.0), StallPolicy(True, 300.0)):
-                expected = oracle_exchange_survives(rtt, stall, WAITING)
-                report = run_one(float(rtt), stall, waiting_time_ms=WAITING)
-                assert report.completed == expected, (rtt, stall)
+        stalls = [STALL_OFF, STALL_100] + [
+            StallPolicy(True, cadence)
+            for cadence in (350.0, 300.0, 299.9, 0.5, 1e-6)
+        ]
+        cases = [(float(rtt), stall, 0, 0.0)
+                 for rtt in (0, 50, 99, 100, 101, 250, 299, 300, 301, 450,
+                             600, 900)
+                 for stall in stalls]
+        # A cadence equal to the budget bridges every jittered wait.
+        cases += [(600.0, StallPolicy(True, WAITING), seed, 50.0)
+                  for seed in range(30)]
+        for rtt, stall, seed, jitter_ms in cases:
+            report = run_one(rtt, stall, seed=seed, jitter_ms=jitter_ms,
+                             waiting_time_ms=WAITING)
+            expected = oracle_session(rtt, stall, seed, jitter_ms, WAITING)
+            assert (report.completed, report.elapsed_ms) == expected, \
+                (rtt, stall, seed)
+            # Every session here that fails does so at its first exchange.
+            assert report.completed or report.elapsed_ms == WAITING
 
     def test_jitter_is_seeded_and_bounded(self):
         rows1 = lab_sweep([100.0], STALL_100, repetitions=4, seed=3, jitter_ms=50.0)

@@ -240,11 +240,11 @@ class CoreLink:
 
     def reset(self):
         atr = self._feed(self.session.send_reset(), DeliverAtr).atr
-        return atr, Timing(self.now, (), self.now)
+        return atr, Timing(self.now)
 
     def exchange(self, cmd):
         resp = self._feed(self.session.send_command(cmd), DeliverResponse).response
-        return resp, Timing(self.now, (), self.now)
+        return resp, Timing(self.now)
 
     def idle(self, ms):
         self.now += ms
