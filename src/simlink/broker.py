@@ -66,6 +66,10 @@ STATUS_LEASED = "Leased"
 
 REQUEST_MAX = 64 * 1024  # bytes in one control request line, newline included
 
+# The event log's compact encoding, built once: ``json.dumps`` with
+# ``separators`` builds a new encoder on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
 
 def now_ms() -> int:
     return int(time.time() * 1000)
@@ -193,7 +197,7 @@ class Registry:
         doc = {"event": event, "ts": ts, "body": body}
         self._apply(doc)
         if self._log_file is not None:
-            self._log_file.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            self._log_file.write(_COMPACT.encode(doc) + "\n")
             self._log_file.flush()
 
     def close(self):

@@ -26,7 +26,7 @@ ACCEPT_PAUSE_S = 0.1
 OUT_OF_RESOURCES = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
 
 
-def wall_ms() -> float:
+def monotonic_ms() -> float:
     return time.monotonic() * 1000.0
 
 
@@ -139,7 +139,7 @@ class Listener:
         while not self._stopping:
             timeout = None
             if deadlines:
-                timeout = max(deadlines[0][0] - wall_ms(), 0.0) / 1000.0
+                timeout = max(deadlines[0][0] - monotonic_ms(), 0.0) / 1000.0
             if self._accept_paused:
                 timeout = (ACCEPT_PAUSE_S if timeout is None
                            else min(timeout, ACCEPT_PAUSE_S))
@@ -163,7 +163,7 @@ class Listener:
                 except Exception:  # a broken core must not end the loop
                     logger.exception("connection failed")
                     self._drop(conn)
-            if deadlines and deadlines[0][0] <= wall_ms():
+            if deadlines and deadlines[0][0] <= monotonic_ms():
                 self._expire()
 
     def _accept(self):
@@ -179,7 +179,7 @@ class Listener:
             return
         sock.setblocking(False)
         try:
-            conn = _Conn(sock, self._open(wall_ms()))
+            conn = _Conn(sock, self._open(monotonic_ms()))
         except Exception:
             logger.exception("connection setup failed")
             sock.close()
@@ -207,7 +207,7 @@ class Listener:
             return
         if not chunk:
             conn.eof = True
-        now = wall_ms()
+        now = monotonic_ms()
         self._emit(conn, conn.core.on_bytes(chunk, now), now)
 
     def _write(self, conn: _Conn):
@@ -223,7 +223,7 @@ class Listener:
         if conn.out:
             return
         self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
-        now = wall_ms()
+        now = monotonic_ms()
         self._emit(conn, conn.core.on_deadline(now), now)
 
     def _emit(self, conn: _Conn, out: bytes, now: float):
@@ -253,7 +253,7 @@ class Listener:
             self._reindex(conn)
 
     def _expire(self):
-        now = wall_ms()
+        now = monotonic_ms()
         deadlines = self._deadlines
         for deadline, fd in deadlines[:bisect_right(deadlines, (now, float("inf")))]:
             conn = self._conns[fd]

@@ -12,6 +12,7 @@ procedure-byte machine, as the front-end would feed a hardware modem.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -153,6 +154,9 @@ class ModemSim:
         op_salt: Optional[bytes] = None,
         seed: int = 0,
     ):
+        if not (math.isfinite(waiting_time_ms) and waiting_time_ms >= 0):
+            raise ValueError("waiting_time_ms must be a finite number >= 0, "
+                             f"not {waiting_time_ms}")
         self.script = list(script) if script is not None else default_script()
         self.waiting_time_ms = waiting_time_ms
         self.verify_aka = verify_aka

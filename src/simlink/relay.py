@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional
 
 from .apdu import CommandApdu
 from .errors import ProtocolViolation, SimlinkError
-from .listener import RECV_BYTES, Listener, parse_hostport, wall_ms
+from .listener import RECV_BYTES, Listener, monotonic_ms, parse_hostport
 from .modem import DEFAULT_NULL_INTERVAL_MS, Timing
 # detect_silent_sms and write_trace stay bound: bench/spans.py wraps them here.
 from .tracer import Rewriter, Tracer, detect_silent_sms, write_trace
@@ -152,11 +152,13 @@ class ProviderCore:
     def _open_trace(self):
         if self.trace_dir is None:  # nothing would read a tracer's events
             return
-        os.makedirs(self.trace_dir, exist_ok=True)
-        path = os.path.join(
-            self.trace_dir, f"session-{self.session.session_id:08x}.jsonl"
-        )
-        self.tracer = Tracer(self.session.session_id, path=path)
+        session_id = self.session.session_id
+        path = os.path.join(self.trace_dir, f"session-{session_id:08x}.jsonl")
+        try:
+            self.tracer = Tracer(session_id, path=path)
+        except FileNotFoundError:  # the directory is made at first need
+            os.makedirs(self.trace_dir, exist_ok=True)
+            self.tracer = Tracer(session_id, path=path)
 
     def _relay(self, cmd: CommandApdu, now_ms: float):
         outcome = self.rewriter.process(cmd, self.card.process)
@@ -242,13 +244,13 @@ class ProbeLink:
     # -- link protocol ---------------------------------------------------------
 
     def reset(self):
-        start = wall_ms()
+        start = monotonic_ms()
         self.channel.send(wire(self.session.send_reset()))
         delivered = self._pump_until(DeliverAtr)
         return delivered.atr, self._timing(start)
 
     def exchange(self, cmd: CommandApdu):
-        start = wall_ms()
+        start = monotonic_ms()
         self.channel.send(wire(self.session.send_command(cmd)))
         delivered = self._pump_until(DeliverResponse)
         return delivered.response, self._timing(start)
@@ -257,7 +259,7 @@ class ProbeLink:
         time.sleep(ms / 1000.0)
 
     def keepalive_roundtrip(self) -> float:
-        self.channel.send(wire(self.session.send_keepalive(wall_ms())))
+        self.channel.send(wire(self.session.send_keepalive(monotonic_ms())))
         self._pump_until(KeepaliveAcked)
         return self.session.rtt_estimate()
 
@@ -265,7 +267,7 @@ class ProbeLink:
 
     @staticmethod
     def _timing(start: float) -> Timing:
-        return Timing(start, wall_ms() - start, NULL_INTERVAL_MS)
+        return Timing(start, monotonic_ms() - start, NULL_INTERVAL_MS)
 
     def _pump_until(self, action_type):
         """Run arriving frames through the session, sending what they emit,
@@ -285,4 +287,4 @@ class ProbeLink:
             chunk = self.channel.recv()
             if not chunk:
                 raise LinkClosed("stream ended")
-            self._arrivals = self.session.on_bytes(chunk, wall_ms())
+            self._arrivals = self.session.on_bytes(chunk, monotonic_ms())

@@ -45,6 +45,34 @@ FLAG_SILENT_SMS = "silent_sms"
 FLAG_REWRITTEN = "rewritten"
 
 
+# The stdlib's compact encoding, built once: ``json.dumps`` with
+# ``separators`` builds a new encoder on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_string = json.encoder.encode_basestring_ascii  # TypeError for a non-str
+
+# The keys a tracer puts in ``decoded``, each encoded once with its colon.
+_DECODED_KEYS = {
+    key: _string(key) + ":"
+    for key in ("ins_name", "aid", "file_id", "status_class", "proactive_type",
+                "proactive_number", "rule_id", "original_hex")
+}
+
+
+def _members(decoded: dict) -> Optional[str]:
+    """The members of ``decoded`` as ``_COMPACT`` writes them, if every
+    key is a str and every value a str or an int; else None."""
+    members = []
+    for key, value in decoded.items():
+        name = _DECODED_KEYS.get(key) or _string(key) + ":"
+        if type(value) is str:
+            members.append(name + _string(value))
+        elif type(value) is int:
+            members.append(f"{name}{value}")
+        else:
+            return None
+    return ",".join(members)
+
+
 @dataclass
 class TraceEvent:
     ts_ms: int
@@ -55,17 +83,31 @@ class TraceEvent:
     flags: List[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ts_ms": self.ts_ms,
-                "dir": self.direction,
-                "raw_hex": self.raw_hex,
-                "decoded": self.decoded,
-                "session": self.session_id,
-                "flags": self.flags,
-            },
-            separators=(",", ":"),
-        )
+        """One compact ASCII line, byte-identical to ``json.dumps(doc,
+        separators=(",", ":"))``. A tracer's events are formatted in one
+        pass; any other value (a float ``ts_ms``, a nested ``decoded``
+        value) goes through ``_COMPACT``."""
+        ts, session, decoded, flags = (self.ts_ms, self.session_id,
+                                       self.decoded, self.flags)
+        if (type(ts) is int and type(session) is int
+                and type(decoded) is dict and type(flags) is list):
+            try:
+                members = _members(decoded)
+                if members is not None:
+                    return (f'{{"ts_ms":{ts},"dir":{_string(self.direction)},'
+                            f'"raw_hex":{_string(self.raw_hex)},'
+                            f'"decoded":{{{members}}},"session":{session},'
+                            f'"flags":[{",".join(map(_string, flags))}]}}')
+            except TypeError:  # a key, direction, raw_hex or flag not a str
+                pass
+        return _COMPACT.encode({
+            "ts_ms": ts,
+            "dir": self.direction,
+            "raw_hex": self.raw_hex,
+            "decoded": decoded,
+            "session": session,
+            "flags": flags,
+        })
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
@@ -265,18 +307,19 @@ class Rewriter:
 class Tracer:
     """Records one session's events, flagging silent SMS as they pair up.
 
-    With a ``path`` it owns that file: each ``response()`` writes the held
-    events in one write and flush unless a fetched SEND SHORT MESSAGE still
-    waits for its TERMINAL RESPONSE, and ``close()`` writes the rest and
-    closes it. ``events`` holds what is unwritten (all, without a file);
-    ``silent_sms`` counts the fetches flagged."""
+    With a ``path`` it owns that file, opened unbuffered: each
+    ``response()`` writes the held events' lines in one write unless a
+    fetched SEND SHORT MESSAGE still waits for its TERMINAL RESPONSE, and
+    ``close()`` writes the rest and closes it. ``events`` holds what is
+    unwritten (all, without a file); ``silent_sms`` counts the fetches
+    flagged."""
 
     def __init__(self, session_id: int, path: Optional[str] = None):
         self.session_id = session_id
         self.events: List[TraceEvent] = []
         self.silent_sms = 0
         self._waiting: Dict[object, List[TraceEvent]] = {}  # fetches by number
-        self._file = None if path is None else open(path, "w", encoding="utf-8")
+        self._file = None if path is None else open(path, "wb", buffering=0)
 
     def record(self, event: TraceEvent) -> List[TraceEvent]:
         """Append one event in stream order; return the fetched SEND SHORT
@@ -305,8 +348,9 @@ class Tracer:
             self._file = None
 
     def _write(self):
-        self._file.write("".join(event.to_json() + "\n" for event in self.events))
-        self._file.flush()
+        data = "".join([event.to_json() + "\n" for event in self.events]).encode()
+        while data:  # one write, unless the file takes only part of it
+            data = data[self._file.write(data):]
         self.events.clear()
 
     def command(self, ts_ms: float, cmd: CommandApdu) -> TraceEvent:

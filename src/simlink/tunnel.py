@@ -22,8 +22,9 @@ from __future__ import annotations
 import enum
 import hmac
 import statistics
+import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .apdu import CommandApdu, ResponseApdu, decode_command, encode_command
 from .errors import (
@@ -37,7 +38,9 @@ from .errors import (
 
 MAGIC = b"\x4D\x41"
 VERSION = 0x01
-HEADER_LEN = 14
+# magic, version, msg_type, session_id, seq, payload_len
+_HEADER = struct.Struct(">2sBBIIH")
+HEADER_LEN = _HEADER.size  # 14
 PAYLOAD_MAX = 4096
 
 RTT_WINDOW = 16
@@ -56,8 +59,10 @@ class MessageType(enum.IntEnum):
     CLOSE = 0x0F
 
 
-@dataclass(frozen=True)
-class TunnelFrame:
+_MESSAGE_TYPES = {member.value: member for member in MessageType}
+
+
+class TunnelFrame(NamedTuple):
     msg_type: int
     session_id: int
     seq: int
@@ -70,14 +75,12 @@ def frame_encode(msg_type: int, session_id: int, seq: int,
         raise Oversize(f"payload of {len(payload)} octets, limit {PAYLOAD_MAX}")
     if not 0 <= session_id < 1 << 32 or not 0 <= seq < 1 << 32:
         raise ValueError("session_id and seq must fit in 32 bits")
-    return (
-        MAGIC
-        + bytes([VERSION, msg_type])
-        + session_id.to_bytes(4, "big")
-        + seq.to_bytes(4, "big")
-        + len(payload).to_bytes(2, "big")
-        + payload
-    )
+    try:
+        header = _HEADER.pack(MAGIC, VERSION, msg_type, session_id, seq,
+                              len(payload))
+    except struct.error:
+        raise ValueError("msg_type must fit in 8 bits") from None
+    return header + payload
 
 
 class FrameDecoder:
@@ -94,25 +97,22 @@ class FrameDecoder:
         frames = []
         pos = 0
         while len(buf) - pos >= HEADER_LEN:
-            if buf[pos:pos + 2] != MAGIC:
-                self.fault = BadMagic(f"{buf[pos]:02X} {buf[pos + 1]:02X}")
+            magic, version, msg_type, session_id, seq, payload_len = \
+                _HEADER.unpack_from(buf, pos)
+            if magic != MAGIC:
+                self.fault = BadMagic(f"{magic[0]:02X} {magic[1]:02X}")
                 break
-            if buf[pos + 2] != VERSION:
-                self.fault = BadVersion(f"{buf[pos + 2]:02X}")
+            if version != VERSION:
+                self.fault = BadVersion(f"{version:02X}")
                 break
-            payload_len = int.from_bytes(buf[pos + 12:pos + 14], "big")
             if payload_len > PAYLOAD_MAX:
                 self.fault = Oversize(f"announced payload of {payload_len} octets")
                 break
             end = pos + HEADER_LEN + payload_len
             if end > len(buf):
                 break
-            frames.append(TunnelFrame(
-                buf[pos + 3],
-                int.from_bytes(buf[pos + 4:pos + 8], "big"),
-                int.from_bytes(buf[pos + 8:pos + 12], "big"),
-                buf[pos + HEADER_LEN:end],
-            ))
+            frames.append(TunnelFrame(msg_type, session_id, seq,
+                                      buf[pos + HEADER_LEN:end]))
             pos = end
         self._buf = buf[pos:]
         return frames
@@ -320,9 +320,8 @@ class Session:
                 "SeqGap", f"seq {frame.seq}, expected {self._recv_seq}"
             )
         self._recv_seq += 1
-        try:
-            msg_type = MessageType(frame.msg_type)
-        except ValueError:
+        msg_type = _MESSAGE_TYPES.get(frame.msg_type)
+        if msg_type is None:
             return self.violate("UnknownType", f"msg_type {frame.msg_type:02X}")
 
         if msg_type is MessageType.ERROR:

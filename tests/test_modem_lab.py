@@ -139,6 +139,12 @@ class TestTimeouts:
         assert run_one(WAITING, STALL_OFF, waiting_time_ms=WAITING).completed
         assert not run_one(WAITING + 1, STALL_OFF, waiting_time_ms=WAITING).completed
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_a_budget_that_is_not_finite_and_non_negative_is_refused(
+            self, budget):
+        with pytest.raises(ValueError, match="waiting_time_ms"):
+            run_one(600.0, STALL_OFF, waiting_time_ms=budget)
+
     def test_matches_discrete_event_oracle(self):
         stalls = [STALL_OFF, STALL_100] + [
             StallPolicy(True, cadence)

@@ -351,6 +351,20 @@ class TestProviderCore:
         assert len(core_trace) == 2 * core_report.exchanges
         assert untimed(core_trace) == untimed(socket_trace)
 
+    def test_trace_dir_is_made_when_missing_and_reused(self, tmp_path):
+        profile = demo_profile()
+        trace_dir = tmp_path / "missing" / "traces"
+        for session_id in (0x71, 0x72):  # the second finds the directory
+            core = ProviderCore(profile, TOKEN, now_ms=0.0,
+                                trace_dir=str(trace_dir))
+            report = ModemSim(verify_aka=True, k=profile.k,
+                              op_salt=profile.op_salt).run(
+                                  CoreLink(core, session_id))
+            core.finish()
+            assert report.failure is None
+            assert len(read_provider_trace(trace_dir, session_id)) == \
+                2 * report.exchanges
+
     def test_no_trace_dir_builds_no_tracer(self):
         profile = demo_profile()
         core = ProviderCore(profile, TOKEN, now_ms=0.0)

@@ -1,6 +1,7 @@
 """Tracer tests: decoding, silent-SMS pairing, rewrite rules."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -462,6 +463,96 @@ class TestStreamedTraceEqualsCloseTimeRewrite:
         assert tracer.silent_sms == 1
         assert path.read_bytes() == \
             close_time_output(events, tmp_path / "ref.jsonl")
+
+
+# Quote, backslash, controls, DEL, and non-ASCII in and beyond the BMP,
+# with a lone surrogate.
+TEXT = 'aZ09 "\\/\x00\x1f\x7f\n\t\u00e9\u20ac\u2028\ud800\U0001F600'
+
+
+def random_text(rng) -> str:
+    return "".join(rng.choice(TEXT) for _ in range(rng.randint(0, 8)))
+
+
+def random_json_value(rng, depth=0):
+    """A str, int, float, bool or None, or a list or dict nesting them."""
+    roll = rng.random()
+    if roll < 0.3 or (depth == 2 and roll >= 0.65):
+        return random_text(rng)
+    if roll < 0.45:
+        return rng.randint(-2 ** 70, 2 ** 70)
+    if roll < 0.55:
+        return rng.choice((0.0, -0.0, 1.5, -2.25e-7, 1e300, float("nan"),
+                           rng.uniform(-1e6, 1e6)))
+    if roll < 0.65:
+        return rng.choice((True, False, None))
+    if roll < 0.8:
+        return [random_json_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 3))]
+    return {random_text(rng): random_json_value(rng, depth + 1)
+            for _ in range(rng.randint(0, 3))}
+
+
+def random_line_event(rng) -> TraceEvent:
+    """An event as a tracer builds it, or as a trace file may hold it: a
+    float or bool ``ts_ms``, an IntEnum, odd text, nested values."""
+    decoded = {"ins_name": rng.choice(("SELECT", "FETCH", "UNKNOWN"))}
+    if rng.random() < 0.5:
+        decoded["proactive_number"] = rng.choice(
+            (rng.randint(0, 255), ProactiveKind.SEND_SHORT_MESSAGE))
+    if rng.random() < 0.4:
+        decoded["rule_id"] = random_text(rng)
+        decoded["original_hex"] = rng.randbytes(rng.randint(0, 6)).hex().upper()
+    if rng.random() < 0.4:
+        decoded[random_text(rng)] = random_json_value(rng)
+    return TraceEvent(
+        ts_ms=rng.choice((rng.randint(0, 10 ** 7), 10 ** 30,
+                          rng.uniform(0, 1e4), True, False)),
+        direction=rng.choice((DIR_MODEM_TO_SIM, DIR_SIM_TO_MODEM,
+                              random_text(rng))),
+        raw_hex=rng.choice((rng.randbytes(rng.randint(0, 9)).hex().upper(),
+                            random_text(rng))),
+        decoded=decoded,
+        session_id=rng.randint(0, (1 << 32) - 1),
+        flags=rng.sample(("rewritten", FLAG_SILENT_SMS, random_text(rng)),
+                         rng.randint(0, 2)),
+    )
+
+
+def stdlib_line(event: TraceEvent) -> str:
+    return json.dumps({"ts_ms": event.ts_ms, "dir": event.direction,
+                       "raw_hex": event.raw_hex, "decoded": event.decoded,
+                       "session": event.session_id, "flags": event.flags},
+                      separators=(",", ":"))
+
+
+class TestTraceLinesMatchTheStdlibEncoder:
+    def test_random_events_and_their_lines_read_back(self, tmp_path):
+        rng = random.Random(0x7E1E)
+        events = [random_line_event(rng) for _ in range(3000)]
+        for event in events:
+            assert event.to_json() == stdlib_line(event), event
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(stdlib_line(e) + "\n" for e in events))
+        for event in read_trace(path.read_text().splitlines()):
+            assert event.to_json() == stdlib_line(event), event
+
+    def test_a_tracer_file_holds_the_stdlib_lines(self, tmp_path):
+        rng = random.Random(0x7E1F)
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(session_id=0xFEED, path=str(path))
+        events = []
+        for ts in range(400):
+            cmd, resp = random_exchange(rng)
+            rewritten = rng.random() < 0.5
+            events.append(tracer.command(ts, cmd))
+            events.append(tracer.response(
+                ts, resp, command=cmd,
+                rule_id=random_text(rng) if rewritten else None,
+                original=ResponseApdu(b"\x01", 0x6F, 0x00) if rewritten else None))
+        tracer.close()
+        assert path.read_bytes() == \
+            "".join(stdlib_line(e) + "\n" for e in events).encode()
 
 
 # Only response rules appear where this command is used, so no command
