@@ -34,6 +34,7 @@ from __future__ import annotations
 import hmac
 import json
 import logging
+import math
 import secrets
 import socket
 import threading
@@ -53,7 +54,7 @@ from .errors import (
     RegistryClosed,
     UnknownLease,
 )
-from .listener import RECV_BYTES, Listener, parse_hostport
+from .listener import RECV_BYTES, Listener, monotonic_ms, parse_hostport
 from .vsim import luhn_valid
 
 logger = logging.getLogger(__name__)
@@ -391,6 +392,12 @@ class Registry:
             self._check_open()
             return self._sweep(self._clock() if now is None else now)
 
+    def next_expiry_in(self) -> Optional[int]:
+        """Milliseconds on the registry clock until the first active lease
+        expires; None with no lease active."""
+        with self._lock:
+            return self._expiries[0][0] - self._clock() if self._expiries else None
+
     def provider_endpoint(self, iccid: str) -> str:
         with self._lock:
             return self.sims[iccid].provider_endpoint
@@ -419,13 +426,29 @@ class Registry:
 
 
 class BrokerServer(Listener):
-    """Line-oriented JSON control API in front of one Registry."""
+    """Line-oriented JSON control API in front of one Registry, whose
+    loop frees each lease when it expires."""
 
     def __init__(self, registry: Registry, token: str,
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
         self.registry = registry
         self.token = token
+        # The first expiry on the loop clock: -inf until the first wake-up
+        # sweeps, inf with no lease or a closed registry. A grant made on the
+        # registry directly, not through this server, waits for a sweep.
+        self._expiry_due = -math.inf
+
+    def _on_wake(self, now_ms: float) -> Optional[float]:
+        if now_ms >= self._expiry_due:
+            try:
+                if freed := self.registry.expire_sweep():
+                    logger.info("expired leases freed: %s", freed)
+                left = self.registry.next_expiry_in()
+            except RegistryClosed:  # the broker is shutting down
+                left = None
+            self._expiry_due = math.inf if left is None else now_ms + left
+        return self._expiry_due if self._expiry_due < math.inf else None
 
     def _open(self, now_ms: float) -> "ControlCore":
         return ControlCore(self._handle_line,
@@ -474,6 +497,8 @@ class BrokerServer(Listener):
                 tags=_field(body, "tags", list),
                 duration_ms=_field(body, "duration_ms", int),
             )
+            self._expiry_due = min(self._expiry_due, monotonic_ms()
+                                   + lease.expires_at - lease.granted_at)
             return {"lease": lease.to_dict(),
                     "provider_endpoint": reg.provider_endpoint(lease.iccid)}
         if op == "release":

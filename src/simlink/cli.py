@@ -17,13 +17,11 @@ import math
 import os
 import socket
 import sys
-import threading
-import time
 from typing import List, Optional
 
 from . import __version__
 from .broker import BrokerClient, BrokerRequestError, BrokerServer, Registry
-from .errors import BrokerError, ConfigError, RegistryClosed, SimlinkError
+from .errors import BrokerError, ConfigError, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .listener import parse_hostport
 from .modem import ModemSim, default_script, script_from_json
@@ -99,26 +97,11 @@ def load_rules(path: Optional[str]) -> list:
 
 def cmd_broker(args) -> int:
     token = resolve_token(args)
-    interval = args.sweep_interval_s
-    if not (math.isfinite(interval) and interval > 0):
-        raise ConfigError(
-            f"--sweep-interval-s must be a finite number > 0, not {interval}")
     host, port = parse_hostport(args.listen)
-    registry = Registry.replay(args.state_log) if args.state_log else Registry()
+    with loading(args.state_log, "state log"):
+        registry = Registry.replay(args.state_log) if args.state_log else Registry()
     server = BrokerServer(registry, token, host=host, port=port)
     print(f"broker listening on {server.endpoint}", file=sys.stderr)
-
-    def sweeper():
-        while True:
-            time.sleep(interval)
-            try:
-                freed = registry.expire_sweep()
-            except RegistryClosed:  # the broker is shutting down
-                return
-            if freed:
-                logger.info("expired leases freed: %s", freed)
-
-    threading.Thread(target=sweeper, daemon=True).start()
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -321,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-log", default=None,
                    help="append-only event log; replayed at startup")
     p.add_argument("--token", default=None)
-    p.add_argument("--sweep-interval-s", type=float, default=10.0)
     p.set_defaults(func=cmd_broker)
 
     p = sub.add_parser("provide", help="host a virtual SIM and serve tunnels")

@@ -41,8 +41,11 @@ class ProtocolViolation(SimlinkError):
     """The peer broke the link discipline; the session is unrecoverable.
 
     ``kind`` is one of ``AlternationBroken``, ``SeqGap``, ``UnknownType``,
-    ``ProcedureByte``, ``BadFrame`` (bytes that do not decode as a frame)
-    and ``HandshakeTimeout`` (no Hello within the provider's deadline).
+    ``ProcedureByte``, ``BadFrame`` (bytes that do not decode as a frame),
+    ``HandshakeTimeout`` (no Hello within the provider's deadline),
+    ``BadRole`` (a Hello without the probe's role octet), and, from
+    the modem, ``BadStatus`` (a card answer with an error status word) and
+    ``EmptyAtr`` (a reset answered with no ATR).
     """
 
     def __init__(self, kind: str, detail: str = ""):

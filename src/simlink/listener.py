@@ -1,7 +1,7 @@
 """The socket shell both daemons share: one ``selectors`` loop per daemon,
-on one thread, that owns the listening socket, every accepted connection
-and their deadlines; and the one parser of the ``host:port`` endpoints
-that name them."""
+on one thread, that owns the listening socket, every accepted connection,
+their deadlines and the daemon's own; and the one parser of the
+``host:port`` endpoints that name them."""
 
 from __future__ import annotations
 
@@ -24,6 +24,9 @@ RECV_BYTES = 65536
 # keeps the listening socket readable, so retrying at once would spin.
 ACCEPT_PAUSE_S = 0.1
 OUT_OF_RESOURCES = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
+# The longest wait: epoll raises OverflowError above 2**31 - 1 ms, and a
+# deadline further off only wakes the loop once more on its way.
+MAX_WAIT_S = 86400.0
 
 
 def monotonic_ms() -> float:
@@ -73,6 +76,10 @@ class Listener:
     more requests answers the next one. While a send would block, the
     connection is not read. A deadline that passes without its core
     moving it ends the connection.
+
+    The daemon's own work has one deadline too: once per wake-up the loop
+    calls ``_on_wake(now_ms)``, which does what is due by ``now_ms`` and
+    returns when the daemon next has something due, or None.
     """
 
     def __init__(self, host: str, port: int):
@@ -137,12 +144,14 @@ class Listener:
         select = self._selector.select
         deadlines = self._deadlines
         while not self._stopping:
-            timeout = None
-            if deadlines:
-                timeout = max(deadlines[0][0] - monotonic_ms(), 0.0) / 1000.0
-            if self._accept_paused:
-                timeout = (ACCEPT_PAUSE_S if timeout is None
-                           else min(timeout, ACCEPT_PAUSE_S))
+            now = monotonic_ms()
+            if deadlines and deadlines[0][0] <= now:
+                self._expire(now)
+            due = self._on_wake(now)
+            if deadlines and (due is None or deadlines[0][0] < due):
+                due = deadlines[0][0]
+            cap = ACCEPT_PAUSE_S if self._accept_paused else MAX_WAIT_S
+            timeout = cap if due is None else min(max(due - now, 0.0) / 1e3, cap)
             ready = select(timeout)
             if self._accept_paused:
                 self._accept_paused = False
@@ -163,8 +172,9 @@ class Listener:
                 except Exception:  # a broken core must not end the loop
                     logger.exception("connection failed")
                     self._drop(conn)
-            if deadlines and deadlines[0][0] <= monotonic_ms():
-                self._expire()
+
+    def _on_wake(self, now_ms: float) -> Optional[float]:
+        return None
 
     def _accept(self):
         try:
@@ -252,8 +262,7 @@ class Listener:
         elif core.deadline_ms != conn.deadline:
             self._reindex(conn)
 
-    def _expire(self):
-        now = monotonic_ms()
+    def _expire(self, now: float):
         deadlines = self._deadlines
         for deadline, fd in deadlines[:bisect_right(deadlines, (now, float("inf")))]:
             conn = self._conns[fd]

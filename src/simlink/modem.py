@@ -286,7 +286,8 @@ class _SessionRun:
     def _expect_success(self, resp: ResponseApdu, what: str) -> ResponseApdu:
         kind = classify_status(resp.sw1, resp.sw2).kind
         if kind not in (StatusKind.OK, StatusKind.PROACTIVE_PENDING):
-            raise RuntimeError(f"{what} answered {resp.sw1:02X}{resp.sw2:02X}")
+            raise ProtocolViolation(
+                "BadStatus", f"{what} answered {resp.sw1:02X}{resp.sw2:02X}")
         return resp
 
     # -- phases ---------------------------------------------------------------
@@ -295,7 +296,7 @@ class _SessionRun:
         atr_bytes, timing = self.link.reset()
         self._note_timing(timing)
         if not atr_bytes:
-            raise RuntimeError("empty ATR")
+            raise ProtocolViolation("EmptyAtr", "the reset answered no ATR")
 
     def _phase_read_iccid(self, phase: Phase):
         self._expect_success(

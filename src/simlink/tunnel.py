@@ -339,8 +339,9 @@ class Session:
     def _on_frame_handshake(self, msg_type: MessageType,
                             frame: TunnelFrame) -> List[Action]:
         if self.role is Role.PROVIDER and msg_type is MessageType.HELLO:
-            if len(frame.payload) < 1:
-                return self.violate("UnknownType", "empty Hello payload")
+            if frame.payload[:1] != bytes([ROLE_OCTET[Role.PROBE]]):
+                role = frame.payload[:1].hex().upper() or "missing"
+                return self.violate("BadRole", f"Hello role octet {role}")
             if not hmac.compare_digest(frame.payload[1:], self.token.encode()):
                 self.phase = Phase.CLOSED
                 self.close_reason = "BadToken"

@@ -35,7 +35,7 @@ from .apdu import (
     ResponseApdu,
     parse_atr,
 )
-from .errors import AuthFailed, PayloadTooLong
+from .errors import AuthFailed, CodecError, PayloadTooLong, Truncated
 from .tlv import ProactiveKind
 
 logger = logging.getLogger(__name__)
@@ -135,10 +135,11 @@ def encode_imsi(imsi: str) -> bytes:
 
 
 def decode_imsi(raw: bytes) -> str:
-    count = raw[0]
-    digits = unswap_nibbles_bcd(raw[1:1 + count])
+    if not raw or len(raw) <= raw[0]:
+        raise Truncated(f"EF_IMSI body of {len(raw)} octets, shorter than announced")
+    digits = unswap_nibbles_bcd(raw[1:1 + raw[0]])
     if not digits.startswith("9"):
-        raise ValueError("IMSI parity marker missing")
+        raise CodecError("IMSI parity marker missing")
     return digits[1:]
 
 

@@ -810,6 +810,100 @@ class TestShutdown:
             server.stop()
 
 
+class TestLoopExpiry:
+    """A served registry's leases expire on the listener's loop when they
+    fall due, with no client traffic and no thread of their own."""
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        log = tmp_path / "state.log"
+        registry = Registry(log_path=str(log))
+        server = BrokerServer(registry, TOKEN)
+        server.start()
+        client = BrokerClient(server.endpoint, TOKEN)
+        client.request("register_probe", {"probe_id": "p1"})
+        for n in (1, 2):
+            client.request("register_sim", {"iccid": make_iccid(n),
+                                            "provider_endpoint": "host:9"})
+        yield registry, server, client, log
+        client.close()
+        server.stop()
+        registry.close()
+
+    @staticmethod
+    def lease(client, n, duration_ms) -> dict:
+        return client.request("request_lease", {
+            "probe_id": "p1", "iccid": make_iccid(n),
+            "duration_ms": duration_ms})["lease"]
+
+    @staticmethod
+    def expire_event(log, timeout_s=5.0) -> dict:
+        end = time.monotonic() + timeout_s
+        while time.monotonic() < end:
+            for line in log.read_text().splitlines():
+                doc = json.loads(line)
+                if doc["event"] == "expire":
+                    return doc
+            time.sleep(0.005)
+        raise AssertionError("no expire event logged")
+
+    def test_lease_expires_on_time_with_no_traffic(self, served):
+        registry, server, client, log = served
+        lease = self.lease(client, 1, 200)
+        client.close()  # nothing more reaches the broker
+        event = self.expire_event(log)
+        assert event["body"] == {"lease_ids": [lease["lease_id"]]}
+        assert 0 <= event["ts"] - lease["expires_at"] <= 20
+        with BrokerClient(server.endpoint, TOKEN) as fresh:
+            [sim] = [s for s in fresh.request("list")["sims"]
+                     if s["iccid"] == make_iccid(1)]
+        assert sim["status"] == "Free"
+
+    def test_a_sooner_grant_moves_the_due_time(self, served):
+        registry, server, client, log = served
+        long = self.lease(client, 1, 5000)
+        short = self.lease(client, 2, 200)
+        event = self.expire_event(log)
+        assert event["body"] == {"lease_ids": [short["lease_id"]]}
+        assert 0 <= event["ts"] - short["expires_at"] <= 20
+        assert list(registry.leases) == [long["lease_id"]]
+
+    def test_a_far_expiry_leaves_the_loop_serving(self, served):
+        registry, server, client, log = served
+        far = self.lease(client, 1, 10**12)
+        time.sleep(0.05)  # a wake-up or two with the far due time held
+        near = self.lease(client, 2, 100)
+        assert self.expire_event(log)["body"] == {"lease_ids": [near["lease_id"]]}
+        assert list(registry.leases) == [far["lease_id"]]
+
+    def test_a_closed_registry_leaves_the_loop_idle_and_serving(self, served):
+        registry, server, client, log = served
+        self.lease(client, 1, 50)
+        registry.close()
+        time.sleep(0.1)  # the lease fell due: the loop's sweep is refused
+        cpu = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - cpu < 0.03  # under 10 %: no busy wait
+        assert len(client.request("list")["leases"]) == 1
+        stopping = threading.Thread(target=server.stop)
+        stopping.start()
+        stopping.join(5)
+        assert not stopping.is_alive()
+
+    def test_next_expiry_in_reads_the_first_lease(self):
+        reg, clock = fresh_registry()
+        assert reg.next_expiry_in() is None
+        reg.register_probe("p1")
+        for n, duration in ((1, 500), (2, 200)):
+            reg.register_sim(make_iccid(n))
+            reg.request_lease("p1", iccid=make_iccid(n), duration_ms=duration)
+        clock.tick(50)
+        assert reg.next_expiry_in() == 150
+        clock.tick(150)
+        reg.expire_sweep()
+        assert reg.next_expiry_in() == 300
+
+
 def recording_connection_ends(monkeypatch):
     """One event per control connection the broker accepts from now on,
     set when the broker has ended that connection."""

@@ -1,6 +1,7 @@
 """CLI behavior: flags, exit codes, machine-parsable stderr, loopback probe."""
 
 import json
+import threading
 
 import pytest
 
@@ -363,21 +364,41 @@ class TestBrokerCmdConfig:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
-    def test_bad_sweep_interval_fails_before_binding(self, capsys, monkeypatch,
-                                                     interval):
+    @pytest.mark.parametrize("log", [
+        b"{not json\n",
+        b'{"event":"bogus","ts":1}\n',
+        b"[1]\n",
+    ], ids=["bad-json", "no-body", "not-an-object"])
+    def test_malformed_state_log_fails_before_binding(self, capsys, monkeypatch,
+                                                      tmp_path, log):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
         built = []
         monkeypatch.setattr(cli, "BrokerServer",
                             lambda *a, **k: built.append(a))
+        path = tmp_path / "state.log"
+        path.write_bytes(log)
         code, out, err = run_cli(
-            ["broker", "--listen", "127.0.0.1:0",
-             "--sweep-interval-s", interval],
+            ["broker", "--listen", "127.0.0.1:0", "--state-log", str(path)],
             capsys,
         )
         assert (code, out, built) == (2, "", [])
         [line] = err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
+        assert path.read_bytes() == log
+
+    def test_broker_serves_from_the_calling_thread_alone(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        before, entered = threading.active_count(), []
+
+        def serve_forever(self):
+            entered.append(threading.active_count())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(BrokerServer, "serve_forever", serve_forever)
+        code, _, _ = run_cli(["broker", "--listen", "127.0.0.1:0"], capsys)
+        assert code == 0
+        assert entered == [before]
 
     def test_provide_bad_broker_endpoint_fails_before_binding(self, capsys,
                                                               monkeypatch):

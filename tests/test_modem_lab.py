@@ -36,6 +36,19 @@ def verified_modem(profile=None, **kwargs):
     return ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt, **kwargs)
 
 
+class NullStatusLink:
+    """Answers every command with SW1 60, a NULL, not a status byte."""
+
+    def reset(self):
+        return bytes.fromhex(demo_profile().atr_hex), Timing(0.0)
+
+    def exchange(self, cmd):
+        return ResponseApdu(b"", 0x60, 0x00), Timing(0.0)
+
+    def idle(self, ms):
+        pass
+
+
 class TestRunSession:
     def test_zero_delay_all_phases_complete(self):
         report = verified_modem().run(zero_delay_link())
@@ -62,20 +75,27 @@ class TestRunSession:
         assert report.aka_ok is False
 
     def test_non_status_sw1_is_a_protocol_violation(self):
-        class NullStatusLink:
-            """Answers every command with SW1 60, a NULL, not a status byte."""
-
-            def reset(self):
-                return bytes.fromhex(demo_profile().atr_hex), Timing(0.0)
-
-            def exchange(self, cmd):
-                return ResponseApdu(b"", 0x60, 0x00), Timing(0.0)
-
-            def idle(self, ms):
-                pass
-
         report = verified_modem().run(NullStatusLink())
         assert report.failure.startswith("ProtocolViolation")
+
+    def test_error_status_is_a_bad_status_violation(self):
+        class NotFoundLink(NullStatusLink):
+            def exchange(self, cmd):
+                return ResponseApdu(b"", 0x6A, 0x82), Timing(0.0)
+
+        report = verified_modem().run(NotFoundLink())
+        assert report.failure == \
+            "ProtocolViolation(BadStatus: SELECT EF_ICCID answered 6A82)"
+
+    def test_empty_atr_is_a_violation(self):
+        class NoAtrLink(NullStatusLink):
+            def reset(self):
+                return b"", Timing(0.0)
+
+        report = verified_modem().run(NoAtrLink())
+        assert report.failure == \
+            "ProtocolViolation(EmptyAtr: the reset answered no ATR)"
+        assert report.exchanges == 0
 
     def test_trace_has_one_silent_sms_and_conservation(self):
         tracer = Tracer(session_id=1)

@@ -277,6 +277,12 @@ FAULTS = {
     "bad token": (
         lambda core: core.on_bytes(hello(token="wrong"), 1.0),
         b"BadToken", 7),
+    "provider role octet": (
+        lambda core: core.on_bytes(patched(hello(), 14, b"\x02"), 1.0),
+        b"BadRole: Hello role octet 02", 7),
+    "unknown role octet": (
+        lambda core: core.on_bytes(patched(hello(), 14, b"\xff"), 1.0),
+        b"BadRole: Hello role octet FF", 7),
     "no Hello by deadline_ms": (
         lambda core: core.on_deadline(core.deadline_ms),
         b"HandshakeTimeout", 0),

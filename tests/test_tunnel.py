@@ -183,6 +183,22 @@ class TestHandshake:
         assert provider.close_reason == "BadToken"
         assert only_frame(actions).payload == b"BadToken"
 
+    @pytest.mark.parametrize("octet, shown", [
+        (b"\x00", "00"), (b"\x02", "02"), (b"\xff", "FF"), (None, "missing"),
+    ])
+    def test_hello_without_the_probe_role_octet_is_refused(self, octet, shown):
+        provider = Session(Role.PROVIDER, TOKEN)
+        hello = only_frame(Session(Role.PROBE, TOKEN, session_id=2).start())
+        payload = b"" if octet is None else octet + hello.payload[1:]
+        forged = TunnelFrame(hello.msg_type, hello.session_id, hello.seq, payload)
+        actions = provider.on_frame(forged)
+        assert provider.phase is Phase.CLOSED
+        assert only_frame(actions).payload == \
+            f"BadRole: Hello role octet {shown}".encode()
+        [violation] = [a for a in actions if isinstance(a, Violation)]
+        assert violation.kind == "BadRole"
+        assert isinstance(actions[-1], Closed)
+
     def test_apdu_before_hello_is_violation(self):
         provider = Session(Role.PROVIDER, TOKEN)
         raw = TunnelFrame(MessageType.APDU_REQ, 3, 0, b"\x00\xA4\x00\x00\x00")

@@ -17,7 +17,7 @@ from simlink.apdu import (
     StatusKind,
     classify_status,
 )
-from simlink.errors import AuthFailed, PayloadTooLong
+from simlink.errors import AuthFailed, CodecError, PayloadTooLong, Truncated
 from simlink.tlv import ProactiveKind
 from simlink.vsim import (
     Card,
@@ -143,6 +143,15 @@ class TestEncodings:
         assert body[0] == 4
         assert body[-2:] == b"\xFF\xFF"
         assert decode_imsi(body) == "123456"
+
+    @pytest.mark.parametrize("body, error", [
+        (b"", Truncated),  # no count octet
+        (b"\x08\x29", Truncated),  # 8 octets announced, 1 follows
+        (b"\x01\x18", CodecError),  # no parity marker
+    ], ids=["empty", "short", "no-parity-marker"])
+    def test_imsi_malformed_body_is_a_codec_error(self, body, error):
+        with pytest.raises(error):
+            decode_imsi(body)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
