@@ -24,7 +24,7 @@ from .broker import BrokerClient, BrokerRequestError, BrokerServer, Registry
 from .errors import BrokerError, ConfigError, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .listener import parse_hostport
-from .modem import ModemSim, default_script, script_from_json
+from .modem import ModemSim, script_from_json
 from .relay import LinkClosed, ProbeLink, ProviderServer
 from .tracer import Tracer, detect_silent_sms, read_trace, rules_from_json
 from .vsim import SimProfile, demo_profile
@@ -159,7 +159,7 @@ def build_modem(args) -> ModemSim:
             settings = script_from_json(read_text(args.script))
         verify = settings.get("verify")
         modem = ModemSim(
-            script=settings.get("phases", default_script()),
+            script=settings.get("phases"),
             waiting_time_ms=float(settings.get("waiting_time_ms",
                                                args.waiting_time_ms)),
             verify_aka=verify is not None,

@@ -44,8 +44,9 @@ class ProtocolViolation(SimlinkError):
     ``ProcedureByte``, ``BadFrame`` (bytes that do not decode as a frame),
     ``HandshakeTimeout`` (no Hello within the provider's deadline),
     ``BadRole`` (a Hello without the probe's role octet), and, from
-    the modem, ``BadStatus`` (a card answer with an error status word) and
-    ``EmptyAtr`` (a reset answered with no ATR).
+    the modem, ``BadStatus`` (a card answer with an error status word),
+    ``EmptyAtr`` (a reset answered with no ATR) and ``BadProactive`` (a
+    FETCH answered with a body that is not a proactive command).
     """
 
     def __init__(self, kind: str, detail: str = ""):

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .apdu import CommandApdu
-from .modem import (
-    DEFAULT_NULL_INTERVAL_MS,
-    ModemSim,
-    Phase,
-    Timing,
-    default_script,
-)
+from .modem import DEFAULT_NULL_INTERVAL_MS, ModemSim, Phase, Timing
 from .vsim import Card, SimProfile, demo_profile
 
 CSV_HEADER = ["rtt_ms", "stall", "success_rate", "median_elapsed_ms"]
@@ -82,6 +76,8 @@ class VirtualLink:
         self.stall = stall or StallPolicy()
         self.clock = clock or VirtualClock()
         self._sample = delay.sampler()
+        self._null_interval_ms = (self.stall.null_interval_ms
+                                  if self.stall.enabled else 0.0)
         self._atr = card.reset()  # learned at attach, replayed locally
 
     def reset(self):
@@ -92,10 +88,9 @@ class VirtualLink:
     def exchange(self, cmd: CommandApdu):
         start = self.clock.now_ms
         rtt = self._sample()
-        interval = self.stall.null_interval_ms if self.stall.enabled else 0.0
         resp = self.card.process(cmd)
         self.clock.advance(rtt)
-        return resp, Timing(start, rtt, interval)
+        return resp, Timing(start, rtt, self._null_interval_ms)
 
     def idle(self, ms: float):
         self.clock.advance(ms)
@@ -128,14 +123,14 @@ def run_one(
     jitter_ms: float = 0.0,
     waiting_time_ms: float = 300.0,
     profile: Optional[SimProfile] = None,
-    script: Optional[List[Phase]] = None,
+    script: Optional[Sequence[Phase]] = None,
 ):
     """One scripted session against one virtual link; returns the report."""
     profile = profile or demo_profile()
     card = Card(profile)
     link = VirtualLink(card, DelayModel(rtt_ms, jitter_ms, seed), stall)
     modem = ModemSim(
-        script=script or default_script(),
+        script=script or None,  # an empty script runs the default one
         waiting_time_ms=waiting_time_ms,
         verify_aka=True,
         k=profile.k,
@@ -153,7 +148,7 @@ def lab_sweep(
     jitter_ms: float = 0.0,
     waiting_time_ms: float = 300.0,
     profile: Optional[SimProfile] = None,
-    script: Optional[List[Phase]] = None,
+    script: Optional[Sequence[Phase]] = None,
 ) -> List[SweepRow]:
     """Sweep the RTT grid; every cell is `repetitions` fresh sessions.
 
@@ -163,6 +158,9 @@ def lab_sweep(
     """
     if not rtt_grid:
         raise ValueError("empty RTT grid")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, not {repetitions}")
+    profile = profile or demo_profile()
     rows = []
     for rtt_index, rtt in enumerate(rtt_grid):
         reports = [
@@ -173,7 +171,7 @@ def lab_sweep(
                 jitter_ms=jitter_ms,
                 waiting_time_ms=waiting_time_ms,
                 profile=profile,
-                script=script,
+                script=script or None,  # an empty script runs the default one
             )
             for rep in range(repetitions)
         ]

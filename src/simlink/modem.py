@@ -15,7 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from . import tlv
 from .apdu import (
@@ -59,8 +59,7 @@ READ_EF_IMSI = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=9)
 STATUS = CommandApdu(0x00, INS_STATUS, 0x00, 0x00)
 
 
-@dataclass(frozen=True)
-class Timing:
+class Timing(NamedTuple):
     """One exchange as the modem observes it, in link-clock milliseconds:
     sent at ``start_ms`` and answered ``wait_ms`` later, with a NULL
     procedure byte every ``null_interval_ms`` while the answer was
@@ -82,16 +81,20 @@ class Phase:
     period_ms: float = 0.0
 
 
+# Phase is frozen, so every modem without a script of its own shares these.
+DEFAULT_SCRIPT = (
+    Phase(PHASE_RESET),
+    Phase(PHASE_READ_ICCID),
+    Phase(PHASE_SELECT_USIM),
+    Phase(PHASE_READ_IMSI),
+    Phase(PHASE_AUTHENTICATE, count=2),
+    Phase(PHASE_STATUS_POLL, count=4),
+    Phase(PHASE_PROACTIVE_FETCH),
+)
+
+
 def default_script() -> List[Phase]:
-    return [
-        Phase(PHASE_RESET),
-        Phase(PHASE_READ_ICCID),
-        Phase(PHASE_SELECT_USIM),
-        Phase(PHASE_READ_IMSI),
-        Phase(PHASE_AUTHENTICATE, count=2),
-        Phase(PHASE_STATUS_POLL, count=4),
-        Phase(PHASE_PROACTIVE_FETCH),
-    ]
+    return list(DEFAULT_SCRIPT)
 
 
 def script_from_json(text: str) -> dict:
@@ -147,7 +150,7 @@ class ModemSim:
 
     def __init__(
         self,
-        script: Optional[List[Phase]] = None,
+        script: Optional[Sequence[Phase]] = None,
         waiting_time_ms: float = DEFAULT_WAITING_TIME_MS,
         verify_aka: bool = False,
         k: Optional[bytes] = None,
@@ -157,7 +160,13 @@ class ModemSim:
         if not (math.isfinite(waiting_time_ms) and waiting_time_ms >= 0):
             raise ValueError("waiting_time_ms must be a finite number >= 0, "
                              f"not {waiting_time_ms}")
-        self.script = list(script) if script is not None else default_script()
+        if script is None:
+            self.script = DEFAULT_SCRIPT
+        else:
+            self.script = tuple(script)
+            for phase in self.script:
+                if phase.name not in _SessionRun.PHASES:
+                    raise ValueError(f"unknown phase {phase.name!r}")
         self.waiting_time_ms = waiting_time_ms
         self.verify_aka = verify_aka
         self.k = k
@@ -171,6 +180,24 @@ class ModemSim:
     def run(self, link, tracer: Optional[Tracer] = None) -> SessionReport:
         runner = _SessionRun(self, link, tracer)
         return runner.run()
+
+
+# (INS, SW1, stalled) keys whose procedure walk succeeded. Only SW1s with
+# high nibble 6 or 9 can succeed, so at most about 16k keys ever land here.
+# Two threads adding one key only repeat a walk, so no lock is needed.
+_CLEAN_WALKS = set()
+
+
+def _draw_rand(getrandbits) -> bytes:
+    """A 16-octet RAND, each octet drawn as CPython's ``randrange(256)``
+    draws it: 9 random bits, drawn again while they reach 256. A seed
+    gives the same RANDs as ``randrange`` did, in about half the time."""
+    rand = bytearray()
+    while len(rand) < 16:
+        octet = getrandbits(9)
+        if octet < 256:
+            rand.append(octet)
+    return bytes(rand)
 
 
 def _misread(byte: int, kind: StepKind, expected: StepKind) -> ProtocolViolation:
@@ -197,22 +224,10 @@ class _SessionRun:
         self.phase_name = PHASE_RESET
 
     def run(self) -> SessionReport:
-        handlers = {
-            PHASE_RESET: self._phase_reset,
-            PHASE_READ_ICCID: self._phase_read_iccid,
-            PHASE_SELECT_USIM: self._phase_select_usim,
-            PHASE_READ_IMSI: self._phase_read_imsi,
-            PHASE_AUTHENTICATE: self._phase_authenticate,
-            PHASE_STATUS_POLL: self._phase_status_poll,
-            PHASE_PROACTIVE_FETCH: self._phase_proactive_fetch,
-        }
         try:
             for phase in self.m.script:
                 self.phase_name = phase.name
-                handler = handlers.get(phase.name)
-                if handler is None:
-                    raise ValueError(f"unknown phase {phase.name!r}")
-                handler(phase)
+                self.PHASES[phase.name](self, phase)
                 self.report.completed_phases.append(phase.name)
         except TimeoutExpired as exc:
             self.report.failure = f"TimeoutExpired({exc.phase})"
@@ -232,18 +247,18 @@ class _SessionRun:
         return whether a NULL arrived. NULLs come every interval strictly
         within the wait, so the longest silence is the interval when one
         arrives and the whole wait when none does."""
+        start, wait, interval = timing
         if self.t0 is None:
-            self.t0 = timing.start_ms
-        interval, wait = timing.null_interval_ms, timing.wait_ms
+            self.t0 = start
         stalled = 0 < interval < wait
         silence = interval if stalled else wait
         budget = self.m.waiting_time_ms
         if silence > budget:
-            self.last_event = timing.start_ms + budget
+            self.last_event = start + budget
             raise TimeoutExpired(
                 self.phase_name, f"{silence:.0f} ms gap, budget {budget:.0f} ms"
             )
-        self.last_event = timing.done_ms
+        self.last_event = start + wait  # the exchange's done_ms
         return stalled
 
     def _walk_procedure(self, cmd: CommandApdu, resp: ResponseApdu,
@@ -252,6 +267,11 @@ class _SessionRun:
         # NULL changes no state, so one stands for all), then the INS
         # echo transferring the body, then SW1. SW2 is taken from the
         # response itself (the pair is already complete at APDU level).
+        # The walk is a pure function of (INS, SW1, stalled): a key that
+        # walked cleanly once is skipped after, and a fault is never kept.
+        key = (cmd.ins, resp.sw1, stalled)
+        if key in _CLEAN_WALKS:
+            return
         step = ProcedureState(cmd.ins).step
         if stalled:
             kind = step(0x60).kind
@@ -263,6 +283,7 @@ class _SessionRun:
         kind = step(resp.sw1).kind
         if kind is not StepKind.STATUS_STARTED:
             raise _misread(resp.sw1, kind, StepKind.STATUS_STARTED)
+        _CLEAN_WALKS.add(key)
 
     def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
         resp, timing = self.link.exchange(cmd)
@@ -327,9 +348,9 @@ class _SessionRun:
         self.report.imsi = decode_imsi(resp.data)
 
     def _phase_authenticate(self, phase: Phase):
-        randrange = self.rng.randrange
+        getrandbits = self.rng.getrandbits
         for _ in range(phase.count):
-            rand = bytes([randrange(256) for _ in range(16)])
+            rand = _draw_rand(getrandbits)
             resp = self._exchange(
                 CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56)
             )
@@ -365,7 +386,10 @@ class _SessionRun:
             )
             info = tlv.parse_proactive(fetched.data)
             if info is None:
-                raise RuntimeError("undecodable proactive envelope")
+                raise ProtocolViolation(
+                    "BadProactive",
+                    f"FETCH answered {len(fetched.data)} octets that are not "
+                    "a proactive command")
             body = (
                 tlv.encode_tlv(
                     tlv.TAG_COMMAND_DETAILS,
@@ -383,3 +407,14 @@ class _SessionRun:
                 ),
                 "TERMINAL RESPONSE",
             )
+
+    # Phase name -> handler, built once with the class.
+    PHASES = {
+        PHASE_RESET: _phase_reset,
+        PHASE_READ_ICCID: _phase_read_iccid,
+        PHASE_SELECT_USIM: _phase_select_usim,
+        PHASE_READ_IMSI: _phase_read_imsi,
+        PHASE_AUTHENTICATE: _phase_authenticate,
+        PHASE_STATUS_POLL: _phase_status_poll,
+        PHASE_PROACTIVE_FETCH: _phase_proactive_fetch,
+    }

@@ -7,7 +7,8 @@ response is a pure function of the profile and the command history, so
 identical command sequences yield octet-identical response sequences.
 
 One card instance handles exactly one command at a time, mirroring the
-physical card's half-duplex link; distinct instances share nothing.
+physical card's half-duplex link; distinct instances share no mutable
+state (cards of one identity share its read-only file tree).
 """
 
 from __future__ import annotations
@@ -332,29 +333,32 @@ class FileKind(enum.Enum):
     LINEAR_FIXED = "linear_fixed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileNode:
     file_id: Optional[int]  # None for the AID-only ADF
     kind: FileKind
     body: bytes = b""
-    records: List[bytes] = field(default_factory=list)
+    records: Tuple[bytes, ...] = ()
     children: Dict[int, "FileNode"] = field(default_factory=dict)
     aid: Optional[bytes] = None
 
 
-def build_filesystem(profile: SimProfile) -> Tuple[FileNode, FileNode]:
-    """Materialize the selectable tree for one profile.
+@functools.lru_cache(maxsize=64)
+def build_filesystem(iccid: str, imsi: str) -> Tuple[FileNode, FileNode]:
+    """Materialize the selectable tree for one identity, once.
 
     Returns (MF, ADF_USIM); the ADF is reachable only by AID selection.
+    A card only selects and reads its tree, never writes it, so every
+    card of an identity shares one.
     """
-    ef_iccid = FileNode(EF_ICCID_ID, FileKind.TRANSPARENT, body=encode_iccid(profile.iccid))
+    ef_iccid = FileNode(EF_ICCID_ID, FileKind.TRANSPARENT, body=encode_iccid(iccid))
     ef_adn = FileNode(
         EF_ADN_ID,
         FileKind.LINEAR_FIXED,
-        records=[b"demo-entry-1".ljust(14, b"\xFF"), b"demo-entry-2".ljust(14, b"\xFF")],
+        records=(b"demo-entry-1".ljust(14, b"\xFF"), b"demo-entry-2".ljust(14, b"\xFF")),
     )
     df_telecom = FileNode(DF_TELECOM_ID, FileKind.DIRECTORY, children={EF_ADN_ID: ef_adn})
-    ef_imsi = FileNode(EF_IMSI_ID, FileKind.TRANSPARENT, body=encode_imsi(profile.imsi))
+    ef_imsi = FileNode(EF_IMSI_ID, FileKind.TRANSPARENT, body=encode_imsi(imsi))
     adf_usim = FileNode(None, FileKind.DIRECTORY, children={EF_IMSI_ID: ef_imsi}, aid=USIM_AID)
     mf = FileNode(
         MF_ID,
@@ -443,7 +447,7 @@ class Card:
         self.profile = profile
         self.trigger_polls = proactive_trigger_polls
         self._sqn = profile.sqn
-        self._root, self._adf = build_filesystem(profile)
+        self._root, self._adf = build_filesystem(profile.iccid, profile.imsi)
         self.queue = ProactiveQueue()
         self._current_dir = self._root
         self._current_ef: Optional[FileNode] = None

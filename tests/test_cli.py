@@ -233,6 +233,23 @@ class TestProbe:
         assert "waiting" in doc["detail"]
         assert broker_server.registry.probes == {}
 
+    def test_unknown_script_phase_is_config_error_before_any_request(
+            self, capsys, monkeypatch, tmp_path, broker_server):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        path = tmp_path / "script.json"
+        path.write_text('{"phases": [{"name": "reset"}, {"name": "bogus"}]}')
+        code, out, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
+             "--script", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert "unknown phase 'bogus'" in doc["detail"]
+        assert broker_server.registry.probes == {}
+
     def test_bad_lease_spec(self, capsys, monkeypatch, broker_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
         code, _, err = run_cli(

@@ -31,7 +31,7 @@ from simlink.apdu import (
 )
 from simlink.errors import ProtocolViolation
 from simlink.lab import StallPolicy, lab_sweep, render_csv, run_one
-from simlink.vsim import USIM_AID, Card, demo_profile
+from simlink.vsim import USIM_AID, Card, SimProfile, build_filesystem, demo_profile
 
 README_GRID = (0.0, 150.0, 300.0, 600.0, 900.0)
 STALL_OFF = StallPolicy(enabled=False)
@@ -206,6 +206,26 @@ def card_stream_digest(seed: int = 2024, commands: int = 2000) -> str:
 
 def test_card_responses_for_a_seeded_stream():
     assert card_stream_digest() == GOLDEN_CARD_SHA256
+
+
+def _tree_contents(node) -> list:
+    """Every node's fields under ``node``, depth first."""
+    out = [(node.file_id, node.kind, node.body, node.records, node.aid,
+            sorted(node.children))]
+    for child in node.children.values():
+        out += _tree_contents(child)
+    return out
+
+
+def test_cards_of_one_identity_share_a_tree_the_stream_leaves_unchanged():
+    profile = demo_profile()
+    first = Card(profile)
+    second = Card(SimProfile.from_json(profile.to_json()))
+    assert first._root is second._root and first._adf is second._adf
+    before = _tree_contents(first._root) + _tree_contents(first._adf)
+    assert card_stream_digest() == GOLDEN_CARD_SHA256
+    assert _tree_contents(first._root) + _tree_contents(first._adf) == before
+    assert build_filesystem.cache_info().maxsize == 64
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Virtual modem and latency-lab tests."""
 
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from simlink.apdu import ResponseApdu
+from simlink import modem as modem_mod
+from simlink.apdu import (
+    INS_AUTHENTICATE,
+    INS_FETCH,
+    ProcedureState,
+    ResponseApdu,
+    StepKind,
+)
+from simlink.errors import ProtocolViolation
 from simlink.lab import (
     DelayModel,
     StallPolicy,
@@ -118,6 +128,107 @@ class TestRunSession:
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
+
+    def test_undecodable_proactive_is_a_bad_proactive_violation(self):
+        class GarbledFetchLink(VirtualLink):
+            def exchange(self, cmd):
+                resp, timing = super().exchange(cmd)
+                if cmd.ins == INS_FETCH:  # not a D0 envelope
+                    resp = ResponseApdu(b"\x01\x02\x03", 0x90, 0x00)
+                return resp, timing
+
+        link = GarbledFetchLink(Card(demo_profile()), DelayModel(0.0))
+        report = verified_modem().run(link)
+        assert report.failure == (
+            "ProtocolViolation(BadProactive: FETCH answered 3 octets that are "
+            "not a proactive command)")
+        assert report.completed_phases == [p.name for p in default_script()][:-1]
+
+    def test_rands_are_the_randrange_draws_of_the_seed(self):
+        """Each RAND octet is what ``randrange(256)`` would have drawn, in
+        the same order, from the modem's seeded generator."""
+        sent = []
+
+        class RecordingLink(VirtualLink):
+            def exchange(self, cmd):
+                if cmd.ins == INS_AUTHENTICATE:
+                    sent.append(cmd.data)
+                return super().exchange(cmd)
+
+        profile = demo_profile()
+        for seed in range(1000):
+            del sent[:]
+            link = RecordingLink(Card(profile), DelayModel(0.0))
+            assert verified_modem(profile, seed=seed).run(link).completed
+            rng = random.Random(seed)
+            assert sent == [bytes(rng.randrange(256) for _ in range(16))
+                            for _ in range(2)], seed
+
+
+class TestScript:
+    def test_unknown_phase_is_refused_before_any_exchange(self):
+        with pytest.raises(ValueError, match="unknown phase 'bogus'"):
+            ModemSim(script=[Phase("reset"), Phase("bogus")])
+
+    def test_default_script_is_the_shared_one(self):
+        assert ModemSim().script is modem_mod.DEFAULT_SCRIPT
+        assert default_script() == list(modem_mod.DEFAULT_SCRIPT)
+
+
+def fresh_walk(ins, sw1, stalled):
+    """One exchange's procedure walk on a fresh ProcedureState, with no
+    memory of earlier walks: None when it is clean, else the violation's
+    (kind, detail)."""
+    bytes_and_kinds = [(0x60, StepKind.WAITED)] if stalled else []
+    bytes_and_kinds += [(ins, StepKind.TRANSFER_ALL),
+                        (sw1, StepKind.STATUS_STARTED)]
+    state = ProcedureState(ins)
+    try:
+        for byte, want in bytes_and_kinds:
+            kind = state.step(byte).kind
+            if kind is not want:
+                return ("ProcedureByte",
+                        f"byte {byte:02X} read as {kind.value}, "
+                        f"expected {want.value}")
+    except ProtocolViolation as exc:
+        return exc.kind, exc.detail
+    return None
+
+
+def test_remembered_walk_matches_a_fresh_walk_on_every_key(monkeypatch):
+    monkeypatch.setattr(modem_mod, "_CLEAN_WALKS", set())
+    steps = []
+    real_step = ProcedureState.step
+
+    def counted_step(state, byte):
+        steps.append(byte)
+        return real_step(state, byte)
+
+    monkeypatch.setattr(ProcedureState, "step", counted_step)
+    walk = modem_mod._SessionRun._walk_procedure
+
+    def outcome(ins, sw1, stalled):
+        del steps[:]
+        try:
+            walk(None, SimpleNamespace(ins=ins), SimpleNamespace(sw1=sw1),
+                 stalled)
+        except ProtocolViolation as exc:
+            return exc.kind, exc.detail, bool(steps)
+        return None, bool(steps)
+
+    keys = [(ins, sw1, stalled) for ins in range(256) for sw1 in range(256)
+            for stalled in (False, True)]
+    want = {key: fresh_walk(*key) for key in keys}
+    clean = {key for key in keys if want[key] is None}
+    for key in keys:  # the first walk of every key steps the machine
+        got = outcome(*key)
+        assert got == (want[key] or (None,)) + (True,), key
+    assert modem_mod._CLEAN_WALKS == clean
+    assert 0 < len(clean) <= 16384
+    for key in keys:  # a clean key is remembered; a fault is walked again
+        got = outcome(*key)
+        assert got == (want[key] or (None,)) + (key not in clean,), key
+    assert modem_mod._CLEAN_WALKS == clean
 
 
 def oracle_wait_survives(wait, stall, waiting):
@@ -232,6 +343,11 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             lab_sweep([], STALL_OFF)
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_below_one_rejected(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions must be at least 1"):
+            lab_sweep([0.0], STALL_OFF, repetitions=repetitions)
 
     def test_csv_and_table_rendering(self):
         rows = [SweepRow(0.0, False, 1.0, 123.0),
