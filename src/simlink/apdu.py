@@ -362,10 +362,16 @@ class StepResult:
 
 
 # The body-transfer and NULL results carry no octets, so one of each serves
-# every step.
+# every step. A status start carries only SW1, so one per possible SW1
+# (high nibble 6 or 9) serves every step too; a frozen StepResult costs
+# more to build than the rest of a step.
 TRANSFER_ALL = StepResult(StepKind.TRANSFER_ALL)
 TRANSFER_ONE = StepResult(StepKind.TRANSFER_ONE)
 WAITED = StepResult(StepKind.WAITED)
+STATUS_STARTED = {
+    sw1: StepResult(StepKind.STATUS_STARTED, sw1=sw1)
+    for sw1 in range(0x100) if sw1 >> 4 in (0x6, 0x9)
+}
 
 
 @dataclass(slots=True)
@@ -404,7 +410,7 @@ class ProcedureState:
             return WAITED
         if byte >> 4 in (0x6, 0x9):
             self.status_sw1 = byte
-            return StepResult(StepKind.STATUS_STARTED, sw1=byte)
+            return STATUS_STARTED[byte]
         raise ProtocolViolation("ProcedureByte", f"byte {byte:02X} matches no procedure rule")
 
 

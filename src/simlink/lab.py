@@ -171,7 +171,7 @@ def lab_sweep(
                 jitter_ms=jitter_ms,
                 waiting_time_ms=waiting_time_ms,
                 profile=profile,
-                script=script or None,  # an empty script runs the default one
+                script=script,
             )
             for rep in range(repetitions)
         ]

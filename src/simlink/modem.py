@@ -93,10 +93,6 @@ DEFAULT_SCRIPT = (
 )
 
 
-def default_script() -> List[Phase]:
-    return list(DEFAULT_SCRIPT)
-
-
 def script_from_json(text: str) -> dict:
     """Parse a script file: phases plus optional modem settings.
 
@@ -182,12 +178,6 @@ class ModemSim:
         return runner.run()
 
 
-# (INS, SW1, stalled) keys whose procedure walk succeeded. Only SW1s with
-# high nibble 6 or 9 can succeed, so at most about 16k keys ever land here.
-# Two threads adding one key only repeat a walk, so no lock is needed.
-_CLEAN_WALKS = set()
-
-
 def _draw_rand(getrandbits) -> bytes:
     """A 16-octet RAND, each octet drawn as CPython's ``randrange(256)``
     draws it: 9 random bits, drawn again while they reach 256. A seed
@@ -267,11 +257,6 @@ class _SessionRun:
         # NULL changes no state, so one stands for all), then the INS
         # echo transferring the body, then SW1. SW2 is taken from the
         # response itself (the pair is already complete at APDU level).
-        # The walk is a pure function of (INS, SW1, stalled): a key that
-        # walked cleanly once is skipped after, and a fault is never kept.
-        key = (cmd.ins, resp.sw1, stalled)
-        if key in _CLEAN_WALKS:
-            return
         step = ProcedureState(cmd.ins).step
         if stalled:
             kind = step(0x60).kind
@@ -283,7 +268,6 @@ class _SessionRun:
         kind = step(resp.sw1).kind
         if kind is not StepKind.STATUS_STARTED:
             raise _misread(resp.sw1, kind, StepKind.STATUS_STARTED)
-        _CLEAN_WALKS.add(key)
 
     def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
         resp, timing = self.link.exchange(cmd)

@@ -27,7 +27,7 @@ from simlink.apdu import (
 from simlink.broker import BrokerClient, BrokerServer, Registry
 from simlink.errors import NoMatch
 from simlink.lab import StallPolicy, lab_sweep
-from simlink.modem import ModemSim, default_script
+from simlink.modem import DEFAULT_SCRIPT, ModemSim
 from simlink.relay import ProbeLink, ProviderServer
 from simlink.tracer import detect_silent_sms, read_trace, rules_from_json
 from simlink.tunnel import FrameDecoder, MessageType, TunnelFrame, frame_encode
@@ -158,7 +158,7 @@ def test_criterion_2_end_to_end_loopback(stack):
         client.request("release", {"lease_id": reply["lease"]["lease_id"]})
 
         assert report.failure is None
-        assert report.completed_phases == [p.name for p in default_script()]
+        assert report.completed_phases == [p.name for p in DEFAULT_SCRIPT]
         assert report.aka_ok is True
         assert report.iccid == profile.iccid
 

@@ -13,6 +13,7 @@ from simlink.apdu import (
     ResponseApdu,
     StatusKind,
     StepKind,
+    StepResult,
     classify_status,
     decode_command,
     encode_command,
@@ -311,6 +312,32 @@ class TestProcedureBytes:
                 st.step(0x91)
                 with pytest.raises(ProtocolViolation):
                     st.step(probe)
+
+    def test_first_step_of_every_ins_and_byte(self):
+        # The rules in precedence order, with every result built afresh:
+        # the shared results a step hands out must equal these.
+        for ins in range(0x100):
+            for byte in range(0x100):
+                st = ProcedureState(ins)
+                if byte == ins:
+                    want = StepResult(StepKind.TRANSFER_ALL)
+                elif byte == ins ^ 0xFF:
+                    want = StepResult(StepKind.TRANSFER_ONE)
+                elif byte == 0x60:
+                    want = StepResult(StepKind.WAITED)
+                elif byte >> 4 in (0x6, 0x9):
+                    assert st.step(byte) == StepResult(
+                        StepKind.STATUS_STARTED, sw1=byte), (ins, byte)
+                    sw2 = 0x00 if ins not in (0x00, 0xFF) else 0x01
+                    assert st.step(sw2) == StepResult(
+                        StepKind.STATUS_DONE, sw1=byte, sw2=sw2), (ins, byte)
+                    continue
+                else:
+                    with pytest.raises(ProtocolViolation,
+                                       match="matches no procedure rule"):
+                        st.step(byte)
+                    continue
+                assert st.step(byte) == want, (ins, byte)
 
     def test_waiting_after_ack_is_fresh_state_business(self):
         st = ProcedureState(0xB0)

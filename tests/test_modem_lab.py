@@ -3,19 +3,10 @@
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
-from simlink import modem as modem_mod
-from simlink.apdu import (
-    INS_AUTHENTICATE,
-    INS_FETCH,
-    ProcedureState,
-    ResponseApdu,
-    StepKind,
-)
-from simlink.errors import ProtocolViolation
+from simlink.apdu import INS_AUTHENTICATE, INS_FETCH, ResponseApdu
 from simlink.lab import (
     DelayModel,
     StallPolicy,
@@ -27,7 +18,7 @@ from simlink.lab import (
     render_table,
     run_one,
 )
-from simlink.modem import ModemSim, Phase, Timing, default_script
+from simlink.modem import DEFAULT_SCRIPT, ModemSim, Phase, Timing
 from simlink.tracer import Tracer, detect_silent_sms
 from simlink.vsim import Card, demo_profile
 
@@ -63,7 +54,7 @@ class TestRunSession:
     def test_zero_delay_all_phases_complete(self):
         report = verified_modem().run(zero_delay_link())
         assert report.failure is None
-        assert report.completed_phases == [p.name for p in default_script()]
+        assert report.completed_phases == [p.name for p in DEFAULT_SCRIPT]
         assert report.aka_ok is True
 
     def test_iccid_read_matches_profile_via_bcd_oracle(self):
@@ -142,7 +133,7 @@ class TestRunSession:
         assert report.failure == (
             "ProtocolViolation(BadProactive: FETCH answered 3 octets that are "
             "not a proactive command)")
-        assert report.completed_phases == [p.name for p in default_script()][:-1]
+        assert report.completed_phases == [p.name for p in DEFAULT_SCRIPT][:-1]
 
     def test_rands_are_the_randrange_draws_of_the_seed(self):
         """Each RAND octet is what ``randrange(256)`` would have drawn, in
@@ -171,64 +162,7 @@ class TestScript:
             ModemSim(script=[Phase("reset"), Phase("bogus")])
 
     def test_default_script_is_the_shared_one(self):
-        assert ModemSim().script is modem_mod.DEFAULT_SCRIPT
-        assert default_script() == list(modem_mod.DEFAULT_SCRIPT)
-
-
-def fresh_walk(ins, sw1, stalled):
-    """One exchange's procedure walk on a fresh ProcedureState, with no
-    memory of earlier walks: None when it is clean, else the violation's
-    (kind, detail)."""
-    bytes_and_kinds = [(0x60, StepKind.WAITED)] if stalled else []
-    bytes_and_kinds += [(ins, StepKind.TRANSFER_ALL),
-                        (sw1, StepKind.STATUS_STARTED)]
-    state = ProcedureState(ins)
-    try:
-        for byte, want in bytes_and_kinds:
-            kind = state.step(byte).kind
-            if kind is not want:
-                return ("ProcedureByte",
-                        f"byte {byte:02X} read as {kind.value}, "
-                        f"expected {want.value}")
-    except ProtocolViolation as exc:
-        return exc.kind, exc.detail
-    return None
-
-
-def test_remembered_walk_matches_a_fresh_walk_on_every_key(monkeypatch):
-    monkeypatch.setattr(modem_mod, "_CLEAN_WALKS", set())
-    steps = []
-    real_step = ProcedureState.step
-
-    def counted_step(state, byte):
-        steps.append(byte)
-        return real_step(state, byte)
-
-    monkeypatch.setattr(ProcedureState, "step", counted_step)
-    walk = modem_mod._SessionRun._walk_procedure
-
-    def outcome(ins, sw1, stalled):
-        del steps[:]
-        try:
-            walk(None, SimpleNamespace(ins=ins), SimpleNamespace(sw1=sw1),
-                 stalled)
-        except ProtocolViolation as exc:
-            return exc.kind, exc.detail, bool(steps)
-        return None, bool(steps)
-
-    keys = [(ins, sw1, stalled) for ins in range(256) for sw1 in range(256)
-            for stalled in (False, True)]
-    want = {key: fresh_walk(*key) for key in keys}
-    clean = {key for key in keys if want[key] is None}
-    for key in keys:  # the first walk of every key steps the machine
-        got = outcome(*key)
-        assert got == (want[key] or (None,)) + (True,), key
-    assert modem_mod._CLEAN_WALKS == clean
-    assert 0 < len(clean) <= 16384
-    for key in keys:  # a clean key is remembered; a fault is walked again
-        got = outcome(*key)
-        assert got == (want[key] or (None,)) + (key not in clean,), key
-    assert modem_mod._CLEAN_WALKS == clean
+        assert ModemSim().script is DEFAULT_SCRIPT
 
 
 def oracle_wait_survives(wait, stall, waiting):
