@@ -103,10 +103,6 @@ class RegistryClosed(BrokerError):
     code = "RegistryClosed"
 
 
-class NoSamples(SimlinkError):
-    """RTT estimate requested before any keepalive round-trip completed."""
-
-
 class TimeoutExpired(SimlinkError):
     """The modem's work-waiting budget ran out mid-phase."""
 

@@ -29,26 +29,6 @@ CSV_HEADER = ["rtt_ms", "stall", "success_rate", "median_elapsed_ms"]
 
 
 @dataclass(frozen=True)
-class DelayModel:
-    """Per-exchange tunnel delay: base RTT plus seeded uniform jitter."""
-
-    base_rtt_ms: float
-    jitter_ms: float = 0.0
-    seed: int = 0
-
-    def sampler(self):
-        rng = random.Random(self.seed)
-        base, jitter = self.base_rtt_ms, self.jitter_ms
-
-        def sample() -> float:
-            if jitter == 0:
-                return base
-            return max(0.0, base + rng.uniform(-jitter, jitter))
-
-        return sample
-
-
-@dataclass(frozen=True)
 class StallPolicy:
     """NULL cadence the probe front-end uses to keep the modem waiting."""
 
@@ -56,44 +36,38 @@ class StallPolicy:
     null_interval_ms: float = DEFAULT_NULL_INTERVAL_MS
 
 
-class VirtualClock:
-    def __init__(self, start_ms: float = 0.0):
-        self.now_ms = start_ms
-
-    def advance(self, ms: float):
-        if ms < 0:
-            raise ValueError("time only moves forward")
-        self.now_ms += ms
-
-
 class VirtualLink:
-    """In-process card link charging simulated tunnel delay per exchange."""
+    """In-process card link charging each exchange ``rtt_ms`` of simulated
+    time on ``now_ms``, plus a uniform draw from +-``jitter_ms`` seeded by
+    ``seed`` when ``jitter_ms`` is not zero (never below zero in all)."""
 
-    def __init__(self, card: Card, delay: DelayModel,
-                 stall: Optional[StallPolicy] = None,
-                 clock: Optional[VirtualClock] = None):
+    def __init__(self, card: Card, rtt_ms: float, jitter_ms: float = 0.0,
+                 seed: int = 0, stall: Optional[StallPolicy] = None):
         self.card = card
-        self.stall = stall or StallPolicy()
-        self.clock = clock or VirtualClock()
-        self._sample = delay.sampler()
-        self._null_interval_ms = (self.stall.null_interval_ms
-                                  if self.stall.enabled else 0.0)
+        self._rtt_ms = rtt_ms
+        self._jitter_ms = jitter_ms
+        self.now_ms = 0.0
+        self._rng = random.Random(seed) if jitter_ms else None
+        self._null_interval_ms = (stall.null_interval_ms
+                                  if stall is not None and stall.enabled else 0.0)
         self._atr = card.reset()  # learned at attach, replayed locally
 
     def reset(self):
-        start = self.clock.now_ms
         self.card.reset()
-        return self._atr.to_bytes(), Timing(start)
+        return self._atr.to_bytes(), Timing(self.now_ms)
 
     def exchange(self, cmd: CommandApdu):
-        start = self.clock.now_ms
-        rtt = self._sample()
+        start = self.now_ms
+        rtt = self._rtt_ms
+        if self._rng is not None:
+            jitter = self._jitter_ms
+            rtt = max(0.0, rtt + self._rng.uniform(-jitter, jitter))
         resp = self.card.process(cmd)
-        self.clock.advance(rtt)
+        self.now_ms = start + rtt
         return resp, Timing(start, rtt, self._null_interval_ms)
 
     def idle(self, ms: float):
-        self.clock.advance(ms)
+        self.now_ms += ms
 
 
 @dataclass(frozen=True)
@@ -128,7 +102,7 @@ def run_one(
     """One scripted session against one virtual link; returns the report."""
     profile = profile or demo_profile()
     card = Card(profile)
-    link = VirtualLink(card, DelayModel(rtt_ms, jitter_ms, seed), stall)
+    link = VirtualLink(card, rtt_ms, jitter_ms, seed, stall)
     modem = ModemSim(
         script=script or None,  # an empty script runs the default one
         waiting_time_ms=waiting_time_ms,

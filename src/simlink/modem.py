@@ -163,6 +163,12 @@ class ModemSim:
             for phase in self.script:
                 if phase.name not in _SessionRun.PHASES:
                     raise ValueError(f"unknown phase {phase.name!r}")
+                if phase.count < 1 or not (math.isfinite(phase.period_ms)
+                                           and phase.period_ms >= 0):
+                    raise ValueError(
+                        f"phase {phase.name!r}: count must be at least 1 and "
+                        "period_ms a finite number >= 0, not "
+                        f"{phase.count} and {phase.period_ms}")
         self.waiting_time_ms = waiting_time_ms
         self.verify_aka = verify_aka
         self.k = k
@@ -210,7 +216,7 @@ class _SessionRun:
         self.last_event: float = 0.0
         self.pending_proactive: Optional[int] = None
         self.last_sqn: Optional[int] = None
-        self.aka_rounds: List[bool] = []
+        self.aka_verified = False  # a round verified and none failed
         self.phase_name = PHASE_RESET
 
     def run(self) -> SessionReport:
@@ -221,12 +227,11 @@ class _SessionRun:
                 self.report.completed_phases.append(phase.name)
         except TimeoutExpired as exc:
             self.report.failure = f"TimeoutExpired({exc.phase})"
-        except AuthFailed as exc:
-            self.report.failure = f"AuthFailed({exc})"
         except Exception as exc:  # link/protocol failures abort the session
             self.report.failure = f"{type(exc).__name__}({exc})"
+            self.aka_verified &= not isinstance(exc, AuthFailed)
         if self.m.verify_aka:
-            self.report.aka_ok = bool(self.aka_rounds) and all(self.aka_rounds)
+            self.report.aka_ok = self.aka_verified
         self.report.elapsed_ms = max(0.0, self.last_event - (self.t0 or 0.0))
         return self.report
 
@@ -347,7 +352,7 @@ class _SessionRun:
             if self.last_sqn is not None and sqn <= self.last_sqn:
                 raise AuthFailed(f"sequence counter did not advance: {sqn}")
             self.last_sqn = sqn
-            self.aka_rounds.append(True)
+            self.aka_verified = True
 
     def _phase_status_poll(self, phase: Phase):
         for i in range(phase.count):
@@ -374,17 +379,7 @@ class _SessionRun:
                     "BadProactive",
                     f"FETCH answered {len(fetched.data)} octets that are not "
                     "a proactive command")
-            body = (
-                tlv.encode_tlv(
-                    tlv.TAG_COMMAND_DETAILS,
-                    bytes([info.command_number, info.type_octet, info.qualifier]),
-                )
-                + tlv.encode_tlv(
-                    tlv.TAG_DEVICE_IDENTITIES,
-                    bytes([tlv.DEV_TERMINAL, tlv.DEV_UICC]),
-                )
-                + tlv.encode_tlv(tlv.TAG_RESULT, b"\x00")
-            )
+            body = tlv.encode_terminal_response(info)
             self._expect_success(
                 self._exchange(
                     CommandApdu(0x80, INS_TERMINAL_RESPONSE, 0x00, 0x00, data=body)

@@ -260,8 +260,7 @@ class ProbeLink:
 
     def keepalive_roundtrip(self) -> float:
         self.channel.send(wire(self.session.send_keepalive(monotonic_ms())))
-        self._pump_until(KeepaliveAcked)
-        return self.session.rtt_estimate()
+        return self._pump_until(KeepaliveAcked).rtt_ms
 
     # -- pump -------------------------------------------------------------------
 

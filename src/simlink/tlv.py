@@ -1,4 +1,4 @@
-"""Minimal BER-TLV encode/decode for proactive-command envelopes.
+"""Minimal BER-TLV encode/decode for card-toolkit proactive commands.
 
 Single-octet tags only; the card-toolkit tags used here (0x81, 0x82,
 0x83, 0x8B, 0xD0) never need the multi-byte tag form. Lengths use the
@@ -31,9 +31,10 @@ class ProactiveKind(enum.IntEnum):
     PROVIDE_LOCAL_INFO = 0x26
 
 
-PROACTIVE_NAMES = {
-    ProactiveKind.SEND_SHORT_MESSAGE: "SEND_SHORT_MESSAGE",
-    ProactiveKind.PROVIDE_LOCAL_INFO: "PROVIDE_LOCAL_INFO",
+# Source and destination device of each kind's envelope.
+PROACTIVE_DEVICES = {
+    ProactiveKind.SEND_SHORT_MESSAGE: (DEV_UICC, DEV_NETWORK),
+    ProactiveKind.PROVIDE_LOCAL_INFO: (DEV_UICC, DEV_TERMINAL),
 }
 
 
@@ -70,6 +71,16 @@ def encode_tlv(tag: int, value: bytes) -> bytes:
     return bytes([tag]) + encode_length(len(value)) + bytes(value)
 
 
+def encode_proactive(number: int, kind: ProactiveKind,
+                     payload: bytes = b"") -> bytes:
+    """The 0xD0 envelope of proactive command ``number`` (qualifier 0)."""
+    inner = encode_tlv(TAG_COMMAND_DETAILS, bytes([number, int(kind), 0x00]))
+    inner += encode_tlv(TAG_DEVICE_IDENTITIES, bytes(PROACTIVE_DEVICES[kind]))
+    if payload:
+        inner += encode_tlv(TAG_PAYLOAD, payload)
+    return encode_tlv(TAG_PROACTIVE, inner)
+
+
 def iter_tlvs(data: bytes) -> Iterator[Tuple[int, bytes]]:
     """Walk consecutive single-octet-tag TLVs; raises Truncated midway."""
     pos = 0
@@ -96,7 +107,7 @@ class ProactiveInfo:
     @property
     def type_name(self) -> str:
         try:
-            return PROACTIVE_NAMES[ProactiveKind(self.type_octet)]
+            return ProactiveKind(self.type_octet).name
         except ValueError:
             return f"TYPE_{self.type_octet:02X}"
 
@@ -141,3 +152,12 @@ def parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
         return ProactiveInfo(number, type_octet, qualifier)
     except Truncated:
         return None
+
+
+def encode_terminal_response(info: ProactiveInfo) -> bytes:
+    """The TERMINAL RESPONSE body acknowledging ``info``: its command
+    details, terminal to card, result 00 (performed successfully)."""
+    details = bytes([info.command_number, info.type_octet, info.qualifier])
+    return (encode_tlv(TAG_COMMAND_DETAILS, details)
+            + encode_tlv(TAG_DEVICE_IDENTITIES, bytes([DEV_TERMINAL, DEV_UICC]))
+            + encode_tlv(TAG_RESULT, b"\x00"))

@@ -203,6 +203,19 @@ class RewriteRule:
             raise ValueError(f"rule {self.rule_id}: bad action {self.action!r}")
         if self.action == ACTION_REPLACE_STATUS and self.sw is None:
             raise ValueError(f"rule {self.rule_id}: replace_status needs sw1/sw2")
+        # A field the target lacks would be ignored and match everything.
+        fields = (_COMMAND_MATCH_FIELDS if self.on == "command"
+                  else _RESPONSE_MATCH_FIELDS)
+        unknown = self.match.keys() - fields - {"data_prefix"}
+        if unknown:
+            raise ValueError(f"rule {self.rule_id}: a {self.on} rule cannot "
+                             f"match {', '.join(map(repr, sorted(unknown)))}")
+        octets = [item for item in self.match.items() if item[0] in fields]
+        for name, value in octets + list(zip(("sw1", "sw2"), self.sw or ())):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or not 0 <= value <= 0xFF:
+                raise ValueError(f"rule {self.rule_id}: {name} must be an int "
+                                 f"from 0 to 255, not {value!r}")
 
     def matches_command(self, cmd: CommandApdu) -> bool:
         if self.on != "command":

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import enum
 import hmac
-import statistics
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Union
 
 from .apdu import CommandApdu, ResponseApdu, decode_command, encode_command
 from .errors import (
     BadMagic,
     BadVersion,
     CodecError,
-    NoSamples,
     Oversize,
     ProtocolViolation,
 )
@@ -42,8 +40,6 @@ VERSION = 0x01
 _HEADER = struct.Struct(">2sBBIIH")
 HEADER_LEN = _HEADER.size  # 14
 PAYLOAD_MAX = 4096
-
-RTT_WINDOW = 16
 
 
 class MessageType(enum.IntEnum):
@@ -176,7 +172,9 @@ class DeliverResponse:
 
 @dataclass(frozen=True)
 class KeepaliveAcked:
-    """The peer echoed a keepalive; its round trip is in ``rtt_samples``."""
+    """The peer echoed a keepalive sent ``rtt_ms`` milliseconds ago."""
+
+    rtt_ms: float
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,6 @@ class Session:
     session_id: Optional[int] = None
     phase: Phase = Phase.AWAIT_HELLO
     in_flight: Optional[str] = None  # _IN_FLIGHT_APDU or _IN_FLIGHT_RESET
-    rtt_samples: List[Tuple[float, float]] = field(default_factory=list)
     _decoder: FrameDecoder = field(default_factory=FrameDecoder, repr=False)
     _send_seq: int = 0
     _recv_seq: int = 0
@@ -361,11 +358,12 @@ class Session:
         if msg_type is MessageType.KEEPALIVE:
             return [self._emit(MessageType.KEEPALIVE_ACK, frame.payload)]
         if msg_type is MessageType.KEEPALIVE_ACK:
-            if len(frame.payload) == 8:
-                sent_at = int.from_bytes(frame.payload, "big") / 1000
-                self.rtt_samples.append((sent_at, float(now_ms)))
-                del self.rtt_samples[:-RTT_WINDOW]
-            return [KeepaliveAcked()]
+            if len(frame.payload) != 8:
+                return self.violate(
+                    "UnknownType",
+                    f"KeepaliveAck of {len(frame.payload)} octets, not 8")
+            sent_at = int.from_bytes(frame.payload, "big") / 1000
+            return [KeepaliveAcked(float(now_ms) - sent_at)]
         if msg_type is MessageType.RESET:
             if self.role is not Role.PROVIDER:
                 return self.violate("AlternationBroken", "Reset toward the probe")
@@ -418,11 +416,3 @@ class Session:
             Violation(kind, detail),
             Closed(self.close_reason),
         ]
-
-    # -- observation -----------------------------------------------------------
-
-    def rtt_estimate(self) -> float:
-        """Median round-trip over the last up-to-16 keepalive samples."""
-        if not self.rtt_samples:
-            raise NoSamples("no completed keepalive round-trip yet")
-        return statistics.median(acked - sent for sent, acked in self.rtt_samples)

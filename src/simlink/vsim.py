@@ -373,60 +373,31 @@ def build_filesystem(iccid: str, imsi: str) -> Tuple[FileNode, FileNode]:
 # ---------------------------------------------------------------------------
 
 
-DEVICE_IDS = {
-    ProactiveKind.SEND_SHORT_MESSAGE: (tlv.DEV_UICC, tlv.DEV_NETWORK),
-    ProactiveKind.PROVIDE_LOCAL_INFO: (tlv.DEV_UICC, tlv.DEV_TERMINAL),
-}
-
-
-@dataclass(frozen=True)
-class ProactiveCommand:
-    command_number: int
-    kind: ProactiveKind
-    payload: bytes
-
-    def to_bytes(self) -> bytes:
-        return self._envelope
-
-    @functools.cached_property
-    def _envelope(self) -> bytes:
-        """The BER-TLV envelope, encoded once per command."""
-        source, dest = DEVICE_IDS[self.kind]
-        inner = tlv.encode_tlv(
-            tlv.TAG_COMMAND_DETAILS,
-            bytes([self.command_number, int(self.kind), 0x00]),
-        )
-        inner += tlv.encode_tlv(tlv.TAG_DEVICE_IDENTITIES, bytes([source, dest]))
-        if self.payload:
-            inner += tlv.encode_tlv(tlv.TAG_PAYLOAD, self.payload)
-        return tlv.encode_tlv(tlv.TAG_PROACTIVE, inner)
-
-
 class ProactiveQueue:
-    """Pending proactive commands, FIFO, with per-card command numbering."""
+    """Pending proactive-command envelopes, FIFO, numbered per card."""
 
     def __init__(self):
-        self._items: List[ProactiveCommand] = []
+        self._items: List[bytes] = []
         self._next_number = 1
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def enqueue(self, kind: ProactiveKind, payload: bytes = b"") -> ProactiveCommand:
+    def enqueue(self, kind: ProactiveKind, payload: bytes = b"") -> bytes:
         if len(payload) > PROACTIVE_PAYLOAD_MAX:
             raise PayloadTooLong(
                 f"{len(payload)} octets, limit {PROACTIVE_PAYLOAD_MAX}"
             )
-        cmd = ProactiveCommand(self._next_number, kind, bytes(payload))
+        envelope = tlv.encode_proactive(self._next_number, kind, bytes(payload))
         self._next_number = self._next_number % 255 + 1
-        self._items.append(cmd)
-        return cmd
+        self._items.append(envelope)
+        return envelope
 
     def head_length(self) -> int:
         """Octet length of the head command's envelope (the 0x91 sw2)."""
-        return len(self._items[0].to_bytes())
+        return len(self._items[0])
 
-    def fetch(self) -> ProactiveCommand:
+    def fetch(self) -> bytes:
         return self._items.pop(0)
 
     def clear(self):
@@ -577,8 +548,7 @@ class Card:
     def _on_fetch(self, cmd: CommandApdu) -> ResponseApdu:
         if not len(self.queue):
             return RESP_WRONG_PARAMS
-        fetched = self.queue.fetch()
-        return ResponseApdu(fetched.to_bytes(), 0x90, 0x00)
+        return ResponseApdu(self.queue.fetch(), 0x90, 0x00)
 
     def _on_terminal_response(self, cmd: CommandApdu) -> ResponseApdu:
         info = tlv.parse_terminal_response(cmd.data)

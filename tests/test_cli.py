@@ -108,7 +108,7 @@ class TestLab:
 class TestTraceTool:
     @pytest.fixture()
     def trace_file(self, tmp_path):
-        from simlink.lab import DelayModel, VirtualLink
+        from simlink.lab import VirtualLink
         from simlink.modem import ModemSim
         from simlink.tracer import Tracer
         from simlink.vsim import Card
@@ -118,7 +118,7 @@ class TestTraceTool:
         tracer = Tracer(session_id=3, path=str(path))
         try:
             modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
-            report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
+            report = modem.run(VirtualLink(Card(profile), 0.0),
                                tracer=tracer)
         finally:
             tracer.close()
@@ -248,6 +248,30 @@ class TestProbe:
         doc = json.loads(line)
         assert doc["error"] == "ConfigError"
         assert "unknown phase 'bogus'" in doc["detail"]
+        assert broker_server.registry.probes == {}
+
+    @pytest.mark.parametrize("phase, detail", [
+        ('"count": -3', "not -3 and 0.0"),
+        ('"period_ms": -5', "not 1 and -5.0"),
+        ('"period_ms": NaN', "not 1 and nan"),
+        ('"period_ms": Infinity', "not 1 and inf"),
+    ], ids=["count-3", "period-5", "period-nan", "period-inf"])
+    def test_bad_script_phase_is_config_error_before_any_request(
+            self, capsys, monkeypatch, tmp_path, broker_server, phase, detail):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        path = tmp_path / "script.json"
+        path.write_text('{"phases": [{"name": "reset"}, '
+                        f'{{"name": "status_poll", {phase}}}]}}')
+        code, out, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
+             "--script", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert detail in doc["detail"]
         assert broker_server.registry.probes == {}
 
     def test_bad_lease_spec(self, capsys, monkeypatch, broker_server):
@@ -427,6 +451,23 @@ class TestBrokerCmdConfig:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
         assert bound == []
+
+    def test_provide_mistyped_rule_fails_before_binding(self, capsys,
+                                                       monkeypatch, tmp_path):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        bound = []
+        monkeypatch.setattr(ProviderServer, "__init__",
+                            lambda self, *a, **k: bound.append(self))
+        path = tmp_path / "rules.json"
+        path.write_text('[{"rule_id": "r", "on": "command", '
+                        '"match": {"insx": 164}, "action": {"kind": "drop"}}]')
+        code, out, err = run_cli(
+            ["provide", "--broker", "127.0.0.1:1", "--rules", str(path)], capsys)
+        assert (code, out, bound) == (2, "", [])
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert "a command rule cannot match 'insx'" in doc["detail"]
 
     def test_provide_missing_profile_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)

@@ -8,10 +8,8 @@ import pytest
 
 from simlink.apdu import INS_AUTHENTICATE, INS_FETCH, ResponseApdu
 from simlink.lab import (
-    DelayModel,
     StallPolicy,
     SweepRow,
-    VirtualClock,
     VirtualLink,
     lab_sweep,
     render_csv,
@@ -29,7 +27,7 @@ STALL_100 = StallPolicy(enabled=True, null_interval_ms=100.0)
 
 def zero_delay_link(profile=None):
     card = Card(profile or demo_profile())
-    return VirtualLink(card, DelayModel(0.0))
+    return VirtualLink(card, 0.0)
 
 
 def verified_modem(profile=None, **kwargs):
@@ -73,6 +71,23 @@ class TestRunSession:
         modem = ModemSim(verify_aka=True, k=bad_k, op_salt=profile.op_salt)
         report = modem.run(zero_delay_link(profile))
         assert report.failure is not None and "AuthFailed" in report.failure
+        assert report.aka_ok is False
+
+    def test_a_failed_round_after_a_verified_one_is_not_aka_ok(self):
+        class FlipSecondResLink(VirtualLink):
+            authenticates = 0
+
+            def exchange(self, cmd):
+                resp, timing = super().exchange(cmd)
+                if cmd.ins == INS_AUTHENTICATE:
+                    self.authenticates += 1
+                    if self.authenticates == 2:  # flip one bit of RES
+                        resp = ResponseApdu(bytes([resp.data[0] ^ 0x01])
+                                            + resp.data[1:], resp.sw1, resp.sw2)
+                return resp, timing
+
+        report = verified_modem().run(FlipSecondResLink(Card(demo_profile()), 0.0))
+        assert report.failure == "AuthFailed(RES mismatch)"
         assert report.aka_ok is False
 
     def test_non_status_sw1_is_a_protocol_violation(self):
@@ -128,7 +143,7 @@ class TestRunSession:
                     resp = ResponseApdu(b"\x01\x02\x03", 0x90, 0x00)
                 return resp, timing
 
-        link = GarbledFetchLink(Card(demo_profile()), DelayModel(0.0))
+        link = GarbledFetchLink(Card(demo_profile()), 0.0)
         report = verified_modem().run(link)
         assert report.failure == (
             "ProtocolViolation(BadProactive: FETCH answered 3 octets that are "
@@ -149,7 +164,7 @@ class TestRunSession:
         profile = demo_profile()
         for seed in range(1000):
             del sent[:]
-            link = RecordingLink(Card(profile), DelayModel(0.0))
+            link = RecordingLink(Card(profile), 0.0)
             assert verified_modem(profile, seed=seed).run(link).completed
             rng = random.Random(seed)
             assert sent == [bytes(rng.randrange(256) for _ in range(16))
@@ -160,6 +175,20 @@ class TestScript:
     def test_unknown_phase_is_refused_before_any_exchange(self):
         with pytest.raises(ValueError, match="unknown phase 'bogus'"):
             ModemSim(script=[Phase("reset"), Phase("bogus")])
+
+    @pytest.mark.parametrize("phase, detail", [
+        (Phase("status_poll", count=-3), "not -3 and 0.0"),
+        (Phase("status_poll", count=0), "not 0 and 0.0"),
+        (Phase("status_poll", 2, -5.0), "not 2 and -5.0"),
+        (Phase("status_poll", 2, math.nan), "not 2 and nan"),
+        (Phase("status_poll", 2, math.inf), "not 2 and inf"),
+    ], ids=["count-3", "count0", "period-5", "period-nan", "period-inf"])
+    def test_bad_count_or_period_is_refused_before_any_exchange(
+            self, phase, detail):
+        with pytest.raises(ValueError, match="phase 'status_poll': count must "
+                           "be at least 1 and period_ms a finite number >= 0, "
+                           + detail):
+            ModemSim(script=[Phase("reset"), phase])
 
     def test_default_script_is_the_shared_one(self):
         assert ModemSim().script is DEFAULT_SCRIPT
@@ -181,10 +210,11 @@ def oracle_session(rtt, stall, seed, jitter_ms, waiting):
     """(completed, elapsed_ms) of a lab session, from the waits its link
     samples: it ends at the first wait that does not survive, one budget
     after that wait began."""
-    sample = DelayModel(rtt, jitter_ms, seed).sampler()
+    rng = random.Random(seed)
     elapsed = 0.0
     for _ in range(run_one(0.0, STALL_OFF, seed=seed).exchanges):
-        wait = sample()
+        wait = max(0.0, rtt + rng.uniform(-jitter_ms, jitter_ms)) \
+            if jitter_ms else rtt
         if not oracle_wait_survives(wait, stall, waiting):
             return False, elapsed + waiting
         elapsed += wait
@@ -304,9 +334,8 @@ class TestStatusPollPeriod:
     def test_period_advances_virtual_clock(self):
         script = [Phase("reset"), Phase("status_poll", count=3, period_ms=50.0)]
         card = Card(demo_profile(), proactive_trigger_polls=99)
-        clock = VirtualClock()
-        link = VirtualLink(card, DelayModel(10.0), STALL_OFF, clock)
+        link = VirtualLink(card, 10.0, stall=STALL_OFF)
         report = ModemSim(script=script).run(link)
         assert report.failure is None
         # 3 exchanges of 10 ms plus 2 inter-poll idles of 50 ms.
-        assert clock.now_ms == pytest.approx(130.0)
+        assert link.now_ms == pytest.approx(130.0)

@@ -93,7 +93,7 @@ class TestLoopback:
         link.close()
 
     def test_keepalive_roundtrips_past_the_sample_window(self, provider):
-        # rtt_samples is bounded; every round trip must still see its ack.
+        # Every round trip must see its own ack, however many came before.
         link = ProbeLink(provider.endpoint, TOKEN, timeout_s=1.0).connect()
         for _ in range(70):
             assert link.keepalive_roundtrip() >= 0

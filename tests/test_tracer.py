@@ -35,15 +35,15 @@ from simlink.tracer import (
     rules_from_json,
     write_trace,
 )
-from simlink.vsim import Card, ProactiveCommand, ProactiveQueue, demo_profile
+from simlink.vsim import Card, ProactiveQueue, demo_profile
 
 FETCH = CommandApdu(0x80, INS_FETCH, 0x00, 0x00, le=256)
 
 
 def proactive_response(kind, number_payload=b""):
     queue = ProactiveQueue()
-    cmd = queue.enqueue(kind, number_payload)
-    return ResponseApdu(cmd.to_bytes(), 0x90, 0x00), cmd.command_number
+    raw = queue.enqueue(kind, number_payload)
+    return ResponseApdu(raw, 0x90, 0x00), tlv.parse_proactive(raw).command_number
 
 
 class TestDecodeEvent:
@@ -315,13 +315,13 @@ def assert_same_as_forward_scan(events):
 
 class TestSilentSmsOnePass:
     def test_demo_session_matches_forward_scan(self):
-        from simlink.lab import DelayModel, VirtualLink
+        from simlink.lab import VirtualLink
         from simlink.modem import ModemSim
 
         profile = demo_profile()
         tracer = Tracer(session_id=3)
         modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
-        report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
+        report = modem.run(VirtualLink(Card(profile), 0.0),
                            tracer=tracer)
         assert report.failure is None
         assert_same_as_forward_scan(tracer.events)
@@ -346,8 +346,7 @@ def acknowledgement(number: int) -> bytes:
 
 
 def fetched(number: int, kind=ProactiveKind.SEND_SHORT_MESSAGE) -> ResponseApdu:
-    return ResponseApdu(ProactiveCommand(number, kind, b"\x01").to_bytes(),
-                        0x90, 0x00)
+    return ResponseApdu(tlv.encode_proactive(number, kind, b"\x01"), 0x90, 0x00)
 
 
 def random_exchange(rng):
@@ -439,7 +438,7 @@ class TestStreamedTraceEqualsCloseTimeRewrite:
                     assert contents.count(b"\n") == expected
 
     def test_demo_session(self, tmp_path):
-        from simlink.lab import DelayModel, VirtualLink
+        from simlink.lab import VirtualLink
         from simlink.modem import ModemSim
 
         profile = demo_profile()
@@ -453,7 +452,7 @@ class TestStreamedTraceEqualsCloseTimeRewrite:
 
         tracer = KeepingTracer(session_id=3, path=str(path))
         modem = ModemSim(verify_aka=True, k=profile.k, op_salt=profile.op_salt)
-        report = modem.run(VirtualLink(Card(profile), DelayModel(0.0)),
+        report = modem.run(VirtualLink(Card(profile), 0.0),
                            tracer=tracer)
         # The TERMINAL RESPONSE follows its fetch, so nothing is held.
         assert len(path.read_text().splitlines()) == 2 * report.exchanges
@@ -592,6 +591,40 @@ class TestRewrites:
                 '[{"rule_id": "r", "match": {"data_prefix": "AA"},'
                 ' "action": {"kind": "drop"}}]'
             )
+
+    @pytest.mark.parametrize("rule, detail", [
+        ({"on": "command", "match": {"insx": 164}, "action": {"kind": "drop"}},
+         "a command rule cannot match 'insx'"),
+        ({"on": "command", "match": {"sw1": 144}, "action": {"kind": "drop"}},
+         "a command rule cannot match 'sw1'"),
+        ({"on": "response", "match": {"ins": 164}, "action": {"kind": "drop"}},
+         "a response rule cannot match 'ins'"),
+        ({"on": "command", "match": {"ins": "A4"}, "action": {"kind": "drop"}},
+         "ins must be an int from 0 to 255, not 'A4'"),
+        ({"on": "command", "match": {"ins": 256}, "action": {"kind": "drop"}},
+         "ins must be an int from 0 to 255, not 256"),
+        ({"on": "response", "match": {"sw2": -1}, "action": {"kind": "drop"}},
+         "sw2 must be an int from 0 to 255, not -1"),
+        ({"on": "command", "match": {"p1": True}, "action": {"kind": "drop"}},
+         "p1 must be an int from 0 to 255, not True"),
+        ({"on": "response", "match": {"sw1": 144},
+          "action": {"kind": "replace_status", "sw1": 300, "sw2": 0}},
+         "sw1 must be an int from 0 to 255, not 300"),
+        ({"on": "response", "match": {"sw1": 144},
+          "action": {"kind": "replace_status", "sw1": 106, "sw2": 130.0}},
+         "sw2 must be an int from 0 to 255, not 130.0"),
+    ], ids=["unknown-field", "sw1-on-command", "ins-on-response", "ins-string",
+            "ins-256", "sw2-negative", "p1-bool", "replace-sw1-300",
+            "replace-sw2-float"])
+    def test_mistyped_rule_is_refused_at_load(self, rule, detail):
+        with pytest.raises(ValueError, match=f"rule r: {detail}"):
+            rules_from_json(json.dumps([{"rule_id": "r", **rule}]))
+
+    def test_rule_built_in_code_is_checked_too(self):
+        with pytest.raises(ValueError, match="a command rule cannot match 'sw1'"):
+            RewriteRule("r", "command", {"sw1": 0x90}, "drop")
+        with pytest.raises(ValueError, match="sw1 must be an int from 0 to 255"):
+            RewriteRule("r", "response", {}, "replace_status", sw=(300, 0))
 
     def test_empty_rule_list_is_identity(self):
         resp = ResponseApdu(b"\x98\x10", 0x90, 0x00)

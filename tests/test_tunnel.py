@@ -8,7 +8,6 @@ from simlink.apdu import CommandApdu, ResponseApdu, encode_command
 from simlink.errors import (
     BadMagic,
     BadVersion,
-    NoSamples,
     Oversize,
     ProtocolViolation,
 )
@@ -20,6 +19,7 @@ from simlink.tunnel import (
     EmitFrame,
     Established,
     FrameDecoder,
+    KeepaliveAcked,
     MessageType,
     Phase,
     ResetIndication,
@@ -369,36 +369,22 @@ class TestKeepaliveRtt:
         probe, provider = establish_pair()
         ka = only_frame(probe.send_keepalive(now_ms=0))
         ack = only_frame(provider.on_frame(ka))
-        probe.on_frame(ack, now_ms=100)
-        assert probe.rtt_estimate() == 100
-
-    def test_estimate_is_median(self):
-        probe, provider = establish_pair()
-        for sent, acked in ((0, 80), (0, 100), (0, 400)):
-            ka = only_frame(probe.send_keepalive(now_ms=sent))
-            ack = only_frame(provider.on_frame(ka))
-            probe.on_frame(ack, now_ms=acked)
-        assert probe.rtt_estimate() == 100
-
-    def test_estimate_windows_last_sixteen(self):
-        probe, provider = establish_pair()
-        for acked in [10_000] * 10 + [50] * 16:
-            ka = only_frame(probe.send_keepalive(now_ms=0))
-            ack = only_frame(provider.on_frame(ka))
-            probe.on_frame(ack, now_ms=acked)
-        assert probe.rtt_estimate() == 50
-
-    def test_no_samples(self):
-        probe, provider = establish_pair()
-        with pytest.raises(NoSamples):
-            probe.rtt_estimate()
+        assert probe.on_frame(ack, now_ms=100) == [KeepaliveAcked(100)]
 
     def test_sub_millisecond_round_trip(self):
         probe, provider = establish_pair()
         ka = only_frame(probe.send_keepalive(now_ms=0.25))
         ack = only_frame(provider.on_frame(ka))
-        probe.on_frame(ack, now_ms=0.41)
-        assert probe.rtt_estimate() == pytest.approx(0.16)
+        [acked] = probe.on_frame(ack, now_ms=0.41)
+        assert acked.rtt_ms == pytest.approx(0.16)
+
+    def test_ack_not_of_eight_octets_is_unknown_type(self):
+        probe, provider = establish_pair()
+        ka = only_frame(probe.send_keepalive(now_ms=0))
+        ack = only_frame(provider.on_frame(ka))._replace(payload=b"\x00\x00\x01")
+        actions = probe.on_frame(ack, now_ms=5)
+        assert Violation("UnknownType", "KeepaliveAck of 3 octets, not 8") in actions
+        assert probe.phase is Phase.CLOSED
 
     def test_keepalive_interleaves_with_in_flight(self):
         probe, provider = establish_pair(reset=True)
@@ -408,8 +394,7 @@ class TestKeepaliveRtt:
         # The keepalive lands while the request is still being served.
         ack = only_frame(provider.on_frame(ka))
         assert ack.msg_type == MessageType.KEEPALIVE_ACK
-        probe.on_frame(ack, now_ms=9)
+        assert probe.on_frame(ack, now_ms=9) == [KeepaliveAcked(4)]
         resp = only_frame(provider.send_response(ResponseApdu(b"", 0x90, 0x00)))
         delivered = probe.on_frame(resp)
         assert any(isinstance(a, DeliverResponse) for a in delivered)
-        assert probe.rtt_estimate() == 4

@@ -1,5 +1,6 @@
 """Virtual SIM tests: encodings, toy challenge/response, card behavior."""
 
+import hashlib
 import random
 
 import pytest
@@ -344,14 +345,13 @@ class TestProactive:
         # The 91 xx count always equals the head envelope's octet length.
         for payload in (b"", b"\x01", bytes(40), bytes(200)):
             card = fresh_card(proactive_trigger_polls=99)
-            cmd = card.queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, payload)
+            raw = card.queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, payload)
             resp = card.process(STATUS)
-            assert (resp.sw1, resp.sw2) == (0x91, len(cmd.to_bytes()))
+            assert (resp.sw1, resp.sw2) == (0x91, len(raw))
 
     def test_tlv_reparse_oracle(self):
         queue = ProactiveQueue()
-        cmd = queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, b"\xAA\xBB\xCC")
-        raw = cmd.to_bytes()
+        raw = queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, b"\xAA\xBB\xCC")
         assert raw[0] == 0xD0
         assert raw[2:7] == bytes([0x81, 0x03, 0x01, 0x13, 0x00])
         info = tlv.parse_proactive(raw)
@@ -363,15 +363,13 @@ class TestProactive:
 
     def test_provide_local_info_type_octet(self):
         queue = ProactiveQueue()
-        cmd = queue.enqueue(ProactiveKind.PROVIDE_LOCAL_INFO)
-        info = tlv.parse_proactive(cmd.to_bytes())
+        info = tlv.parse_proactive(queue.enqueue(ProactiveKind.PROVIDE_LOCAL_INFO))
         assert info.type_octet == 0x26
         assert info.dest_device == 0x82
 
     def test_long_payload_uses_long_form_length(self):
         queue = ProactiveQueue()
-        cmd = queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, bytes(200))
-        raw = cmd.to_bytes()
+        raw = queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, bytes(200))
         info = tlv.parse_proactive(raw)
         assert info.payload == bytes(200)
         assert len(raw) == queue.head_length() or True  # fetched already
@@ -425,6 +423,41 @@ class TestProactive:
             ) + tlv.encode_tlv(tlv.TAG_RESULT, b"\x00")
             resp = card.process(CommandApdu(0x80, INS_TERMINAL_RESPONSE, 0, 0, data=tr))
         assert card.process(STATUS).sw == 0x9000
+
+
+
+class TestCardToolkitEncoding:
+    """Digests recorded from the envelope and TERMINAL RESPONSE encoders
+    that the card and the modem used before ``tlv`` owned both."""
+
+    def test_envelopes_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for kind in ProactiveKind:
+            for length in (0, 1, 127, 128, 240):
+                for number in (1, 255):
+                    digest.update(tlv.encode_proactive(number, kind,
+                                                       bytes(range(length))))
+        assert digest.hexdigest() == (
+            "6b065f11bf4dfdc00e725b7243cb0a63fd425426194cc83fcc2b13464299e141")
+        assert tlv.encode_proactive(
+            7, ProactiveKind.SEND_SHORT_MESSAGE, b"\x01\x02"
+        ) == bytes.fromhex("d00d8103071300820281838b020102")
+
+    def test_terminal_responses_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for number in (1, 128, 255):
+            for type_octet in (0x13, 0x26, 0x00):
+                for qualifier in (0, 1):
+                    info = tlv.ProactiveInfo(number, type_octet, qualifier)
+                    digest.update(tlv.encode_terminal_response(info))
+        assert digest.hexdigest() == (
+            "7122383f7ed304c6ac0e6200a86c5324b308697589ec4defbc9b3dabbea706b0")
+        assert tlv.encode_terminal_response(tlv.ProactiveInfo(255, 0, 1)) == \
+            bytes.fromhex("8103ff000182028281830100")
+
+    def test_type_names_are_the_kind_names(self):
+        assert [tlv.ProactiveInfo(1, t, 0).type_name for t in (0x13, 0x26, 0x99)] \
+            == ["SEND_SHORT_MESSAGE", "PROVIDE_LOCAL_INFO", "TYPE_99"]
 
 
 class TestCardDeterminism:
