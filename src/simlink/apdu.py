@@ -268,12 +268,6 @@ class Atr:
     historical: bytes = b""
     tck: Optional[int] = None
 
-    def protocols(self) -> set:
-        """Protocol numbers advertised by TD bytes (T=0 if none given)."""
-        indicated = {ib.value & 0x0F for ib in self.interface_bytes
-                     if ib.kind is InterfaceKind.TD}
-        return indicated or {0}
-
     def to_bytes(self) -> bytes:
         out = [self.convention.value, self.t0]
         out.extend(ib.value for ib in self.interface_bytes)

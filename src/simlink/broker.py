@@ -604,7 +604,7 @@ class BrokerClient:
     The connection opens with the first request and stays open until
     ``close()`` or the end of a ``with`` block. When a reused connection
     fails before any byte of the reply arrives (the broker restarted, or
-    dropped the idle connection), the request is sent once more on a fresh
+    closed the idle connection), the request is sent once more on a fresh
     connection. ``request_lease`` is the exception and raises
     ``BrokerError``: the broker may have granted the lease before the
     connection died. A failure on a fresh connection is never retried.

@@ -25,7 +25,7 @@ from .errors import BrokerError, ConfigError, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .listener import parse_hostport
 from .modem import ModemSim, script_from_json
-from .relay import LinkClosed, ProbeLink, ProviderServer
+from .relay import ProbeLink, ProviderServer
 from .tracer import Tracer, detect_silent_sms, read_trace, rules_from_json
 from .vsim import SimProfile, demo_profile
 
@@ -55,17 +55,15 @@ def require_number(value: float, flag: str, low: float = 0.0):
         raise ConfigError(f"{flag} must be a finite number >= {low:g}, not {value}")
 
 
-def require_file(path: Optional[str], what: str) -> Optional[str]:
-    if path is not None and not os.path.isfile(path):
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
 @contextlib.contextmanager
 def loading(path: Optional[str], what: str):
-    """Report a file whose contents do not parse as a ConfigError naming it."""
+    """Report a file that cannot be opened, or whose contents do not
+    parse, as a ConfigError naming it."""
     try:
         yield
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot open {what} {path}: {exc.strerror or exc}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(
             f"malformed {what} {path}: {type(exc).__name__}: {exc}") from None
@@ -114,8 +112,6 @@ def cmd_broker(args) -> int:
 
 def cmd_provide(args) -> int:
     token = resolve_token(args)
-    require_file(args.profile, "profile")
-    require_file(args.rules, "rules file")
     profile = load_profile(args.profile)
     rules = load_rules(args.rules)
     host, port = parse_hostport(args.listen)
@@ -175,7 +171,6 @@ def build_modem(args) -> ModemSim:
 
 def cmd_probe(args) -> int:
     token = resolve_token(args)
-    require_file(args.script, "script")
     criteria = parse_lease_selector(args.lease)
     if args.duration_s is not None:
         require_number(args.duration_s, "--duration-s", 1)
@@ -226,7 +221,6 @@ def cmd_probe(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    require_file(args.file, "trace file")
     with loading(args.file, "trace file"):
         events = read_trace(read_text(args.file).splitlines())
         if args.action == "grep-silent-sms":
@@ -262,7 +256,7 @@ def cmd_lab(args) -> int:
     require_number(args.jitter_ms, "--jitter-ms")
     stall = StallPolicy(enabled=args.stall == "on",
                         null_interval_ms=args.null_interval_ms)
-    profile = load_profile(require_file(args.profile, "profile"))
+    profile = load_profile(args.profile)
     rows = lab_sweep(
         grid,
         stall,
@@ -364,8 +358,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return fail("ConfigError", str(exc), EXIT_CONFIG)
     except BrokerRequestError as exc:
         return fail(exc.code, exc.detail)
-    except LinkClosed as exc:
-        return fail("LinkClosed", str(exc))
     except SimlinkError as exc:
         return fail(type(exc).__name__, str(exc))
     except OSError as exc:

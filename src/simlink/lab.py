@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .apdu import CommandApdu
-from .modem import DEFAULT_NULL_INTERVAL_MS, ModemSim, Phase, Timing
+from .modem import DEFAULT_NULL_INTERVAL_MS, ModemSim, Timing, require_ms
 from .vsim import Card, SimProfile, demo_profile
 
 CSV_HEADER = ["rtt_ms", "stall", "success_rate", "median_elapsed_ms"]
@@ -35,6 +35,9 @@ class StallPolicy:
     enabled: bool = False
     null_interval_ms: float = DEFAULT_NULL_INTERVAL_MS
 
+    def __post_init__(self):
+        require_ms("null_interval_ms", self.null_interval_ms)
+
 
 class VirtualLink:
     """In-process card link charging each exchange ``rtt_ms`` of simulated
@@ -43,6 +46,8 @@ class VirtualLink:
 
     def __init__(self, card: Card, rtt_ms: float, jitter_ms: float = 0.0,
                  seed: int = 0, stall: Optional[StallPolicy] = None):
+        require_ms("rtt_ms", rtt_ms)
+        require_ms("jitter_ms", jitter_ms)
         self.card = card
         self._rtt_ms = rtt_ms
         self._jitter_ms = jitter_ms
@@ -97,14 +102,12 @@ def run_one(
     jitter_ms: float = 0.0,
     waiting_time_ms: float = 300.0,
     profile: Optional[SimProfile] = None,
-    script: Optional[Sequence[Phase]] = None,
 ):
     """One scripted session against one virtual link; returns the report."""
     profile = profile or demo_profile()
     card = Card(profile)
     link = VirtualLink(card, rtt_ms, jitter_ms, seed, stall)
     modem = ModemSim(
-        script=script or None,  # an empty script runs the default one
         waiting_time_ms=waiting_time_ms,
         verify_aka=True,
         k=profile.k,
@@ -122,7 +125,6 @@ def lab_sweep(
     jitter_ms: float = 0.0,
     waiting_time_ms: float = 300.0,
     profile: Optional[SimProfile] = None,
-    script: Optional[Sequence[Phase]] = None,
 ) -> List[SweepRow]:
     """Sweep the RTT grid; every cell is `repetitions` fresh sessions.
 
@@ -145,7 +147,6 @@ def lab_sweep(
                 jitter_ms=jitter_ms,
                 waiting_time_ms=waiting_time_ms,
                 profile=profile,
-                script=script,
             )
             for rep in range(repetitions)
         ]

@@ -93,6 +93,12 @@ DEFAULT_SCRIPT = (
 )
 
 
+def require_ms(name: str, value: float):
+    """Refuse a time that is not a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, not {value}")
+
+
 def script_from_json(text: str) -> dict:
     """Parse a script file: phases plus optional modem settings.
 
@@ -153,9 +159,7 @@ class ModemSim:
         op_salt: Optional[bytes] = None,
         seed: int = 0,
     ):
-        if not (math.isfinite(waiting_time_ms) and waiting_time_ms >= 0):
-            raise ValueError("waiting_time_ms must be a finite number >= 0, "
-                             f"not {waiting_time_ms}")
+        require_ms("waiting_time_ms", waiting_time_ms)
         if script is None:
             self.script = DEFAULT_SCRIPT
         else:

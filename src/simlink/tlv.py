@@ -95,14 +95,11 @@ def iter_tlvs(data: bytes) -> Iterator[Tuple[int, bytes]]:
 
 @dataclass(frozen=True)
 class ProactiveInfo:
-    """Decoded summary of one proactive-command envelope."""
+    """The command details of one proactive command."""
 
     command_number: int
     type_octet: int
     qualifier: int
-    source_device: Optional[int] = None
-    dest_device: Optional[int] = None
-    payload: bytes = b""
 
     @property
     def type_name(self) -> str:
@@ -121,27 +118,16 @@ def parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
         if not raw or raw[0] != TAG_PROACTIVE:
             return None
         length, pos = read_length(raw, 1)
-        if pos + length != len(raw):
-            return None
-        number = type_octet = qualifier = None
-        source = dest = None
-        payload = b""
-        for tag, value in iter_tlvs(raw[pos:pos + length]):
-            if tag == TAG_COMMAND_DETAILS and len(value) == 3:
-                number, type_octet, qualifier = value[0], value[1], value[2]
-            elif tag == TAG_DEVICE_IDENTITIES and len(value) == 2:
-                source, dest = value[0], value[1]
-            elif tag == TAG_PAYLOAD:
-                payload = value
-        if number is None:
-            return None
-        return ProactiveInfo(number, type_octet, qualifier, source, dest, payload)
     except Truncated:
         return None
+    if pos + length != len(raw):
+        return None
+    return parse_terminal_response(raw[pos:])
 
 
 def parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
-    """Decode the TLV body of a TERMINAL RESPONSE command; None on garbage."""
+    """Decode the command details in a TLV body (a TERMINAL RESPONSE's or
+    a proactive envelope's); None on garbage."""
     try:
         number = type_octet = qualifier = None
         for tag, value in iter_tlvs(raw):

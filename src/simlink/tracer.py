@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import tlv
 from .apdu import (
@@ -127,21 +127,8 @@ class TraceEvent:
 # ---------------------------------------------------------------------------
 
 
-def decode_event(item: Union[CommandApdu, ResponseApdu],
-                 context: Optional[CommandApdu] = None) -> dict:
-    """Summarize one relayed value for the trace.
-
-    ``context`` is the command a response answers; it selects response
-    decoding (status class, FETCH proactive envelope). Undecodable bodies
-    never fail: they come back as UNKNOWN with the raw octets preserved
-    by the caller.
-    """
-    if isinstance(item, CommandApdu):
-        return _decode_command(item)
-    return _decode_response(item, context)
-
-
-def _decode_command(cmd: CommandApdu) -> dict:
+def decode_command_event(cmd: CommandApdu) -> dict:
+    """Summarize one relayed command for the trace."""
     decoded = {"ins_name": ins_name(cmd.ins)}
     if cmd.ins == INS_SELECT:
         if cmd.p1 == 0x04 and cmd.data:
@@ -156,8 +143,11 @@ def _decode_command(cmd: CommandApdu) -> dict:
     return decoded
 
 
-def _decode_response(resp: ResponseApdu,
-                     command: Optional[CommandApdu]) -> dict:
+def decode_response_event(resp: ResponseApdu,
+                          command: Optional[CommandApdu] = None) -> dict:
+    """Summarize one relayed response for the trace; ``command``, the one
+    it answers, selects the FETCH proactive envelope decoding. Bodies
+    that do not decode never fail: the raw octets are in the event."""
     decoded = {"ins_name": ins_name(command.ins) if command else "UNKNOWN"}
     decoded["status_class"] = classify_status(resp.sw1, resp.sw2).kind.value
     if command is not None and command.ins == INS_FETCH and resp.data:
@@ -203,6 +193,11 @@ class RewriteRule:
             raise ValueError(f"rule {self.rule_id}: bad action {self.action!r}")
         if self.action == ACTION_REPLACE_STATUS and self.sw is None:
             raise ValueError(f"rule {self.rule_id}: replace_status needs sw1/sw2")
+        for name, value in (("data_prefix", self.match.get("data_prefix", b"")),
+                            ("data", self.data)):
+            if not isinstance(value, bytes):
+                raise ValueError(f"rule {self.rule_id}: {name} must be bytes, "
+                                 f"not {value!r}")
         # A field the target lacks would be ignored and match everything.
         fields = (_COMMAND_MATCH_FIELDS if self.on == "command"
                   else _RESPONSE_MATCH_FIELDS)
@@ -284,7 +279,6 @@ class RewriteOutcome:
     response: ResponseApdu
     rule_id: Optional[str] = None
     original: Optional[ResponseApdu] = None  # set only when octets changed
-    dropped: bool = False
 
 
 class Rewriter:
@@ -298,9 +292,7 @@ class Rewriter:
         """Run one exchange through the rules; ``respond`` asks the card."""
         rule = next((r for r in self.rules if r.matches_command(cmd)), None)
         if rule is not None and rule.action == ACTION_DROP:
-            return RewriteOutcome(
-                ResponseApdu(b"", *DROP_STATUS), rule.rule_id, dropped=True
-            )
+            return RewriteOutcome(ResponseApdu(b"", *DROP_STATUS), rule.rule_id)
         resp = respond(cmd)
         if rule is None:
             rule = next((r for r in self.rules if r.matches_response(resp)), None)
@@ -371,7 +363,7 @@ class Tracer:
             ts_ms=int(ts_ms),
             direction=DIR_MODEM_TO_SIM,
             raw_hex=encode_command(cmd).hex().upper(),
-            decoded=decode_event(cmd),
+            decoded=decode_command_event(cmd),
             session_id=self.session_id,
         )
         self.record(event)
@@ -385,7 +377,7 @@ class Tracer:
         rule_id: Optional[str] = None,
         original: Optional[ResponseApdu] = None,
     ) -> TraceEvent:
-        decoded = decode_event(resp, command)
+        decoded = decode_response_event(resp, command)
         flags = []
         if rule_id is not None:
             decoded["rule_id"] = rule_id

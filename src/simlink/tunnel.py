@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import hmac
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Union
 
 from .apdu import CommandApdu, ResponseApdu, decode_command, encode_command
@@ -193,11 +193,18 @@ Action = Union[
     DeliverCommand, DeliverResponse, KeepaliveAcked, Violation, Closed,
 ]
 
-_IN_FLIGHT_APDU = "apdu"
-_IN_FLIGHT_RESET = "reset"
+# The relay rule, for local sends and arrivals alike: each relayed type
+# travels toward one role, finds one exchange in flight (None: none) and
+# leaves another.
+_RELAY = {
+    MessageType.RESET: ("Reset", Role.PROVIDER, None, "reset"),
+    MessageType.ATR_IND: ("AtrInd", Role.PROBE, "reset", None),
+    MessageType.APDU_REQ: ("ApduReq", Role.PROVIDER, None, "apdu"),
+    MessageType.APDU_RESP: ("ApduResp", Role.PROBE, "apdu", None),
+}
+_PEER = {Role.PROBE: Role.PROVIDER, Role.PROVIDER: Role.PROBE}
 
 
-@dataclass
 class Session:
     """One end of a tunnel session.
 
@@ -207,16 +214,16 @@ class Session:
     provider end checks it before acknowledging.
     """
 
-    role: Role
-    token: str
-    session_id: Optional[int] = None
-    phase: Phase = Phase.AWAIT_HELLO
-    in_flight: Optional[str] = None  # _IN_FLIGHT_APDU or _IN_FLIGHT_RESET
-    _decoder: FrameDecoder = field(default_factory=FrameDecoder, repr=False)
-    _send_seq: int = 0
-    _recv_seq: int = 0
-    _reset_seen: bool = False
-    close_reason: Optional[str] = None
+    def __init__(self, role: Role, token: str, session_id: Optional[int] = None):
+        self.role = role
+        self.token = token
+        self.session_id = session_id
+        self.phase = Phase.AWAIT_HELLO
+        self.in_flight: Optional[str] = None  # or "reset" or "apdu"
+        self._decoder = FrameDecoder()
+        self._send_seq = 0
+        self._recv_seq = 0
+        self._reset_seen = False
 
     # -- emission helpers ----------------------------------------------------
 
@@ -233,45 +240,47 @@ class Session:
                 "AlternationBroken", f"local call in phase {self.phase.value}"
             )
 
+    def _relay_fault(self, msg_type: MessageType, toward: Role) -> Optional[str]:
+        """How a frame travelling ``toward`` breaks the relay rule in this
+        established session's state; None when it keeps it."""
+        if msg_type not in _RELAY:  # Hello or HelloAck arriving again
+            return f"{msg_type.name} while established"
+        name, role, finds, _ = _RELAY[msg_type]
+        if toward is not role:
+            return f"{name} toward the {toward.value}"
+        if self.in_flight != finds:
+            return f"{name} with {self.in_flight or 'no'} exchange in flight"
+        return None
+
     # -- local requests (raise on local misuse) -------------------------------
 
     def start(self) -> List[Action]:
-        """Probe side: open the handshake. Provider side: no-op."""
-        if self.role is Role.PROBE:
-            self._require(Phase.AWAIT_HELLO)
-            if self.session_id is None:
-                raise ValueError("probe session needs a session_id")
-            payload = bytes([ROLE_OCTET[self.role]]) + self.token.encode()
-            return [self._emit(MessageType.HELLO, payload)]
-        return []
+        """Probe side: open the handshake."""
+        if self.role is not Role.PROBE or self.session_id is None:
+            raise ValueError("only a probe session with a session_id starts")
+        self._require(Phase.AWAIT_HELLO)
+        payload = bytes([ROLE_OCTET[self.role]]) + self.token.encode()
+        return [self._emit(MessageType.HELLO, payload)]
+
+    def _send(self, msg_type: MessageType, payload: bytes = b"") -> List[Action]:
+        self._require(Phase.ESTABLISHED)
+        fault = self._relay_fault(msg_type, _PEER[self.role])
+        if fault is not None:
+            raise ProtocolViolation("AlternationBroken", fault)
+        self.in_flight = _RELAY[msg_type][3]
+        return [self._emit(msg_type, payload)]
 
     def send_reset(self) -> List[Action]:
-        self._require(Phase.ESTABLISHED)
-        if self.in_flight is not None:
-            raise ProtocolViolation("AlternationBroken", "reset while in flight")
-        self.in_flight = _IN_FLIGHT_RESET
-        return [self._emit(MessageType.RESET)]
+        return self._send(MessageType.RESET)
 
     def send_command(self, cmd: CommandApdu) -> List[Action]:
-        self._require(Phase.ESTABLISHED)
-        if self.in_flight is not None:
-            raise ProtocolViolation("AlternationBroken", "request while in flight")
-        self.in_flight = _IN_FLIGHT_APDU
-        return [self._emit(MessageType.APDU_REQ, encode_command(cmd))]
+        return self._send(MessageType.APDU_REQ, encode_command(cmd))
 
     def send_response(self, resp: ResponseApdu) -> List[Action]:
-        self._require(Phase.ESTABLISHED)
-        if self.in_flight != _IN_FLIGHT_APDU:
-            raise ProtocolViolation("AlternationBroken", "response with no request")
-        self.in_flight = None
-        return [self._emit(MessageType.APDU_RESP, resp.to_bytes())]
+        return self._send(MessageType.APDU_RESP, resp.to_bytes())
 
     def send_atr(self, atr: bytes) -> List[Action]:
-        self._require(Phase.ESTABLISHED)
-        if self.in_flight != _IN_FLIGHT_RESET:
-            raise ProtocolViolation("AlternationBroken", "ATR with no reset pending")
-        self.in_flight = None
-        return [self._emit(MessageType.ATR_IND, atr)]
+        return self._send(MessageType.ATR_IND, atr)
 
     def send_keepalive(self, now_ms: float) -> List[Action]:
         """The payload is the send time in integer microseconds; the peer
@@ -323,8 +332,7 @@ class Session:
 
         if msg_type is MessageType.ERROR:
             self.phase = Phase.CLOSED
-            self.close_reason = frame.payload.decode(errors="replace")
-            return [Closed(self.close_reason)]
+            return [Closed(frame.payload.decode(errors="replace"))]
         if msg_type is MessageType.CLOSE:
             self.phase = Phase.CLOSED
             return [Closed(None)]
@@ -341,7 +349,6 @@ class Session:
                 return self.violate("BadRole", f"Hello role octet {role}")
             if not hmac.compare_digest(frame.payload[1:], self.token.encode()):
                 self.phase = Phase.CLOSED
-                self.close_reason = "BadToken"
                 return [self._emit(MessageType.ERROR, b"BadToken"),
                         Closed("BadToken")]
             self.phase = Phase.ESTABLISHED
@@ -364,55 +371,34 @@ class Session:
                     f"KeepaliveAck of {len(frame.payload)} octets, not 8")
             sent_at = int.from_bytes(frame.payload, "big") / 1000
             return [KeepaliveAcked(float(now_ms) - sent_at)]
-        if msg_type is MessageType.RESET:
-            if self.role is not Role.PROVIDER:
-                return self.violate("AlternationBroken", "Reset toward the probe")
-            if self.in_flight is not None:
-                return self.violate("AlternationBroken", "Reset while in flight")
-            self.in_flight = _IN_FLIGHT_RESET
-            self._reset_seen = True
-            return [ResetIndication()]
-        if msg_type is MessageType.ATR_IND:
-            if self.role is not Role.PROBE:
-                return self.violate("AlternationBroken", "AtrInd toward the provider")
-            if self.in_flight != _IN_FLIGHT_RESET:
-                return self.violate("AlternationBroken", "AtrInd with no reset in flight")
-            self.in_flight = None
-            return [DeliverAtr(frame.payload)]
-        if msg_type is MessageType.APDU_REQ:
-            if self.role is not Role.PROVIDER:
-                return self.violate("AlternationBroken", "ApduReq toward the probe")
-            if not self._reset_seen:  # the card has no ATR yet to answer from
-                return self.violate("AlternationBroken", "ApduReq before Reset")
-            if self.in_flight is not None:
-                return self.violate("AlternationBroken", "ApduReq while in flight")
-            try:
-                cmd = decode_command(frame.payload)
-            except Exception as exc:
-                return self.violate("UnknownType", f"undecodable ApduReq: {exc}")
-            self.in_flight = _IN_FLIGHT_APDU
-            return [DeliverCommand(cmd)]
-        if msg_type is MessageType.APDU_RESP:
-            if self.role is not Role.PROBE:
-                return self.violate("AlternationBroken", "ApduResp toward the provider")
-            if self.in_flight != _IN_FLIGHT_APDU:
-                return self.violate("AlternationBroken", "ApduResp with no request in flight")
-            try:
-                resp = ResponseApdu.from_bytes(frame.payload)
-            except Exception as exc:
-                return self.violate("UnknownType", f"undecodable ApduResp: {exc}")
-            self.in_flight = None
-            return [DeliverResponse(resp)]
-        # HELLO / HELLO_ACK arriving again
-        return self.violate("AlternationBroken", f"{msg_type.name} while established")
+        fault = self._relay_fault(msg_type, self.role)
+        if fault is None and msg_type is MessageType.APDU_REQ and not self._reset_seen:
+            fault = "ApduReq before Reset"  # the card has no ATR to answer from
+        if fault is not None:
+            return self.violate("AlternationBroken", fault)
+        try:
+            if msg_type is MessageType.RESET:
+                self._reset_seen = True
+                action = ResetIndication()
+            elif msg_type is MessageType.ATR_IND:
+                action = DeliverAtr(frame.payload)
+            elif msg_type is MessageType.APDU_REQ:
+                action = DeliverCommand(decode_command(frame.payload))
+            else:
+                action = DeliverResponse(ResponseApdu.from_bytes(frame.payload))
+        except Exception as exc:
+            return self.violate("UnknownType",
+                                f"undecodable {_RELAY[msg_type][0]}: {exc}")
+        self.in_flight = _RELAY[msg_type][3]
+        return [action]
 
     def violate(self, kind: str, detail: str) -> List[Action]:
         """Close the session with an Error frame naming ``kind``; also
         for faults found outside the machine (bad stream, deadline)."""
         self.phase = Phase.CLOSED
-        self.close_reason = f"{kind}: {detail}"
+        reason = f"{kind}: {detail}"
         return [
-            self._emit(MessageType.ERROR, self.close_reason.encode()),
+            self._emit(MessageType.ERROR, reason.encode()),
             Violation(kind, detail),
-            Closed(self.close_reason),
+            Closed(reason),
         ]

@@ -258,6 +258,10 @@ class SimProfile:
         if not 0 <= self.sqn < 1 << 48:
             raise ValueError("sqn must fit in 48 bits")
         _parse_atr_hex(self.atr_hex)  # fail fast on a bad ATR
+        for entry in self.proactive:  # else it fails mid-session, at injection
+            if len(entry.payload) > PROACTIVE_PAYLOAD_MAX:
+                raise PayloadTooLong(f"proactive payload of {len(entry.payload)} "
+                                     f"octets, limit {PROACTIVE_PAYLOAD_MAX}")
 
     @property
     def atr(self) -> Atr:

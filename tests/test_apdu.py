@@ -223,7 +223,8 @@ class TestAtr:
     def test_t1_requires_tck(self):
         atr = parse_atr(bytes.fromhex("3B800181"))
         assert atr.tck == 0x81
-        assert atr.protocols() == {1}
+        assert atr.interface_bytes == (
+            apdu.InterfaceByte(apdu.InterfaceKind.TD, 1, 0x01),)  # T=1
         assert xor_fold(bytes.fromhex("800181")) == 0
 
     def test_corpus(self):

@@ -146,6 +146,14 @@ class TestTraceTool:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
+    def test_directory_is_one_config_error_line(self, capsys, tmp_path):
+        code, out, err = run_cli(["trace", "decode", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert str(tmp_path) in doc["detail"]
+
 
 @pytest.fixture()
 def broker_server():
@@ -427,6 +435,24 @@ class TestBrokerCmdConfig:
         assert json.loads(line)["error"] == "ConfigError"
         assert path.read_bytes() == log
 
+    def test_state_log_in_a_missing_directory_fails_before_binding(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        built = []
+        monkeypatch.setattr(cli, "BrokerServer",
+                            lambda *a, **k: built.append(a))
+        path = tmp_path / "missing" / "x.log"
+        code, out, err = run_cli(
+            ["broker", "--listen", "127.0.0.1:0", "--state-log", str(path)],
+            capsys,
+        )
+        assert (code, out, built) == (2, "", [])
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert str(path) in doc["detail"]
+        assert not path.parent.exists()
+
     def test_broker_serves_from_the_calling_thread_alone(self, capsys,
                                                          monkeypatch):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
@@ -468,6 +494,26 @@ class TestBrokerCmdConfig:
         doc = json.loads(line)
         assert doc["error"] == "ConfigError"
         assert "a command rule cannot match 'insx'" in doc["detail"]
+
+    def test_provide_profile_with_a_long_proactive_payload_fails_before_binding(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        bound = []
+        monkeypatch.setattr(ProviderServer, "__init__",
+                            lambda self, *a, **k: bound.append(self))
+        doc = json.loads(demo_profile().to_json())
+        doc["proactive"] = [{"kind": "send_short_message",
+                             "payload_hex": bytes(300).hex()}]
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["provide", "--broker", "127.0.0.1:1", "--profile", str(path)],
+            capsys)
+        assert (code, out, bound) == (2, "", [])
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert "300 octets, limit 240" in doc["detail"]
 
     def test_provide_missing_profile_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)

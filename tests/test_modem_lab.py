@@ -240,6 +240,26 @@ class TestTimeouts:
         with pytest.raises(ValueError, match="waiting_time_ms"):
             run_one(600.0, STALL_OFF, waiting_time_ms=budget)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -50.0])
+    @pytest.mark.parametrize("name", ["rtt_ms", "jitter_ms"])
+    def test_a_link_time_that_is_not_finite_and_non_negative_is_refused(
+            self, name, value):
+        times = {"rtt_ms": 600.0, "jitter_ms": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            VirtualLink(Card(demo_profile()), **times)
+        with pytest.raises(ValueError, match=name):
+            run_one(times["rtt_ms"], STALL_OFF, jitter_ms=times["jitter_ms"])
+        with pytest.raises(ValueError, match=name):
+            lab_sweep([times["rtt_ms"]], STALL_OFF, jitter_ms=times["jitter_ms"])
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), -100.0])
+    def test_a_null_interval_that_is_not_finite_and_non_negative_is_refused(
+            self, interval, enabled):
+        with pytest.raises(ValueError,
+                           match="null_interval_ms must be a finite number"):
+            StallPolicy(enabled, interval)
+
     def test_matches_discrete_event_oracle(self):
         stalls = [STALL_OFF, STALL_100] + [
             StallPolicy(True, cadence)

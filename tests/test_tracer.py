@@ -29,7 +29,8 @@ from simlink.tracer import (
     Rewriter,
     TraceEvent,
     Tracer,
-    decode_event,
+    decode_command_event,
+    decode_response_event,
     detect_silent_sms,
     read_trace,
     rules_from_json,
@@ -49,37 +50,37 @@ def proactive_response(kind, number_payload=b""):
 class TestDecodeEvent:
     def test_select_maps_file_id(self):
         cmd = CommandApdu(0xA0, INS_SELECT, 0x00, 0x00, data=b"\x3F\x00")
-        assert decode_event(cmd) == {"ins_name": "SELECT", "file_id": "3F00"}
+        assert decode_command_event(cmd) == {"ins_name": "SELECT", "file_id": "3F00"}
 
     def test_select_by_aid(self):
         cmd = CommandApdu(0x00, INS_SELECT, 0x04, 0x04, data=b"\xA0\x00\x00")
-        assert decode_event(cmd)["aid"] == "A00000"
+        assert decode_command_event(cmd)["aid"] == "A00000"
 
     def test_unknown_ins_yields_unknown(self):
         cmd = CommandApdu(0x00, 0xEE, 0x01, 0x02, data=b"\xDE\xAD")
-        assert decode_event(cmd)["ins_name"] == "UNKNOWN"
+        assert decode_command_event(cmd)["ins_name"] == "UNKNOWN"
 
     def test_fetch_response_extracts_proactive_type(self):
         resp, number = proactive_response(ProactiveKind.SEND_SHORT_MESSAGE)
-        decoded = decode_event(resp, context=FETCH)
+        decoded = decode_response_event(resp, FETCH)
         assert decoded["proactive_type"] == "SEND_SHORT_MESSAGE"
         assert decoded["proactive_number"] == number
 
     def test_bare_tlv_stream_also_decodes(self):
         # Command-details TLV without the 0xD0 envelope still yields the type.
         resp = ResponseApdu(bytes.fromhex("8103011300"), 0x90, 0x00)
-        decoded = decode_event(resp, context=FETCH)
+        decoded = decode_response_event(resp, FETCH)
         assert decoded["proactive_type"] == "SEND_SHORT_MESSAGE"
 
     def test_garbage_fetch_body_is_tolerated(self):
         resp = ResponseApdu(b"\xFF\x00\x01", 0x90, 0x00)
-        decoded = decode_event(resp, context=FETCH)
+        decoded = decode_response_event(resp, FETCH)
         assert "proactive_type" not in decoded
         assert decoded["status_class"] == "ok"
 
     def test_status_class_names(self):
         resp = ResponseApdu(b"", 0x91, 0x0C)
-        assert decode_event(resp, context=FETCH)["status_class"] == "proactive_pending"
+        assert decode_response_event(resp, FETCH)["status_class"] == "proactive_pending"
 
 
 class TestTracerPersistence:
@@ -143,12 +144,12 @@ class TestTracerPersistence:
             raw = bytes.fromhex(event.raw_hex)
             if event.direction == DIR_MODEM_TO_SIM:
                 last_cmd = decode_command(raw)
-                assert decode_event(last_cmd) == event.decoded
+                assert decode_command_event(last_cmd) == event.decoded
             else:
                 resp = ResponseApdu.from_bytes(raw)
                 stored = {k: v for k, v in event.decoded.items()
                           if k not in ("rule_id", "original_hex")}
-                assert decode_event(resp, context=last_cmd) == stored
+                assert decode_response_event(resp, last_cmd) == stored
 
 
 def trace_card_session(card, commands, tracer):
@@ -626,6 +627,17 @@ class TestRewrites:
         with pytest.raises(ValueError, match="sw1 must be an int from 0 to 255"):
             RewriteRule("r", "response", {}, "replace_status", sw=(300, 0))
 
+    @pytest.mark.parametrize("on, match, data", [
+        ("response", {"data_prefix": "98"}, b""),
+        ("command", {"data_prefix": bytearray(b"\x98")}, b""),
+        ("response", {}, "9810"),
+    ], ids=["prefix-str", "prefix-bytearray", "data-str"])
+    def test_rule_built_in_code_with_text_for_bytes_is_refused(self, on, match,
+                                                               data):
+        name = "data" if data else "data_prefix"
+        with pytest.raises(ValueError, match=f"rule r: {name} must be bytes"):
+            RewriteRule("r", on, match, "replace_response_data", data=data)
+
     def test_empty_rule_list_is_identity(self):
         resp = ResponseApdu(b"\x98\x10", 0x90, 0x00)
         outcome = Rewriter([]).process(READ_ICCID, lambda cmd: resp)
@@ -669,7 +681,7 @@ class TestRewrites:
             RewriteRule("no-status", "command", {"ins": INS_STATUS}, "drop")
         ])
         outcome = rewriter.process(CommandApdu(0x00, INS_STATUS, 0, 0), respond)
-        assert outcome.dropped
+        assert outcome.rule_id == "no-status"
         assert (outcome.response.sw1, outcome.response.sw2) == (0x6D, 0x00)
         assert calls == []  # the card never saw the command
 
@@ -745,9 +757,7 @@ def two_path_process(rules, cmd, respond):
     cmd_rule = next((r for r in rules if r.matches_command(cmd)), None)
     if cmd_rule is not None:
         if cmd_rule.action == ACTION_DROP:
-            return RewriteOutcome(
-                ResponseApdu(b"", *DROP_STATUS), cmd_rule.rule_id, dropped=True
-            )
+            return RewriteOutcome(ResponseApdu(b"", *DROP_STATUS), cmd_rule.rule_id)
         resp = respond(cmd)
         if cmd_rule.action == ACTION_PASS_THROUGH:
             return RewriteOutcome(resp, cmd_rule.rule_id)

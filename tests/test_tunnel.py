@@ -1,5 +1,6 @@
 """Wire codec and session state-machine tests."""
 
+import inspect
 import random
 
 import pytest
@@ -167,7 +168,7 @@ class TestHandshake:
         provider = Session(Role.PROVIDER, TOKEN)
         actions = provider.on_frame(only_frame(probe.start()))
         assert provider.phase is Phase.CLOSED
-        assert provider.close_reason == "BadToken"
+        assert Closed("BadToken") in actions
         assert only_frame(actions).payload == b"BadToken"
 
     def test_non_ascii_token_establishes(self):
@@ -180,7 +181,7 @@ class TestHandshake:
         mangled = TunnelFrame(hello.msg_type, hello.session_id, hello.seq,
                               hello.payload[:1] + b"\xff\xfe" + hello.payload[3:])
         actions = provider.on_frame(mangled)
-        assert provider.close_reason == "BadToken"
+        assert Closed("BadToken") in actions
         assert only_frame(actions).payload == b"BadToken"
 
     @pytest.mark.parametrize("octet, shown", [
@@ -320,6 +321,85 @@ class TestRelayDiscipline:
         assert provider.phase is Phase.CLOSED
         # Frames after close are ignored, not violations.
         assert provider.on_frame(TunnelFrame(MessageType.KEEPALIVE, 1, 99, b"")) == []
+
+
+STATUS_CMD = CommandApdu(0x00, 0xF2, 0x00, 0x00)
+OK_RESP = ResponseApdu(b"", 0x90, 0x00)
+
+# Each relayed type, the payload it carries and the local call that sends it.
+RELAYED = {
+    MessageType.RESET: (b"", lambda s: s.send_reset()),
+    MessageType.ATR_IND: (b"\x3B\x00", lambda s: s.send_atr(b"\x3B\x00")),
+    MessageType.APDU_REQ: (encode_command(STATUS_CMD),
+                           lambda s: s.send_command(STATUS_CMD)),
+    MessageType.APDU_RESP: (b"\x90\x00", lambda s: s.send_response(OK_RESP)),
+}
+
+
+class TestRelayRule:
+    def test_session_takes_role_token_and_session_id_alone(self):
+        assert list(inspect.signature(Session).parameters) == \
+            ["role", "token", "session_id"]
+
+    def test_only_the_probe_starts(self):
+        with pytest.raises(ValueError):
+            Session(Role.PROVIDER, TOKEN, session_id=1).start()
+        with pytest.raises(ValueError):
+            Session(Role.PROBE, TOKEN).start()
+
+    @pytest.mark.parametrize("msg_type", sorted(RELAYED), ids=lambda t: t.name)
+    @pytest.mark.parametrize("in_flight", [None, "reset", "apdu"])
+    @pytest.mark.parametrize("role", list(Role), ids=lambda r: r.value)
+    def test_a_send_raises_exactly_when_the_peer_would_refuse_it(
+            self, role, in_flight, msg_type):
+        # Both ends past one Reset/ATR cycle, then put in the same state.
+        probe, provider = establish_pair(reset=True)
+        sender, peer = (probe, provider) if role is Role.PROBE else (provider, probe)
+        sender.in_flight = peer.in_flight = in_flight
+        payload, send = RELAYED[msg_type]
+        frame = TunnelFrame(msg_type, 1, 2, payload)
+        try:
+            sent = send(sender)
+        except ProtocolViolation as exc:
+            refused = exc
+            assert exc.kind == "AlternationBroken"
+            assert sender.in_flight == in_flight
+        else:
+            refused = None
+            assert only_frame(sent) == frame
+        actions = peer.on_frame(frame)
+        violations = [a for a in actions if isinstance(a, Violation)]
+        if refused is None:
+            assert violations == [] and sender.in_flight == peer.in_flight
+        else:
+            assert violations == [Violation("AlternationBroken", refused.detail)]
+
+    def test_a_send_in_the_wrong_direction_raises(self):
+        probe, provider = establish_pair(reset=True)
+        with pytest.raises(ProtocolViolation, match="Reset toward the probe"):
+            provider.send_reset()
+        with pytest.raises(ProtocolViolation,
+                           match="ApduResp toward the provider"):
+            probe.send_response(OK_RESP)
+        assert probe.phase is provider.phase is Phase.ESTABLISHED
+
+    @pytest.mark.parametrize("role, in_flight, msg_type, detail", [
+        (Role.PROBE, None, MessageType.RESET, "Reset toward the probe"),
+        (Role.PROVIDER, None, MessageType.ATR_IND, "AtrInd toward the provider"),
+        (Role.PROBE, None, MessageType.APDU_RESP,
+         "ApduResp with no exchange in flight"),
+        (Role.PROBE, "apdu", MessageType.ATR_IND,
+         "AtrInd with apdu exchange in flight"),
+        (Role.PROVIDER, "reset", MessageType.APDU_REQ,
+         "ApduReq with reset exchange in flight"),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_arrival_details_are_uniform(self, role, in_flight, msg_type, detail):
+        probe, provider = establish_pair(reset=True)
+        receiver = probe if role is Role.PROBE else provider
+        receiver.in_flight = in_flight
+        actions = receiver.on_frame(TunnelFrame(msg_type, 1, 2, RELAYED[msg_type][0]))
+        assert Violation("AlternationBroken", detail) in actions
+        assert only_frame(actions).payload == f"AlternationBroken: {detail}".encode()
 
 
 class TestStream:

@@ -23,6 +23,7 @@ from simlink.tlv import ProactiveKind
 from simlink.vsim import (
     Card,
     ProactiveQueue,
+    ProfileProactive,
     SimProfile,
     USIM_AID,
     decode_iccid,
@@ -164,6 +165,17 @@ class TestEncodings:
         with pytest.raises(ValueError, match="IMSI must be 6..15 digits"):
             SimProfile("8901234567890123455", "\u0661\u0662\u0663\u0664\u0665\u0666",
                        bytes(16), bytes(16))
+
+    def test_profile_refuses_a_proactive_payload_over_the_cap(self):
+        def profile(length):
+            return SimProfile("8901234567890123455", "123456", bytes(16), bytes(16),
+                              proactive=[ProfileProactive(
+                                  ProactiveKind.SEND_SHORT_MESSAGE, bytes(length))])
+        assert len(profile(240).proactive[0].payload) == 240
+        with pytest.raises(PayloadTooLong, match="241 octets, limit 240"):
+            profile(241)
+        with pytest.raises(ValueError):
+            profile(300)
 
     def test_unswap_matches_the_per_nibble_loop(self):
         def old_unswap(raw):
@@ -358,20 +370,20 @@ class TestProactive:
         assert info is not None
         assert info.command_number == 1
         assert info.type_octet == 0x13
-        assert info.payload == b"\xAA\xBB\xCC"
-        assert (info.source_device, info.dest_device) == (0x81, 0x83)
+        assert raw[7:] == bytes.fromhex("820281838B03AABBCC")
 
     def test_provide_local_info_type_octet(self):
         queue = ProactiveQueue()
-        info = tlv.parse_proactive(queue.enqueue(ProactiveKind.PROVIDE_LOCAL_INFO))
-        assert info.type_octet == 0x26
-        assert info.dest_device == 0x82
+        raw = queue.enqueue(ProactiveKind.PROVIDE_LOCAL_INFO)
+        assert tlv.parse_proactive(raw).type_octet == 0x26
+        assert raw[7:] == bytes.fromhex("82028182")
 
     def test_long_payload_uses_long_form_length(self):
         queue = ProactiveQueue()
         raw = queue.enqueue(ProactiveKind.SEND_SHORT_MESSAGE, bytes(200))
-        info = tlv.parse_proactive(raw)
-        assert info.payload == bytes(200)
+        assert tlv.parse_proactive(raw) is not None
+        assert raw[:3] == bytes.fromhex("D081D4")
+        assert raw[-203:] == bytes.fromhex("8B81C8") + bytes(200)
         assert len(raw) == queue.head_length() or True  # fetched already
 
     def test_payload_cap(self):
