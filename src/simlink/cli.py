@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import secrets
 import socket
 import sys
 from typing import List, Optional
@@ -175,8 +176,13 @@ def cmd_probe(args) -> int:
     if args.duration_s is not None:
         require_number(args.duration_s, "--duration-s", 1)
     modem = build_modem(args)
+    # The session id is drawn here so the trace file opens before the
+    # first broker request: a path that cannot be written takes no lease.
+    session_id = secrets.randbelow(1 << 32)
+    with loading(args.trace_out, "trace output"):
+        tracer = Tracer(session_id, path=args.trace_out)
 
-    with BrokerClient(args.broker, token) as client:
+    with contextlib.closing(tracer), BrokerClient(args.broker, token) as client:
         client.request("register_probe", {
             "probe_id": args.probe_id, "location_tag": args.location,
         })
@@ -191,19 +197,16 @@ def cmd_probe(args) -> int:
 
         # Everything that can fail once the lease is held sits inside the
         # try, so the lease is released even when the tunnel never opens.
-        link = tracer = None
+        link = None
         try:
-            link = ProbeLink(endpoint, token).connect()
+            link = ProbeLink(endpoint, token, session_id=session_id).connect()
             rtt = link.keepalive_roundtrip()
-            tracer = Tracer(link.session.session_id, path=args.trace_out)
             report = modem.run(link, tracer=tracer)
         except ConfigError as exc:  # the endpoint came from the broker, not --options
             raise BrokerError(f"provider endpoint: {exc}") from None
         finally:
             if link is not None:
                 link.close()
-            if tracer is not None:
-                tracer.close()
             try:
                 client.request("release", {"lease_id": lease["lease_id"]})
             except (BrokerError, OSError) as exc:

@@ -21,7 +21,7 @@ import time
 from typing import Iterator, List, Optional
 
 from .apdu import CommandApdu
-from .errors import ProtocolViolation, SimlinkError
+from .errors import ConfigError, ProtocolViolation, SimlinkError
 from .listener import RECV_BYTES, Listener, monotonic_ms, parse_hostport
 from .modem import DEFAULT_NULL_INTERVAL_MS, Timing
 # detect_silent_sms and write_trace stay bound: bench/spans.py wraps them here.
@@ -140,7 +140,7 @@ class ProviderCore:
             elif isinstance(action, ResetIndication):
                 emitted += self.session.send_atr(self.card.reset().to_bytes())
             elif isinstance(action, DeliverCommand):
-                emitted += self._relay(action.command, now_ms)
+                emitted += self._relay(action, now_ms)
             elif isinstance(action, Violation):
                 logger.warning("session %s violated: %s: %s",
                                self.session.session_id, action.kind, action.detail)
@@ -156,31 +156,43 @@ class ProviderCore:
         path = os.path.join(self.trace_dir, f"session-{session_id:08x}.jsonl")
         try:
             self.tracer = Tracer(session_id, path=path)
-        except FileNotFoundError:  # the directory is made at first need
+        except FileNotFoundError:  # a core built alone makes it at first need
             os.makedirs(self.trace_dir, exist_ok=True)
             self.tracer = Tracer(session_id, path=path)
 
-    def _relay(self, cmd: CommandApdu, now_ms: float):
+    def _relay(self, delivered: DeliverCommand, now_ms: float):
+        cmd = delivered.command
         outcome = self.rewriter.process(cmd, self.card.process)
+        octets = outcome.response.to_bytes()  # for the frame and the trace
         if self.tracer is not None:
             if self._t0 is None:
                 self._t0 = now_ms
             ts = now_ms - self._t0
             # Both events are traced before the response is sent.
-            self.tracer.command(ts, cmd)
+            self.tracer.command(ts, cmd, delivered.octets)
             self.tracer.response(ts, outcome.response, command=cmd,
                                  rule_id=outcome.rule_id,
-                                 original=outcome.original)
-        return self.session.send_response(outcome.response)
+                                 original=outcome.original, octets=octets)
+        return self.session.send_response(octets)
 
 
 class ProviderServer(Listener):
-    """Accepts tunnel connections and serves a card session on each."""
+    """Accepts tunnel connections and serves a card session on each.
+
+    A ``trace_dir`` is made before the socket is bound; one that cannot
+    be (a regular file, or under one) is a ``ConfigError`` there, not a
+    failure at every Hello."""
 
     def __init__(self, profile: SimProfile, token: str,
                  host: str = "127.0.0.1", port: int = 0,
                  rules: Optional[list] = None,
                  trace_dir: Optional[str] = None):
+        if trace_dir is not None:
+            try:
+                os.makedirs(trace_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot use trace directory {trace_dir}: "
+                                  f"{exc.strerror or exc}") from None
         super().__init__(host, port)
         self.profile = profile
         self.token = token

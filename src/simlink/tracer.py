@@ -18,13 +18,25 @@ next to the matched ``rule_id``, so both endpoint views stay
 reconstructible from one file.
 
 One tracer serves one session and owns its file.
+
+Most relayed octets recur in every session, so each distinct event is
+decoded and rendered once: one process-wide LRU cache of
+``RENDER_CACHE_SIZE`` entries, keyed on the event's relayed octets (and,
+for a response, the answered INS, the rule id and the original octets),
+holds its ``raw_hex``, its ``decoded`` fields and the part of its line
+between ``ts_ms`` and ``session``. Each event gets its own copy of
+``decoded``, and its line splices in only ``ts_ms``, ``session`` and
+``flags``. Once that copy is changed, or ``raw_hex`` or ``dir`` is
+rebound, the event's line is rendered in full from its own fields. The
+cache changes no line, no schema and no file layout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import tlv
 from .apdu import (
@@ -34,6 +46,7 @@ from .apdu import (
     INS_TERMINAL_RESPONSE,
     ResponseApdu,
     classify_status,
+    decode_command,
     encode_command,
     ins_name,
 )
@@ -73,6 +86,48 @@ def _members(decoded: dict) -> Optional[str]:
     return ",".join(members)
 
 
+class _Render(NamedTuple):
+    """One distinct event's fields and the part of its line they fix."""
+
+    direction: str
+    raw_hex: str
+    decoded: dict  # never handed out: each event gets a copy
+    body: Optional[str]  # ',"dir":…,"decoded":{…},'; None if not one pass
+    # (only for a rule id that is not a str, which is never cached)
+
+    def copy_decoded(self) -> "_Decoded":
+        decoded = _Decoded(self.decoded)
+        decoded.render = self
+        return decoded
+
+
+class _Decoded(dict):
+    """A tracer event's own ``decoded``, copied from its cached render: any
+    change to it drops the render, so the event's line is rendered in
+    full from then on."""
+
+    __slots__ = ("render",)
+
+    def _dropping_render(change):
+        @functools.wraps(change)
+        def changed(self, *args, **kwargs):
+            self.render = None
+            return change(self, *args, **kwargs)
+
+        return changed
+
+    # Every method by which a dict changes.
+    __setitem__ = _dropping_render(dict.__setitem__)
+    __delitem__ = _dropping_render(dict.__delitem__)
+    __ior__ = _dropping_render(dict.__ior__)
+    clear = _dropping_render(dict.clear)
+    pop = _dropping_render(dict.pop)
+    popitem = _dropping_render(dict.popitem)
+    setdefault = _dropping_render(dict.setdefault)
+    update = _dropping_render(dict.update)
+    del _dropping_render
+
+
 @dataclass
 class TraceEvent:
     ts_ms: int
@@ -85,20 +140,28 @@ class TraceEvent:
     def to_json(self) -> str:
         """One compact ASCII line, byte-identical to ``json.dumps(doc,
         separators=(",", ":"))``. A tracer's events are formatted in one
-        pass; any other value (a float ``ts_ms``, a nested ``decoded``
-        value) goes through ``_COMPACT``."""
+        pass: from their cached render while they still hold its fields
+        (``decoded`` unchanged since the tracer copied it), else from
+        their own fields. Any other value (a float ``ts_ms``, a nested
+        ``decoded`` value) goes through ``_COMPACT``."""
         ts, session, decoded, flags = (self.ts_ms, self.session_id,
                                        self.decoded, self.flags)
-        if (type(ts) is int and type(session) is int
-                and type(decoded) is dict and type(flags) is list):
+        if type(ts) is int and type(session) is int and type(flags) is list:
             try:
-                members = _members(decoded)
+                listed = ",".join(map(_string, flags)) if flags else ""
+                render = decoded.render if type(decoded) is _Decoded else None
+                if (render is not None and self.raw_hex is render.raw_hex
+                        and self.direction is render.direction):
+                    return (f'{{"ts_ms":{ts}{render.body}"session":{session},'
+                            f'"flags":[{listed}]}}')
+                members = _members(decoded) if isinstance(decoded, dict) else None
                 if members is not None:
                     return (f'{{"ts_ms":{ts},"dir":{_string(self.direction)},'
                             f'"raw_hex":{_string(self.raw_hex)},'
                             f'"decoded":{{{members}}},"session":{session},'
-                            f'"flags":[{",".join(map(_string, flags))}]}}')
-            except TypeError:  # a key, direction, raw_hex or flag not a str
+                            f'"flags":[{listed}]}}')
+            except (TypeError,  # a key, direction, raw_hex or flag not a str
+                    AttributeError):  # a _Decoded built without a render
                 pass
         return _COMPACT.encode({
             "ts_ms": ts,
@@ -148,14 +211,49 @@ def decode_response_event(resp: ResponseApdu,
     """Summarize one relayed response for the trace; ``command``, the one
     it answers, selects the FETCH proactive envelope decoding. Bodies
     that do not decode never fail: the raw octets are in the event."""
-    decoded = {"ins_name": ins_name(command.ins) if command else "UNKNOWN"}
+    return _decode_response(resp, None if command is None else command.ins)
+
+
+def _decode_response(resp: ResponseApdu, ins: Optional[int]) -> dict:
+    decoded = {"ins_name": "UNKNOWN" if ins is None else ins_name(ins)}
     decoded["status_class"] = classify_status(resp.sw1, resp.sw2).kind.value
-    if command is not None and command.ins == INS_FETCH and resp.data:
+    if ins == INS_FETCH and resp.data:
         info = tlv.parse_proactive(resp.data) or tlv.parse_terminal_response(resp.data)
         if info is not None:
             decoded["proactive_type"] = info.type_name
             decoded["proactive_number"] = info.command_number
     return decoded
+
+
+# Distinct events kept rendered. A demo session relays 26 events, 22 of
+# which recur in every session, while its two AUTHENTICATE exchanges
+# never recur. Under LRU the recurring ones stay, and the bound keeps the
+# one-off ones from growing the process.
+RENDER_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=RENDER_CACHE_SIZE)
+def _render(direction: str, octets: bytes, ins: Optional[int] = None,
+            rule_id: Optional[str] = None,
+            original: Optional[bytes] = None) -> _Render:
+    """The render of the event that relays ``octets`` in ``direction``: a
+    command as the modem sent it, or a response as the modem will see it,
+    answering ``ins``, rewritten by ``rule_id`` from ``original``."""
+    if direction == DIR_MODEM_TO_SIM:
+        cmd = decode_command(octets)
+        octets, decoded = encode_command(cmd), decode_command_event(cmd)
+    else:
+        decoded = _decode_response(ResponseApdu.from_bytes(octets), ins)
+        if rule_id is not None:
+            decoded["rule_id"] = rule_id
+            if original is not None:
+                decoded["original_hex"] = original.hex().upper()
+    raw_hex = octets.hex().upper()
+    members = _members(decoded)
+    body = None if members is None else (
+        f',"dir":{_string(direction)},"raw_hex":"{raw_hex}",'
+        f'"decoded":{{{members}}},')
+    return _Render(direction, raw_hex, decoded, body)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +451,21 @@ class Tracer:
             self._file = None
 
     def _write(self):
-        data = "".join([event.to_json() + "\n" for event in self.events]).encode()
-        while data:  # one write, unless the file takes only part of it
-            data = data[self._file.write(data):]
-        self.events.clear()
+        events = self.events
+        if events:
+            data = ("\n".join(map(TraceEvent.to_json, events)) + "\n").encode()
+            while data:  # one write, unless the file takes only part of it
+                data = data[self._file.write(data):]
+            events.clear()
 
-    def command(self, ts_ms: float, cmd: CommandApdu) -> TraceEvent:
-        event = TraceEvent(
-            ts_ms=int(ts_ms),
-            direction=DIR_MODEM_TO_SIM,
-            raw_hex=encode_command(cmd).hex().upper(),
-            decoded=decode_command_event(cmd),
-            session_id=self.session_id,
-        )
+    def command(self, ts_ms: float, cmd: CommandApdu,
+                octets: Optional[bytes] = None) -> TraceEvent:
+        """Record one relayed command; ``octets``, the command as relayed,
+        spare encoding it again."""
+        render = _render(DIR_MODEM_TO_SIM,
+                         encode_command(cmd) if octets is None else octets)
+        event = TraceEvent(int(ts_ms), DIR_MODEM_TO_SIM, render.raw_hex,
+                           render.copy_decoded(), self.session_id, [])
         self.record(event)
         return event
 
@@ -376,22 +476,23 @@ class Tracer:
         command: Optional[CommandApdu] = None,
         rule_id: Optional[str] = None,
         original: Optional[ResponseApdu] = None,
+        octets: Optional[bytes] = None,
     ) -> TraceEvent:
-        decoded = decode_response_event(resp, command)
-        flags = []
-        if rule_id is not None:
-            decoded["rule_id"] = rule_id
-            flags.append(FLAG_REWRITTEN)
-            if original is not None:
-                decoded["original_hex"] = original.to_bytes().hex().upper()
-        event = TraceEvent(
-            ts_ms=int(ts_ms),
-            direction=DIR_SIM_TO_MODEM,
-            raw_hex=resp.to_bytes().hex().upper(),
-            decoded=decoded,
-            session_id=self.session_id,
-            flags=flags,
-        )
+        """Record one relayed response, answering ``command``, rewritten by
+        ``rule_id`` from ``original``; ``octets``, the response as relayed,
+        spare encoding it again. Writes what the file can take."""
+        key = (DIR_SIM_TO_MODEM, resp.to_bytes() if octets is None else octets,
+               None if command is None else command.ins, rule_id,
+               None if original is None else original.to_bytes())
+        if rule_id is None or type(rule_id) is str:
+            render = _render(*key)
+            decoded = render.copy_decoded()
+        else:  # 1 and True would share an entry: rendered, never cached
+            render = _render.__wrapped__(*key)
+            decoded = dict(render.decoded)
+        event = TraceEvent(int(ts_ms), DIR_SIM_TO_MODEM, render.raw_hex,
+                           decoded, self.session_id,
+                           [] if rule_id is None else [FLAG_REWRITTEN])
         self.record(event)
         if self._file is not None and not self._waiting:
             self._write()

@@ -163,6 +163,7 @@ class DeliverAtr:
 @dataclass(frozen=True)
 class DeliverCommand:
     command: CommandApdu
+    octets: bytes  # the ApduReq payload it was decoded from
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,10 @@ class Session:
     def send_command(self, cmd: CommandApdu) -> List[Action]:
         return self._send(MessageType.APDU_REQ, encode_command(cmd))
 
-    def send_response(self, resp: ResponseApdu) -> List[Action]:
-        return self._send(MessageType.APDU_RESP, resp.to_bytes())
+    def send_response(self, octets: bytes) -> List[Action]:
+        """Answer the command in flight with a response's octets
+        (``ResponseApdu.to_bytes``)."""
+        return self._send(MessageType.APDU_RESP, octets)
 
     def send_atr(self, atr: bytes) -> List[Action]:
         return self._send(MessageType.ATR_IND, atr)
@@ -383,7 +386,8 @@ class Session:
             elif msg_type is MessageType.ATR_IND:
                 action = DeliverAtr(frame.payload)
             elif msg_type is MessageType.APDU_REQ:
-                action = DeliverCommand(decode_command(frame.payload))
+                action = DeliverCommand(decode_command(frame.payload),
+                                        frame.payload)
             else:
                 action = DeliverResponse(ResponseApdu.from_bytes(frame.payload))
         except Exception as exc:

@@ -8,7 +8,7 @@ import pytest
 from simlink import cli
 from simlink.broker import BrokerClient, BrokerServer, Registry
 from simlink.errors import ConfigError
-from simlink.listener import parse_hostport
+from simlink.listener import Listener, parse_hostport
 from simlink.relay import ProviderServer
 from simlink.vsim import demo_profile
 
@@ -290,6 +290,37 @@ class TestProbe:
         )
         assert code == 2
 
+    def test_trace_out_in_a_missing_directory_fails_before_any_request(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        log_path = tmp_path / "broker.log"
+        registry = Registry(log_path=str(log_path))
+        broker = BrokerServer(registry, TOKEN)
+        broker.start()
+        provider = ProviderServer(demo_profile(), TOKEN)
+        provider.start()
+        try:
+            register_demo_sim(broker, provider)
+            path = tmp_path / "missing" / "t.jsonl"
+            code, out, err = run_cli(
+                ["probe", "--broker", broker.endpoint, "--lease", "tag:AT",
+                 "--trace-out", str(path)],
+                capsys,
+            )
+            assert (code, out) == (2, "")
+            [line] = err.splitlines()
+            doc = json.loads(line)
+            assert doc["error"] == "ConfigError"
+            assert str(path) in doc["detail"]
+            assert registry.probes == {}
+        finally:
+            provider.stop()
+            broker.stop()
+            registry.close()
+        events = [json.loads(line)["event"]
+                  for line in log_path.read_text().splitlines()]
+        assert events == ["register_sim"]
+
     def test_full_loopback_probe(self, capsys, monkeypatch, tmp_path,
                                  broker_server, provider_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
@@ -514,6 +545,26 @@ class TestBrokerCmdConfig:
         doc = json.loads(line)
         assert doc["error"] == "ConfigError"
         assert "300 octets, limit 240" in doc["detail"]
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["a-file", "under-a-file"])
+    def test_provide_trace_dir_that_cannot_be_a_directory_fails_before_binding(
+            self, capsys, monkeypatch, tmp_path, under):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        bound = []
+        monkeypatch.setattr(Listener, "__init__",
+                            lambda self, *a, **k: bound.append(self))
+        path = tmp_path / "traces"
+        path.write_text("")
+        trace_dir = path / "sub" if under else path
+        code, out, err = run_cli(
+            ["provide", "--broker", "127.0.0.1:1", "--trace-dir", str(trace_dir)],
+            capsys)
+        assert (code, out, bound) == (2, "", [])
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "ConfigError"
+        assert str(trace_dir) in doc["detail"]
 
     def test_provide_missing_profile_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)

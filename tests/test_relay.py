@@ -2,8 +2,11 @@
 server + probe link over real sockets, directly or through a delay proxy."""
 
 import dataclasses
+import hashlib
 import json
+import pathlib
 import random
+import re
 import socket
 import threading
 import time
@@ -11,6 +14,7 @@ import time
 import pytest
 
 from simlink import relay
+from simlink import tracer as tracer_mod
 from simlink.apdu import CommandApdu, INS_SELECT, encode_command
 from simlink.errors import ProtocolViolation
 from simlink.lab import StallPolicy, lab_sweep
@@ -24,6 +28,8 @@ from simlink.relay import (
     wire,
 )
 from simlink.tracer import (
+    FLAG_REWRITTEN,
+    FLAG_SILENT_SMS,
     Tracer,
     detect_silent_sms,
     read_trace,
@@ -422,6 +428,63 @@ def fuzz_wire(rng, session_id) -> bytes:
         i = rng.randrange(len(wire))
         wire = patched(wire, i, bytes([wire[i] ^ rng.randint(1, 255)]))
     return wire
+
+
+DEMO_RULES = pathlib.Path(__file__).resolve().parents[1] / "demo" / "rules.json"
+
+
+class TestRenderCacheOverSockets:
+    """Provider traces of seeded loopback sessions are the same files,
+    ``ts_ms`` aside, with the render cache cleared before every event."""
+
+    SESSIONS = 60
+
+    def trace_digests(self, trace_dir):
+        profile = demo_profile()
+        server = ProviderServer(profile, TOKEN,
+                                rules=rules_from_json(DEMO_RULES.read_text()),
+                                trace_dir=str(trace_dir))
+        server.start()
+        try:
+            for n in range(self.SESSIONS):
+                link = connect(server, session_id=0x600 + n)
+                try:
+                    report = ModemSim(verify_aka=True, k=profile.k,
+                                      op_salt=profile.op_salt, seed=n).run(
+                                          link, tracer=Tracer(0x600 + n))
+                finally:
+                    link.close()
+                assert report.failure is None, n
+        finally:
+            server.stop()  # finishes every session: each file is complete
+        digests = {}
+        for path in trace_dir.glob("*.jsonl"):
+            lines = path.read_text().splitlines()
+            assert len(lines) == 2 * report.exchanges, path.name
+            for line in lines:
+                assert json.dumps(json.loads(line), separators=(",", ":")) == line
+            masked = re.sub(r'^\{"ts_ms":\d+,', '{"ts_ms":0,', path.read_text(),
+                            flags=re.M)
+            digests[path.name] = hashlib.sha256(masked.encode()).hexdigest()
+        assert len(digests) == self.SESSIONS
+        return digests
+
+    def test_sixty_sessions(self, tmp_path, monkeypatch):
+        cached = self.trace_digests(tmp_path / "cached")
+        texts = [p.read_text() for p in (tmp_path / "cached").glob("*.jsonl")]
+        assert all(FLAG_REWRITTEN in t and FLAG_SILENT_SMS in t for t in texts)
+        assert tracer_mod._render.cache_info().hits > 20 * self.SESSIONS
+
+        render = tracer_mod._render
+
+        def uncached(*key):
+            render.cache_clear()
+            return render(*key)
+
+        uncached.__wrapped__ = render.__wrapped__
+        monkeypatch.setattr(tracer_mod, "_render", uncached)
+        assert self.trace_digests(tmp_path / "cleared") == cached
+        assert render.cache_info().hits == 0
 
 
 class TestProviderCoreFuzz:

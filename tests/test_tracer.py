@@ -7,14 +7,17 @@ import random
 import pytest
 
 from simlink import tlv
+from simlink import tracer as tracer_mod
 from simlink.apdu import (
     CommandApdu,
+    INS_AUTHENTICATE,
     INS_FETCH,
     INS_READ_BINARY,
     INS_SELECT,
     INS_STATUS,
     INS_TERMINAL_RESPONSE,
     ResponseApdu,
+    encode_command,
 )
 from simlink.tlv import ProactiveKind
 from simlink.tracer import (
@@ -24,6 +27,7 @@ from simlink.tracer import (
     DIR_SIM_TO_MODEM,
     DROP_STATUS,
     FLAG_SILENT_SMS,
+    RENDER_CACHE_SIZE,
     RewriteOutcome,
     RewriteRule,
     Rewriter,
@@ -553,6 +557,127 @@ class TestTraceLinesMatchTheStdlibEncoder:
         tracer.close()
         assert path.read_bytes() == \
             "".join(stdlib_line(e) + "\n" for e in events).encode()
+
+
+def random_command(rng) -> CommandApdu:
+    """Any short command: a SELECT by AID or file id, or another INS with
+    random parameters, body and le (256 included)."""
+    ins = rng.choice((INS_SELECT, INS_READ_BINARY, INS_STATUS,
+                      INS_AUTHENTICATE, INS_FETCH, rng.randrange(256)))
+    data = rng.randbytes(rng.choice((0, 0, 2, rng.randint(1, 40))))
+    le = rng.choice((None, None, rng.randint(1, 256), 256))
+    return CommandApdu(rng.randrange(256), ins, rng.choice((0, 4, 0x80)),
+                       rng.randrange(256), data=data, le=le)
+
+
+def random_response(rng) -> ResponseApdu:
+    return ResponseApdu(rng.randbytes(rng.choice((0, 2, rng.randint(0, 30)))),
+                        rng.choice((0x90, 0x91, 0x61, 0x6C, 0x6A, 0x98,
+                                    rng.randrange(256))),
+                        rng.randrange(256))
+
+
+def random_relayed(rng):
+    """One traced exchange as a relay hands it to a tracer: the command,
+    the response sent, the rule and original of a rewrite, whether the
+    octets come along (as a provider has them), and how the caller
+    edits the command event's ``decoded`` before it is written, if it
+    does."""
+    if rng.random() < 0.5:
+        cmd, resp = random_exchange(rng)  # fetches and acknowledgements
+    else:
+        cmd, resp = random_command(rng), random_response(rng)
+    rule_id = rng.choice((None, None, None, "iccid-swap", random_text(rng)))
+    original = (random_response(rng)
+                if rule_id is not None and rng.random() < 0.6 else None)
+    octets = None
+    if rng.random() < 0.5:
+        octets = encode_command(cmd)
+        if len(octets) == 5 and octets[4] == 0 and rng.random() < 0.5:
+            octets = octets[:4]  # a bare header decodes as case 1 too
+    edit = rng.choice((None,) * 12 + ("value", "order", "bool", "add", "drop"))
+    return cmd, resp, rule_id, original, octets, edit
+
+
+def edit_decoded(decoded: dict, edit: str):
+    """Change ``decoded`` in place, so its line must change with it."""
+    first = next(iter(decoded))
+    if edit == "value":
+        decoded[first] = decoded[first] + "?"
+    elif edit == "order":  # the same keys and value objects, reordered
+        decoded[first] = decoded.pop(first)
+    elif edit == "bool":  # equal to 1, but written true
+        decoded["proactive_number"] = decoded.get("proactive_number") == 1
+    elif edit == "add":
+        decoded["note"] = 7
+    else:
+        del decoded[first]
+
+
+class TestRenderCacheChangesNoLine:
+    """The render cache against the same streams traced with the cache
+    cleared before every event: the same events, the same bytes."""
+
+    def trace(self, streams, tmp_path, side, clear):
+        files, events = [], []
+        for n, stream in enumerate(streams):
+            path = tmp_path / f"{side}-{n}.jsonl"
+            tracer = Tracer(session_id=n, path=str(path))
+            for ts, (cmd, resp, rule_id, original, octets, edit) in \
+                    enumerate(stream):
+                if clear:
+                    tracer_mod._render.cache_clear()
+                event = tracer.command(ts, cmd, octets)
+                if edit is not None:
+                    edit_decoded(event.decoded, edit)
+                events.append(event)
+                if clear:
+                    tracer_mod._render.cache_clear()
+                events.append(tracer.response(
+                    ts, resp, command=cmd, rule_id=rule_id, original=original,
+                    octets=None if octets is None else resp.to_bytes()))
+                assert tracer_mod._render.cache_info().currsize <= \
+                    RENDER_CACHE_SIZE
+            tracer.close()
+            files.append(path.read_bytes())
+        return files, events
+
+    def test_seeded_streams(self, tmp_path):
+        assert tracer_mod._render.cache_info().maxsize == RENDER_CACHE_SIZE == 256
+        rng = random.Random(0xCAC4E)
+        streams = [[random_relayed(rng) for _ in range(rng.randint(0, 40))]
+                   for _ in range(60)]
+        tracer_mod._render.cache_clear()
+        cached, cached_events = self.trace(streams, tmp_path, "cached", False)
+        info = tracer_mod._render.cache_info()
+        assert info.hits > 300 and info.misses > 2 * RENDER_CACHE_SIZE
+        cleared, cleared_events = self.trace(streams, tmp_path, "cleared", True)
+        assert cached == cleared
+        assert cached_events == cleared_events
+        assert b"".join(cached) == \
+            "".join(stdlib_line(e) + "\n" for e in cached_events).encode()
+        assert sum(FLAG_SILENT_SMS in e.flags for e in cached_events) > 20
+        assert sum(e.decoded.get("note") == 7 for e in cached_events) > 5
+
+    def test_an_edited_event_changes_no_other_event_and_no_later_line(self):
+        cmd = CommandApdu(0x80, INS_FETCH, 0x00, 0x00, le=256)
+        resp = fetched(3)
+        for edit in ("value", "order", "bool", "add", "drop"):
+            tracer = Tracer(session_id=9)
+            first = tracer.response(1, resp, command=cmd)
+            expected = stdlib_line(first)
+            edit_decoded(first.decoded, edit)
+            assert first.to_json() == stdlib_line(first) != expected, edit
+            later = tracer.response(2, resp, command=cmd)
+            assert later.decoded == decode_response_event(resp, cmd)
+            assert later.to_json() == stdlib_line(later) == \
+                expected.replace('"ts_ms":1', '"ts_ms":2')
+            other = Tracer(session_id=9).response(1, resp, command=cmd)
+            assert other.to_json() == expected
+            rebuilt = TraceEvent(**dataclasses.asdict(other))  # a new dict
+            assert rebuilt.to_json() == expected
+            other.raw_hex = other.raw_hex.lower()
+            assert other.to_json() == stdlib_line(other) != expected
 
 
 # Only response rules appear where this command is used, so no command

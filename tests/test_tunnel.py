@@ -224,9 +224,9 @@ class TestRelayDiscipline:
         req = only_frame(probe.send_command(cmd))
         assert req.msg_type == MessageType.APDU_REQ
         delivered = provider.on_frame(req)
-        assert DeliverCommand(cmd) in delivered
+        assert DeliverCommand(cmd, encode_command(cmd)) in delivered
         resp = ResponseApdu(b"", 0x90, 0x00)
-        resp_frame = only_frame(provider.send_response(resp))
+        resp_frame = only_frame(provider.send_response(resp.to_bytes()))
         assert resp_frame.payload == b"\x90\x00"
         back = probe.on_frame(resp_frame)
         assert DeliverResponse(resp) in back
@@ -279,7 +279,7 @@ class TestRelayDiscipline:
             req = only_frame(probe.send_command(CommandApdu(0, 0xF2, 0, 0)))
             seqs.append(req.seq)
             provider.on_frame(req)
-            resp = only_frame(provider.send_response(ResponseApdu(b"", 0x90, 0x00)))
+            resp = only_frame(provider.send_response(b"\x90\x00"))
             probe.on_frame(resp)
         assert seqs == list(range(seqs[0], seqs[0] + 5))
 
@@ -304,7 +304,7 @@ class TestRelayDiscipline:
                          if isinstance(a, DeliverCommand)]
             delivered_cmds.append(action.command)
             resp = ResponseApdu(i.to_bytes(2, "big"), 0x90, 0x00)
-            frame = only_frame(provider.send_response(resp))
+            frame = only_frame(provider.send_response(resp.to_bytes()))
             (back,) = [a for a in probe.on_frame(frame)
                        if isinstance(a, DeliverResponse)]
             delivered_resps.append(back.response)
@@ -332,7 +332,7 @@ RELAYED = {
     MessageType.ATR_IND: (b"\x3B\x00", lambda s: s.send_atr(b"\x3B\x00")),
     MessageType.APDU_REQ: (encode_command(STATUS_CMD),
                            lambda s: s.send_command(STATUS_CMD)),
-    MessageType.APDU_RESP: (b"\x90\x00", lambda s: s.send_response(OK_RESP)),
+    MessageType.APDU_RESP: (b"\x90\x00", lambda s: s.send_response(OK_RESP.to_bytes())),
 }
 
 
@@ -380,7 +380,7 @@ class TestRelayRule:
             provider.send_reset()
         with pytest.raises(ProtocolViolation,
                            match="ApduResp toward the provider"):
-            probe.send_response(OK_RESP)
+            probe.send_response(OK_RESP.to_bytes())
         assert probe.phase is provider.phase is Phase.ESTABLISHED
 
     @pytest.mark.parametrize("role, in_flight, msg_type, detail", [
@@ -413,7 +413,7 @@ class TestStream:
         arrivals = provider.on_bytes(chunk, 0.0)
         assert next(arrivals) == [ResetIndication()]
         provider.send_atr(bytes.fromhex("3B00"))
-        assert next(arrivals) == [DeliverCommand(cmd)]
+        assert next(arrivals) == [DeliverCommand(cmd, encode_command(cmd))]
         assert next(arrivals, None) is None
 
     @pytest.mark.parametrize("split", [None, "after Hello"])
@@ -475,6 +475,6 @@ class TestKeepaliveRtt:
         ack = only_frame(provider.on_frame(ka))
         assert ack.msg_type == MessageType.KEEPALIVE_ACK
         assert probe.on_frame(ack, now_ms=9) == [KeepaliveAcked(4)]
-        resp = only_frame(provider.send_response(ResponseApdu(b"", 0x90, 0x00)))
+        resp = only_frame(provider.send_response(b"\x90\x00"))
         delivered = probe.on_frame(resp)
         assert any(isinstance(a, DeliverResponse) for a in delivered)
