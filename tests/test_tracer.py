@@ -679,6 +679,15 @@ class TestRenderCacheChangesNoLine:
             other.raw_hex = other.raw_hex.lower()
             assert other.to_json() == stdlib_line(other) != expected
 
+    def test_rule_ids_that_are_not_text_share_no_entry(self):
+        cmd = CommandApdu(0x80, INS_STATUS, 0x00, 0x00)
+        resp = ResponseApdu(b"", 0x90, 0x00)
+        tracer = Tracer(session_id=1)
+        lines = [tracer.response(0, resp, command=cmd, rule_id=rule_id).to_json()
+                 for rule_id in (1, True, 1.0, "1", 1)]
+        assert lines == [stdlib_line(e) for e in tracer.events]
+        assert len(set(lines)) == 4
+
 
 # Only response rules appear where this command is used, so no command
 # rule matches it and the response rules decide the outcome.
