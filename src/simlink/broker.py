@@ -34,7 +34,6 @@ from __future__ import annotations
 import hmac
 import json
 import logging
-import math
 import secrets
 import socket
 import threading
@@ -54,7 +53,7 @@ from .errors import (
     RegistryClosed,
     UnknownLease,
 )
-from .listener import RECV_BYTES, Listener, monotonic_ms, parse_hostport
+from .listener import RECV_BYTES, Listener, parse_hostport
 from .vsim import luhn_valid
 
 logger = logging.getLogger(__name__)
@@ -434,21 +433,19 @@ class BrokerServer(Listener):
         super().__init__(host, port)
         self.registry = registry
         self.token = token
-        # The first expiry on the loop clock: -inf until the first wake-up
-        # sweeps, inf with no lease or a closed registry. A grant made on the
-        # registry directly, not through this server, waits for a sweep.
-        self._expiry_due = -math.inf
 
     def _on_wake(self, now_ms: float) -> Optional[float]:
-        if now_ms >= self._expiry_due:
+        """Sweep when the registry's first lease is due; return when the
+        next one is, on the loop clock."""
+        left = self.registry.next_expiry_in()
+        if left is not None and left <= 0:
             try:
                 if freed := self.registry.expire_sweep():
                     logger.info("expired leases freed: %s", freed)
-                left = self.registry.next_expiry_in()
             except RegistryClosed:  # the broker is shutting down
-                left = None
-            self._expiry_due = math.inf if left is None else now_ms + left
-        return self._expiry_due if self._expiry_due < math.inf else None
+                return None
+            left = self.registry.next_expiry_in()
+        return None if left is None else now_ms + left
 
     def _open(self, now_ms: float) -> "ControlCore":
         return ControlCore(self._handle_line,
@@ -497,8 +494,6 @@ class BrokerServer(Listener):
                 tags=_field(body, "tags", list),
                 duration_ms=_field(body, "duration_ms", int),
             )
-            self._expiry_due = min(self._expiry_due, monotonic_ms()
-                                   + lease.expires_at - lease.granted_at)
             return {"lease": lease.to_dict(),
                     "provider_endpoint": reg.provider_endpoint(lease.iccid)}
         if op == "release":

@@ -32,7 +32,7 @@ from .apdu import (
     StepKind,
     classify_status,
 )
-from .errors import AuthFailed, ProtocolViolation, TimeoutExpired
+from .errors import AuthFailed, ProtocolViolation, SimlinkError, TimeoutExpired
 from .tracer import Tracer
 from .vsim import USIM_AID, decode_iccid, decode_imsi, verify_aka_response
 
@@ -146,8 +146,10 @@ class ModemSim:
     """Scripted modem: runs its phases in order against a link.
 
     A link provides ``reset() -> (atr_bytes, Timing)``,
-    ``exchange(cmd) -> (ResponseApdu, Timing)``, and optionally
-    ``idle(ms)`` for inter-poll pauses.
+    ``exchange(cmd) -> (ResponseApdu, Timing)`` and ``idle(ms)`` for
+    inter-poll pauses. A ``SimlinkError`` from the link or the card's
+    answers ends the session with its ``failure``; any other exception
+    is a programming error and propagates.
     """
 
     def __init__(
@@ -231,7 +233,7 @@ class _SessionRun:
                 self.report.completed_phases.append(phase.name)
         except TimeoutExpired as exc:
             self.report.failure = f"TimeoutExpired({exc.phase})"
-        except Exception as exc:  # link/protocol failures abort the session
+        except SimlinkError as exc:  # link/protocol failures abort the session
             self.report.failure = f"{type(exc).__name__}({exc})"
             self.aka_verified &= not isinstance(exc, AuthFailed)
         if self.m.verify_aka:
@@ -361,7 +363,7 @@ class _SessionRun:
     def _phase_status_poll(self, phase: Phase):
         for i in range(phase.count):
             self._expect_success(self._exchange(STATUS), "STATUS")
-            if phase.period_ms and i + 1 < phase.count and hasattr(self.link, "idle"):
+            if phase.period_ms and i + 1 < phase.count:
                 self.link.idle(phase.period_ms)
 
     def _phase_proactive_fetch(self, phase: Phase):

@@ -60,17 +60,24 @@ def wire(actions) -> bytes:
 
 
 class FrameChannel:
-    """Blocking byte I/O over the probe's connected socket."""
+    """Blocking byte I/O over the probe's connected socket; a send or read
+    that fails (a timeout, a reset) raises ``LinkClosed``."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
 
     def send(self, data: bytes):
-        self.sock.sendall(data)
+        try:
+            self.sock.sendall(data)
+        except OSError as exc:
+            raise LinkClosed(f"send failed: {exc}") from exc
 
     def recv(self) -> bytes:
         """One read; ``b""`` at end of stream."""
-        return self.sock.recv(RECV_BYTES)
+        try:
+            return self.sock.recv(RECV_BYTES)
+        except OSError as exc:
+            raise LinkClosed(f"read failed: {exc}") from exc
 
     def close(self):
         try:
@@ -249,7 +256,7 @@ class ProbeLink:
     def close(self):
         try:
             self.channel.send(wire(self.session.send_close()))
-        except OSError:
+        except LinkClosed:
             pass
         self.channel.close()
 

@@ -20,15 +20,12 @@ reconstructible from one file.
 One tracer serves one session and owns its file.
 
 Most relayed octets recur in every session, so each distinct event is
-decoded and rendered once: one process-wide LRU cache of
-``RENDER_CACHE_SIZE`` entries, keyed on the event's relayed octets (and,
-for a response, the answered INS, the rule id and the original octets),
-holds its ``raw_hex``, its ``decoded`` fields and the part of its line
-between ``ts_ms`` and ``session``. Each event gets its own copy of
-``decoded``, and its line splices in only ``ts_ms``, ``session`` and
-``flags``. Once that copy is changed, or ``raw_hex`` or ``dir`` is
-rebound, the event's line is rendered in full from its own fields. The
-cache changes no line, no schema and no file layout.
+decoded once: one process-wide LRU cache of ``RENDER_CACHE_SIZE``
+entries, keyed on the event's relayed octets (and, for a response, the
+answered INS, the rule id and the original octets), holds its
+``raw_hex`` and its ``decoded`` fields. Each event gets its own copy of
+``decoded``, and every line is formatted from the event's own fields, so
+the cache changes no line, no schema and no file layout.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import tlv
 from .apdu import (
@@ -86,48 +83,6 @@ def _members(decoded: dict) -> Optional[str]:
     return ",".join(members)
 
 
-class _Render(NamedTuple):
-    """One distinct event's fields and the part of its line they fix."""
-
-    direction: str
-    raw_hex: str
-    decoded: dict  # never handed out: each event gets a copy
-    body: Optional[str]  # ',"dir":…,"decoded":{…},'; None if not one pass
-    # (only for a rule id that is not a str, which is never cached)
-
-    def copy_decoded(self) -> "_Decoded":
-        decoded = _Decoded(self.decoded)
-        decoded.render = self
-        return decoded
-
-
-class _Decoded(dict):
-    """A tracer event's own ``decoded``, copied from its cached render: any
-    change to it drops the render, so the event's line is rendered in
-    full from then on."""
-
-    __slots__ = ("render",)
-
-    def _dropping_render(change):
-        @functools.wraps(change)
-        def changed(self, *args, **kwargs):
-            self.render = None
-            return change(self, *args, **kwargs)
-
-        return changed
-
-    # Every method by which a dict changes.
-    __setitem__ = _dropping_render(dict.__setitem__)
-    __delitem__ = _dropping_render(dict.__delitem__)
-    __ior__ = _dropping_render(dict.__ior__)
-    clear = _dropping_render(dict.clear)
-    pop = _dropping_render(dict.pop)
-    popitem = _dropping_render(dict.popitem)
-    setdefault = _dropping_render(dict.setdefault)
-    update = _dropping_render(dict.update)
-    del _dropping_render
-
-
 @dataclass
 class TraceEvent:
     ts_ms: int
@@ -139,29 +94,22 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """One compact ASCII line, byte-identical to ``json.dumps(doc,
-        separators=(",", ":"))``. A tracer's events are formatted in one
-        pass: from their cached render while they still hold its fields
-        (``decoded`` unchanged since the tracer copied it), else from
-        their own fields. Any other value (a float ``ts_ms``, a nested
-        ``decoded`` value) goes through ``_COMPACT``."""
+        separators=(",", ":"))``. The fields a tracer gives an event are
+        formatted in one pass; any other value (a float ``ts_ms``, a
+        nested ``decoded`` value) goes through ``_COMPACT``."""
         ts, session, decoded, flags = (self.ts_ms, self.session_id,
                                        self.decoded, self.flags)
-        if type(ts) is int and type(session) is int and type(flags) is list:
+        if (type(ts) is int and type(session) is int and type(flags) is list
+                and isinstance(decoded, dict)):
             try:
-                listed = ",".join(map(_string, flags)) if flags else ""
-                render = decoded.render if type(decoded) is _Decoded else None
-                if (render is not None and self.raw_hex is render.raw_hex
-                        and self.direction is render.direction):
-                    return (f'{{"ts_ms":{ts}{render.body}"session":{session},'
-                            f'"flags":[{listed}]}}')
-                members = _members(decoded) if isinstance(decoded, dict) else None
+                members = _members(decoded)
                 if members is not None:
+                    listed = ",".join(map(_string, flags)) if flags else ""
                     return (f'{{"ts_ms":{ts},"dir":{_string(self.direction)},'
                             f'"raw_hex":{_string(self.raw_hex)},'
                             f'"decoded":{{{members}}},"session":{session},'
                             f'"flags":[{listed}]}}')
-            except (TypeError,  # a key, direction, raw_hex or flag not a str
-                    AttributeError):  # a _Decoded built without a render
+            except TypeError:  # a key, direction, raw_hex or flag not a str
                 pass
         return _COMPACT.encode({
             "ts_ms": ts,
@@ -225,7 +173,7 @@ def _decode_response(resp: ResponseApdu, ins: Optional[int]) -> dict:
     return decoded
 
 
-# Distinct events kept rendered. A demo session relays 26 events, 22 of
+# Distinct events kept decoded. A demo session relays 26 events, 22 of
 # which recur in every session, while its two AUTHENTICATE exchanges
 # never recur. Under LRU the recurring ones stay, and the bound keeps the
 # one-off ones from growing the process.
@@ -235,10 +183,11 @@ RENDER_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=RENDER_CACHE_SIZE)
 def _render(direction: str, octets: bytes, ins: Optional[int] = None,
             rule_id: Optional[str] = None,
-            original: Optional[bytes] = None) -> _Render:
-    """The render of the event that relays ``octets`` in ``direction``: a
-    command as the modem sent it, or a response as the modem will see it,
-    answering ``ins``, rewritten by ``rule_id`` from ``original``."""
+            original: Optional[bytes] = None) -> Tuple[str, dict]:
+    """The ``raw_hex`` and ``decoded`` of the event that relays ``octets``
+    in ``direction``: a command as the modem sent it, or a response as the
+    modem will see it, answering ``ins``, rewritten by ``rule_id`` from
+    ``original``. The dict is shared by every hit: callers copy it."""
     if direction == DIR_MODEM_TO_SIM:
         cmd = decode_command(octets)
         octets, decoded = encode_command(cmd), decode_command_event(cmd)
@@ -248,12 +197,7 @@ def _render(direction: str, octets: bytes, ins: Optional[int] = None,
             decoded["rule_id"] = rule_id
             if original is not None:
                 decoded["original_hex"] = original.hex().upper()
-    raw_hex = octets.hex().upper()
-    members = _members(decoded)
-    body = None if members is None else (
-        f',"dir":{_string(direction)},"raw_hex":"{raw_hex}",'
-        f'"decoded":{{{members}}},')
-    return _Render(direction, raw_hex, decoded, body)
+    return octets.hex().upper(), decoded
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +324,30 @@ class RewriteOutcome:
 
 
 class Rewriter:
-    """Relay-side engine: command rules are consulted before the card runs
-    (a drop must keep the card out of the loop), then response rules."""
+    """Relay-side engine: command rules are consulted in list order before
+    the card runs (a drop must keep the card out of the loop), response
+    rules only if no command rule matched; the first match wins."""
 
     def __init__(self, rules: Optional[List[RewriteRule]] = None):
-        self.rules = list(rules or [])
+        rules = rules or []
+        self._command_rules = [r for r in rules if r.on == "command"]
+        self._response_rules = [r for r in rules if r.on == "response"]
 
     def process(self, cmd: CommandApdu, respond) -> RewriteOutcome:
         """Run one exchange through the rules; ``respond`` asks the card."""
-        rule = next((r for r in self.rules if r.matches_command(cmd)), None)
-        if rule is not None and rule.action == ACTION_DROP:
-            return RewriteOutcome(ResponseApdu(b"", *DROP_STATUS), rule.rule_id)
-        resp = respond(cmd)
-        if rule is None:
-            rule = next((r for r in self.rules if r.matches_response(resp)), None)
-            if rule is None:
+        for rule in self._command_rules:
+            if rule.matches_command(cmd):
+                if rule.action == ACTION_DROP:
+                    return RewriteOutcome(ResponseApdu(b"", *DROP_STATUS),
+                                          rule.rule_id)
+                resp = respond(cmd)
+                break
+        else:
+            resp = respond(cmd)
+            for rule in self._response_rules:
+                if rule.matches_response(resp):
+                    break
+            else:
                 return RewriteOutcome(resp)
         new = rule.apply_to_response(resp)
         return RewriteOutcome(
@@ -462,10 +415,10 @@ class Tracer:
                 octets: Optional[bytes] = None) -> TraceEvent:
         """Record one relayed command; ``octets``, the command as relayed,
         spare encoding it again."""
-        render = _render(DIR_MODEM_TO_SIM,
-                         encode_command(cmd) if octets is None else octets)
-        event = TraceEvent(int(ts_ms), DIR_MODEM_TO_SIM, render.raw_hex,
-                           render.copy_decoded(), self.session_id, [])
+        raw_hex, decoded = _render(
+            DIR_MODEM_TO_SIM, encode_command(cmd) if octets is None else octets)
+        event = TraceEvent(int(ts_ms), DIR_MODEM_TO_SIM, raw_hex,
+                           dict(decoded), self.session_id, [])
         self.record(event)
         return event
 
@@ -484,14 +437,12 @@ class Tracer:
         key = (DIR_SIM_TO_MODEM, resp.to_bytes() if octets is None else octets,
                None if command is None else command.ins, rule_id,
                None if original is None else original.to_bytes())
-        if rule_id is None or type(rule_id) is str:
-            render = _render(*key)
-            decoded = render.copy_decoded()
-        else:  # 1 and True would share an entry: rendered, never cached
-            render = _render.__wrapped__(*key)
-            decoded = dict(render.decoded)
-        event = TraceEvent(int(ts_ms), DIR_SIM_TO_MODEM, render.raw_hex,
-                           decoded, self.session_id,
+        # 1 and True would share an entry: a rule id not a str is never cached.
+        render = (_render if rule_id is None or type(rule_id) is str
+                  else _render.__wrapped__)
+        raw_hex, decoded = render(*key)
+        event = TraceEvent(int(ts_ms), DIR_SIM_TO_MODEM, raw_hex,
+                           dict(decoded), self.session_id,
                            [] if rule_id is None else [FLAG_REWRITTEN])
         self.record(event)
         if self._file is not None and not self._waiting:

@@ -868,6 +868,15 @@ class TestLoopExpiry:
         assert 0 <= event["ts"] - short["expires_at"] <= 20
         assert list(registry.leases) == [long["lease_id"]]
 
+    def test_a_grant_made_on_the_registry_directly_expires_on_time(self, served):
+        registry, server, client, log = served
+        lease = registry.request_lease("p1", iccid=make_iccid(1), duration_ms=200)
+        client.request("list")  # the loop wakes once after the grant
+        client.close()
+        event = self.expire_event(log)
+        assert event["body"] == {"lease_ids": [lease.lease_id]}
+        assert 0 <= event["ts"] - lease.expires_at <= 20
+
     def test_a_far_expiry_leaves_the_loop_serving(self, served):
         registry, server, client, log = served
         far = self.lease(client, 1, 10**12)

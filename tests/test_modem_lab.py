@@ -16,7 +16,7 @@ from simlink.lab import (
     render_table,
     run_one,
 )
-from simlink.modem import DEFAULT_SCRIPT, ModemSim, Phase, Timing
+from simlink.modem import DEFAULT_SCRIPT, ModemSim, Phase, Timing, _SessionRun
 from simlink.tracer import Tracer, detect_silent_sms
 from simlink.vsim import Card, demo_profile
 
@@ -169,6 +169,65 @@ class TestRunSession:
             rng = random.Random(seed)
             assert sent == [bytes(rng.randrange(256) for _ in range(16))
                             for _ in range(2)], seed
+
+
+class CorruptingLink(VirtualLink):
+    """A demo card behind a link that corrupts about 30 % of its responses,
+    seeded: a corruption flips one bit, replaces the response with 2-39
+    random octets, or cuts the body short and keeps the status word.
+    ``corrupted`` counts the responses whose octets it changed."""
+
+    def __init__(self, card, seed):
+        super().__init__(card, 0.0)
+        self.rng = random.Random(seed)
+        self.corrupted = 0
+
+    def exchange(self, cmd):
+        resp, timing = super().exchange(cmd)
+        rng = self.rng
+        if rng.random() >= 0.3:
+            return resp, timing
+        octets = resp.to_bytes()
+        how = rng.randrange(3)
+        if how == 0:
+            flipped = bytearray(octets)
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+            new = bytes(flipped)
+        elif how == 1:
+            new = rng.randbytes(rng.randint(2, 39))
+        else:
+            new = resp.data[:rng.randrange(len(resp.data) or 1)] + octets[-2:]
+        self.corrupted += new != octets
+        return ResponseApdu.from_bytes(new), timing
+
+
+class TestHostileCard:
+    # The typed errors a session over a corrupting link may end with.
+    FAILURES = {"ProtocolViolation", "AuthFailed", "Truncated", "CodecError"}
+
+    def test_every_failure_is_typed_and_every_clean_session_completes(self):
+        profile = demo_profile()
+        failures, completed = {}, 0
+        for seed in range(5000):
+            link = CorruptingLink(Card(profile), seed)
+            report = verified_modem(profile, seed=seed).run(link)
+            if report.failure is None:
+                completed += 1
+                continue
+            assert link.corrupted, (seed, report.failure)
+            kind = report.failure.partition("(")[0]
+            assert kind in self.FAILURES, (seed, report.failure)
+            failures[kind] = failures.get(kind, 0) + 1
+        assert failures.keys() == self.FAILURES, failures
+        assert completed > 200
+
+    def test_a_programming_error_in_a_phase_propagates(self, monkeypatch):
+        def broken(run, phase):
+            raise KeyError("no such field")
+
+        monkeypatch.setitem(_SessionRun.PHASES, "read_imsi", broken)
+        with pytest.raises(KeyError, match="no such field"):
+            verified_modem().run(zero_delay_link())
 
 
 class TestScript:

@@ -745,3 +745,37 @@ class TestHostileProvider:
         (frame,) = FrameDecoder().feed(b"".join(received))
         assert frame.msg_type == MessageType.ERROR
         assert frame.payload.startswith(b"BadFrame: BadMagic")
+
+    def test_a_provider_that_never_answers_is_link_closed(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            link = ProbeLink("127.0.0.1:%d" % listener.getsockname()[1], TOKEN,
+                             timeout_s=0.05)
+            conn, _ = listener.accept()
+            with conn, pytest.raises(LinkClosed, match="read failed: timed out"):
+                link.connect()
+        assert link.channel.sock.fileno() == -1
+
+    def test_a_provider_gone_silent_mid_session_ends_it_link_closed(self):
+        def answers_twice(listener):  # the Hello and the Reset
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                core = ProviderCore(demo_profile(), TOKEN, now_ms=0.0)
+                for _ in range(2):
+                    conn.sendall(core.on_bytes(conn.recv(65536), 0.0))
+                while conn.recv(65536):
+                    pass
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=answers_twice, args=(listener,),
+                                      daemon=True)
+            thread.start()
+            link = ProbeLink("127.0.0.1:%d" % listener.getsockname()[1], TOKEN,
+                             timeout_s=0.5).connect()
+            report = ModemSim().run(link)
+            assert report.failure == "LinkClosed(read failed: timed out)"
+            assert report.completed_phases == ["reset"]
+            link.channel.sock.close()  # the last send fails: close() swallows it
+            link.close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
