@@ -26,10 +26,14 @@ from .apdu import (
     INS_SELECT,
     INS_STATUS,
     INS_TERMINAL_RESPONSE,
+    STATUS_STARTED,
+    TRANSFER_ALL,
+    WAITED,
     ProcedureState,
     ResponseApdu,
     StatusKind,
     StepKind,
+    StepResult,
     classify_status,
 )
 from .errors import AuthFailed, ProtocolViolation, SimlinkError, TimeoutExpired
@@ -57,6 +61,12 @@ SELECT_ADF_USIM = CommandApdu(0x00, INS_SELECT, 0x04, 0x04, data=USIM_AID)
 SELECT_EF_IMSI = CommandApdu(0x00, INS_SELECT, 0x00, 0x04, data=EF_IMSI)
 READ_EF_IMSI = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=9)
 STATUS = CommandApdu(0x00, INS_STATUS, 0x00, 0x00)
+
+# The status kinds every exchange is checked against, bound once (see the
+# enum note in tunnel.py).
+_OK = StatusKind.OK
+_WRONG_LE = StatusKind.WRONG_LE
+_PROACTIVE_PENDING = StatusKind.PROACTIVE_PENDING
 
 
 class Timing(NamedTuple):
@@ -202,10 +212,10 @@ def _draw_rand(getrandbits) -> bytes:
     return bytes(rand)
 
 
-def _misread(byte: int, kind: StepKind, expected: StepKind) -> ProtocolViolation:
+def _misread(byte: int, got: StepResult, expected: StepKind) -> ProtocolViolation:
     return ProtocolViolation(
         "ProcedureByte",
-        f"byte {byte:02X} read as {kind.value}, expected {expected.value}",
+        f"byte {byte:02X} read as {got.kind.value}, expected {expected.value}",
     )
 
 
@@ -224,6 +234,7 @@ class _SessionRun:
         self.last_sqn: Optional[int] = None
         self.aka_verified = False  # a round verified and none failed
         self.phase_name = PHASE_RESET
+        self.status = None  # the StatusClass of the last exchange
 
     def run(self) -> SessionReport:
         try:
@@ -268,17 +279,18 @@ class _SessionRun:
         # NULL changes no state, so one stands for all), then the INS
         # echo transferring the body, then SW1. SW2 is taken from the
         # response itself (the pair is already complete at APDU level).
+        # Each result is checked by identity against apdu's shared ones.
         step = ProcedureState(cmd.ins).step
         if stalled:
-            kind = step(0x60).kind
-            if kind is not StepKind.WAITED:
-                raise _misread(0x60, kind, StepKind.WAITED)
-        kind = step(cmd.ins).kind
-        if kind is not StepKind.TRANSFER_ALL:
-            raise _misread(cmd.ins, kind, StepKind.TRANSFER_ALL)
-        kind = step(resp.sw1).kind
-        if kind is not StepKind.STATUS_STARTED:
-            raise _misread(resp.sw1, kind, StepKind.STATUS_STARTED)
+            got = step(0x60)
+            if got is not WAITED:
+                raise _misread(0x60, got, StepKind.WAITED)
+        got = step(cmd.ins)
+        if got is not TRANSFER_ALL:
+            raise _misread(cmd.ins, got, StepKind.TRANSFER_ALL)
+        got = step(resp.sw1)
+        if got is not STATUS_STARTED.get(resp.sw1):
+            raise _misread(resp.sw1, got, StepKind.STATUS_STARTED)
 
     def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
         resp, timing = self.link.exchange(cmd)
@@ -288,20 +300,26 @@ class _SessionRun:
             self.tracer.command(timing.start_ms - base, cmd)
             self.tracer.response(timing.done_ms - base, resp, command=cmd)
         self.report.exchanges += 1
-        status = classify_status(resp.sw1, resp.sw2)
-        if status.kind is StatusKind.PROACTIVE_PENDING:
+        self.status = status = classify_status(resp.sw1, resp.sw2)
+        kind = status.kind
+        if kind is _PROACTIVE_PENDING:
             self.pending_proactive = status.value
-        elif status.kind is StatusKind.OK:
+        elif kind is _OK:
             self.pending_proactive = None
-        if status.kind is StatusKind.WRONG_LE and retry_wrong_le:
+        elif kind is _WRONG_LE and retry_wrong_le:
             corrected = CommandApdu(cmd.cla, cmd.ins, cmd.p1, cmd.p2,
                                     data=cmd.data, le=status.value or 256)
             return self._exchange(corrected, retry_wrong_le=False)
         return resp
 
+    def _succeeded(self) -> bool:
+        """Whether the last exchange answered 90 00 or 91 xx."""
+        kind = self.status.kind
+        return kind is _OK or kind is _PROACTIVE_PENDING
+
     def _expect_success(self, resp: ResponseApdu, what: str) -> ResponseApdu:
-        kind = classify_status(resp.sw1, resp.sw2).kind
-        if kind not in (StatusKind.OK, StatusKind.PROACTIVE_PENDING):
+        """``resp``, the last exchange's, if it succeeded."""
+        if not self._succeeded():
             raise ProtocolViolation(
                 "BadStatus", f"{what} answered {resp.sw1:02X}{resp.sw2:02X}")
         return resp
@@ -349,8 +367,7 @@ class _SessionRun:
             resp = self._exchange(
                 CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56)
             )
-            kind = classify_status(resp.sw1, resp.sw2).kind
-            if kind not in (StatusKind.OK, StatusKind.PROACTIVE_PENDING):
+            if not self._succeeded():
                 raise AuthFailed(f"status {resp.sw1:02X}{resp.sw2:02X}")
             if not self.m.verify_aka:
                 continue

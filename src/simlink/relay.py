@@ -45,6 +45,8 @@ from .vsim import Card, SimProfile
 
 logger = logging.getLogger(__name__)
 
+_CLOSED = Phase.CLOSED  # bound once (see the enum note in tunnel.py)
+
 
 class LinkClosed(SimlinkError):
     """The tunnel ended while a delivery was still awaited."""
@@ -118,7 +120,7 @@ class ProviderCore:
 
     @property
     def closed(self) -> bool:
-        return self.session.phase is Phase.CLOSED
+        return self.session.phase is _CLOSED
 
     def on_bytes(self, chunk: bytes, now_ms: float) -> bytes:
         if self.deadline_ms is not None and now_ms >= self.deadline_ms:

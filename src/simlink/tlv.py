@@ -3,11 +3,24 @@
 Single-octet tags only; the card-toolkit tags used here (0x81, 0x82,
 0x83, 0x8B, 0xD0) never need the multi-byte tag form. Lengths use the
 short form below 0x80 and the 0x81/0x82 long forms above it.
+
+The proactive codec sees the same few inputs in every session: a card
+numbers its commands from 1 after each reset, and the modem and the
+tracer decode what the card encoded. So ``encode_proactive``,
+``parse_proactive``, ``parse_terminal_response`` and
+``encode_terminal_response`` each keep their last ``CODEC_CACHE_SIZE``
+distinct results in a process-wide LRU cache. Every result is bytes,
+None or a frozen ``ProactiveInfo``, so hits share it safely; a call that
+raises is never kept. Arguments of other types (a ``bytearray``, a
+``memoryview``, a number that is not an ``int``) take the uncached
+function, so an equal key of another type can neither pin a buffer nor
+answer for a call that would raise.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -71,9 +84,23 @@ def encode_tlv(tag: int, value: bytes) -> bytes:
     return bytes([tag]) + encode_length(len(value)) + bytes(value)
 
 
+# Distinct arguments each codec function keeps results for; a session
+# meets a handful, so the bound only keeps unusual inputs from growing
+# the process.
+CODEC_CACHE_SIZE = 256
+
+
 def encode_proactive(number: int, kind: ProactiveKind,
                      payload: bytes = b"") -> bytes:
     """The 0xD0 envelope of proactive command ``number`` (qualifier 0)."""
+    if type(number) is int and type(payload) is bytes:
+        return _encode_proactive(number, kind, payload)
+    return _encode_proactive.__wrapped__(number, kind, payload)
+
+
+@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _encode_proactive(number: int, kind: ProactiveKind,
+                      payload: bytes) -> bytes:
     inner = encode_tlv(TAG_COMMAND_DETAILS, bytes([number, int(kind), 0x00]))
     inner += encode_tlv(TAG_DEVICE_IDENTITIES, bytes(PROACTIVE_DEVICES[kind]))
     if payload:
@@ -114,6 +141,13 @@ def parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
 
     Tolerant by design: tracer consumers must never fail on garbage.
     """
+    if type(raw) is bytes:
+        return _parse_proactive(raw)
+    return _parse_proactive.__wrapped__(raw)
+
+
+@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
     try:
         if not raw or raw[0] != TAG_PROACTIVE:
             return None
@@ -122,12 +156,19 @@ def parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
         return None
     if pos + length != len(raw):
         return None
-    return parse_terminal_response(raw[pos:])
+    return _parse_terminal_response.__wrapped__(raw[pos:])  # one entry, not two
 
 
 def parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
     """Decode the command details in a TLV body (a TERMINAL RESPONSE's or
     a proactive envelope's); None on garbage."""
+    if type(raw) is bytes:
+        return _parse_terminal_response(raw)
+    return _parse_terminal_response.__wrapped__(raw)
+
+
+@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
     try:
         number = type_octet = qualifier = None
         for tag, value in iter_tlvs(raw):
@@ -143,7 +184,14 @@ def parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
 def encode_terminal_response(info: ProactiveInfo) -> bytes:
     """The TERMINAL RESPONSE body acknowledging ``info``: its command
     details, terminal to card, result 00 (performed successfully)."""
-    details = bytes([info.command_number, info.type_octet, info.qualifier])
+    # Keyed on the octets, not on ``info``: a ProactiveInfo of floats
+    # would equal one of ints, and its hash is a Python-level call.
+    return _terminal_response(
+        bytes([info.command_number, info.type_octet, info.qualifier]))
+
+
+@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _terminal_response(details: bytes) -> bytes:
     return (encode_tlv(TAG_COMMAND_DETAILS, details)
             + encode_tlv(TAG_DEVICE_IDENTITIES, bytes([DEV_TERMINAL, DEV_UICC]))
             + encode_tlv(TAG_RESULT, b"\x00"))

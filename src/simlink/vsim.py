@@ -337,6 +337,13 @@ class FileKind(enum.Enum):
     LINEAR_FIXED = "linear_fixed"
 
 
+# The kinds the select and read handlers check, bound once (see the enum
+# note in tunnel.py).
+_DIRECTORY = FileKind.DIRECTORY
+_TRANSPARENT = FileKind.TRANSPARENT
+_LINEAR_FIXED = FileKind.LINEAR_FIXED
+
+
 @dataclass(frozen=True)
 class FileNode:
     file_id: Optional[int]  # None for the AID-only ADF
@@ -483,7 +490,7 @@ class Card:
         node = self._lookup(fid)
         if node is None:
             return RESP_FILE_NOT_FOUND
-        if node.kind is FileKind.DIRECTORY:
+        if node.kind is _DIRECTORY:
             self._current_dir = node
             self._current_ef = None
         else:
@@ -505,7 +512,7 @@ class Card:
         if cmd.p1 & 0x80:  # short-file-id addressing unsupported
             return RESP_WRONG_PARAMS
         ef = self._current_ef
-        if ef is None or ef.kind is not FileKind.TRANSPARENT:
+        if ef is None or ef.kind is not _TRANSPARENT:
             return RESP_WRONG_PARAMS
         offset = (cmd.p1 << 8) | cmd.p2
         if offset >= len(ef.body):
@@ -519,7 +526,7 @@ class Card:
 
     def _on_read_record(self, cmd: CommandApdu) -> ResponseApdu:
         ef = self._current_ef
-        if ef is None or ef.kind is not FileKind.LINEAR_FIXED:
+        if ef is None or ef.kind is not _LINEAR_FIXED:
             return RESP_WRONG_PARAMS
         if cmd.p2 & 0x07 != 0x04 or cmd.p1 == 0:  # absolute addressing only
             return RESP_WRONG_PARAMS

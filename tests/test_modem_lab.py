@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from simlink.apdu import INS_AUTHENTICATE, INS_FETCH, ResponseApdu
+from simlink.apdu import INS_AUTHENTICATE, INS_FETCH, INS_READ_BINARY, ResponseApdu
 from simlink.lab import (
     StallPolicy,
     SweepRow,
@@ -169,6 +169,49 @@ class TestRunSession:
             rng = random.Random(seed)
             assert sent == [bytes(rng.randrange(256) for _ in range(16))
                             for _ in range(2)], seed
+
+
+class WrongLeLink(VirtualLink):
+    """The demo card, but READ BINARY EF_ICCID is first answered 6C 0A
+    (wrong Le, 10 octets available) and its retry ``retried``: passed on
+    to the card when None."""
+
+    def __init__(self, retried=None):
+        super().__init__(Card(demo_profile()), 0.0)
+        self.retried = retried
+        self.iccid_reads = []
+
+    def exchange(self, cmd):
+        if cmd.ins == INS_READ_BINARY and cmd.le == 10:
+            self.iccid_reads.append(cmd)
+            if len(self.iccid_reads) == 1:
+                return ResponseApdu(b"", 0x6C, 0x0A), Timing(self.now_ms)
+            if self.retried is not None:
+                return self.retried, Timing(self.now_ms)
+        return super().exchange(cmd)
+
+
+class TestWrongLeRetry:
+    """A 6C xx answer is retried once with Le = xx, and the retry's status
+    is the one the phase checks."""
+
+    def test_a_retry_answered_90_00_completes_with_one_more_exchange(self):
+        plain = verified_modem().run(zero_delay_link())
+        link = WrongLeLink()
+        report = verified_modem().run(link)
+        assert report.failure is None
+        assert report.exchanges == plain.exchanges + 1
+        assert report.iccid == demo_profile().iccid
+        assert [cmd.le for cmd in link.iccid_reads] == [10, 10]
+
+    def test_a_retry_answered_6a_82_is_a_bad_status(self):
+        link = WrongLeLink(retried=ResponseApdu(b"", 0x6A, 0x82))
+        report = verified_modem().run(link)
+        assert report.failure == \
+            "ProtocolViolation(BadStatus: READ BINARY EF_ICCID answered 6A82)"
+        assert report.completed_phases == ["reset"]
+        assert report.exchanges == 3
+        assert len(link.iccid_reads) == 2
 
 
 class CorruptingLink(VirtualLink):

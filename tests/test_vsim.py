@@ -472,6 +472,75 @@ class TestCardToolkitEncoding:
             == ["SEND_SHORT_MESSAGE", "PROVIDE_LOCAL_INFO", "TYPE_99"]
 
 
+class TestCodecCache:
+    """The cached proactive codec answers as its uncached functions do, for
+    bytes, bytearray and memoryview inputs alike, and no cache outgrows its
+    bound."""
+
+    CACHES = (tlv._encode_proactive, tlv._parse_proactive,
+              tlv._parse_terminal_response, tlv._terminal_response)
+
+    @staticmethod
+    def variants(raw: bytes) -> list:
+        """``raw`` whole, cut short, with one octet changed, and garbage."""
+        return [raw, raw[:len(raw) // 2], raw[:-1],
+                bytes([raw[0] ^ 0x01]) + raw[1:], raw[:1] + b"\xFF" + raw[2:]]
+
+    def test_cached_results_equal_the_uncached_functions(self):
+        rng = random.Random(23)
+        parse_proactive = tlv._parse_proactive.__wrapped__
+        parse_body = tlv._parse_terminal_response.__wrapped__
+        for kind in ProactiveKind:
+            for number in range(256):
+                payload = rng.randbytes(rng.randint(0, 240))
+                envelope = tlv.encode_proactive(number, kind, payload)
+                assert envelope == tlv._encode_proactive.__wrapped__(
+                    number, kind, payload)
+                for other in (bytearray(payload), memoryview(payload)):
+                    assert tlv.encode_proactive(number, kind, other) == envelope
+                assert tlv.encode_proactive(number, int(kind), payload) == envelope
+                info = tlv.ProactiveInfo(number, rng.randrange(256),
+                                         rng.randrange(256))
+                body = tlv.encode_terminal_response(info)
+                assert body == tlv._terminal_response.__wrapped__(
+                    bytes([info.command_number, info.type_octet, info.qualifier]))
+                garbage = rng.randbytes(rng.randint(0, 40))
+                for raw in self.variants(envelope) + self.variants(body) + [garbage]:
+                    for typed in (raw, bytearray(raw), memoryview(raw)):
+                        assert tlv.parse_proactive(typed) == parse_proactive(raw)
+                        assert tlv.parse_terminal_response(typed) == parse_body(raw)
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.maxsize == tlv.CODEC_CACHE_SIZE == 256
+            assert 0 < info.currsize <= info.maxsize
+
+    def test_only_plain_bytes_and_ints_are_cached(self):
+        raw = tlv.encode_proactive(1, ProactiveKind.SEND_SHORT_MESSAGE, b"\x01")
+        assert tlv.parse_proactive(raw) is tlv.parse_proactive(raw)
+        for cache in self.CACHES:
+            cache.cache_clear()
+        tlv.parse_proactive(bytearray(raw))
+        tlv.parse_terminal_response(memoryview(raw))
+        tlv.encode_proactive(1, ProactiveKind.SEND_SHORT_MESSAGE, bytearray(b"\x01"))
+        tlv.encode_proactive(True, ProactiveKind.SEND_SHORT_MESSAGE, b"\x01")
+        assert [cache.cache_info().currsize for cache in self.CACHES] == [0] * 4
+
+    def test_a_call_that_raises_is_never_cached(self):
+        kind = ProactiveKind.SEND_SHORT_MESSAGE
+        tlv.encode_proactive(1, kind)  # 1.0 equals this key, but must raise
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                tlv.encode_proactive(1.0, kind)
+            with pytest.raises(ValueError):
+                tlv.encode_proactive(256, kind)
+            with pytest.raises(ValueError):
+                tlv.encode_terminal_response(tlv.ProactiveInfo(1, 0x13, 300))
+        tlv._encode_proactive.cache_clear()
+        with pytest.raises(ValueError):
+            tlv.encode_proactive(-1, kind)
+        assert tlv._encode_proactive.cache_info().currsize == 0
+
+
 class TestCardDeterminism:
     def script(self):
         rng = random.Random(5)
