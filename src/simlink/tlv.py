@@ -186,12 +186,12 @@ def encode_terminal_response(info: ProactiveInfo) -> bytes:
     details, terminal to card, result 00 (performed successfully)."""
     # Keyed on the octets, not on ``info``: a ProactiveInfo of floats
     # would equal one of ints, and its hash is a Python-level call.
-    return _terminal_response(
+    return _encode_terminal_response(
         bytes([info.command_number, info.type_octet, info.qualifier]))
 
 
 @functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _terminal_response(details: bytes) -> bytes:
+def _encode_terminal_response(details: bytes) -> bytes:
     return (encode_tlv(TAG_COMMAND_DETAILS, details)
             + encode_tlv(TAG_DEVICE_IDENTITIES, bytes([DEV_TERMINAL, DEV_UICC]))
             + encode_tlv(TAG_RESULT, b"\x00"))

@@ -478,7 +478,7 @@ class TestCodecCache:
     bound."""
 
     CACHES = (tlv._encode_proactive, tlv._parse_proactive,
-              tlv._parse_terminal_response, tlv._terminal_response)
+              tlv._parse_terminal_response, tlv._encode_terminal_response)
 
     @staticmethod
     def variants(raw: bytes) -> list:
@@ -502,7 +502,7 @@ class TestCodecCache:
                 info = tlv.ProactiveInfo(number, rng.randrange(256),
                                          rng.randrange(256))
                 body = tlv.encode_terminal_response(info)
-                assert body == tlv._terminal_response.__wrapped__(
+                assert body == tlv._encode_terminal_response.__wrapped__(
                     bytes([info.command_number, info.type_octet, info.qualifier]))
                 garbage = rng.randbytes(rng.randint(0, 40))
                 for raw in self.variants(envelope) + self.variants(body) + [garbage]:
