@@ -633,7 +633,13 @@ class BrokerClient:
             line = self._roundtrip(message)
         if line is None:
             raise BrokerError("connection closed without a reply")
-        reply = json.loads(line)
+        try:
+            reply = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            reply = None
+        if not isinstance(reply, dict):  # not a broker: drop the connection
+            self.close()
+            raise BrokerError(f"reply is not a JSON object: {line[:64]!r}")
         if not reply.get("ok"):
             raise BrokerRequestError(reply.get("error", "Unknown"),
                                      reply.get("detail", ""))

@@ -121,15 +121,15 @@ def cmd_provide(args) -> int:
         profile, token, host=host, port=port,
         rules=rules, trace_dir=args.trace_dir,
     )
-    with client:
-        client.request("register_sim", {
-            "iccid": profile.iccid,
-            "tags": args.tag,
-            "provider_endpoint": server.endpoint,
-        })
-    print(f"provider for {profile.iccid} listening on {server.endpoint}",
-          file=sys.stderr)
-    try:
+    try:  # a refused registration closes the bound server too
+        with client:
+            client.request("register_sim", {
+                "iccid": profile.iccid,
+                "tags": args.tag,
+                "provider_endpoint": server.endpoint,
+            })
+        print(f"provider for {profile.iccid} listening on {server.endpoint}",
+              file=sys.stderr)
         server.serve_forever()  # connections made meanwhile wait in the backlog
     except KeyboardInterrupt:
         pass
@@ -155,7 +155,7 @@ def build_modem(args) -> ModemSim:
         if args.script is not None:
             settings = script_from_json(read_text(args.script))
         verify = settings.get("verify")
-        modem = ModemSim(
+        return ModemSim(
             script=settings.get("phases"),
             waiting_time_ms=float(settings.get("waiting_time_ms",
                                                args.waiting_time_ms)),
@@ -164,10 +164,6 @@ def build_modem(args) -> ModemSim:
             op_salt=bytes.fromhex(verify["op_salt_hex"]) if verify else None,
             seed=int(settings.get("seed", args.seed)),
         )
-    if "waiting_time_ms" in settings:
-        require_number(modem.waiting_time_ms,
-                       f"waiting_time_ms in {args.script}")
-    return modem
 
 
 def cmd_probe(args) -> int:

@@ -45,8 +45,10 @@ class ProtocolViolation(SimlinkError):
     ``HandshakeTimeout`` (no Hello within the provider's deadline),
     ``BadRole`` (a Hello without the probe's role octet), and, from
     the modem, ``BadStatus`` (a card answer with an error status word),
-    ``EmptyAtr`` (a reset answered with no ATR) and ``BadProactive`` (a
-    FETCH answered with a body that is not a proactive command).
+    ``EmptyAtr`` (a reset answered with no ATR), ``BadProactive`` (a
+    FETCH answered with a body that is not a proactive command) and
+    ``UndrainedProactive`` (a card still announcing a proactive command
+    when the modem's FETCH rounds run out).
     """
 
     def __init__(self, kind: str, detail: str = ""):

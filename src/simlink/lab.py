@@ -59,7 +59,7 @@ class VirtualLink:
 
     def reset(self):
         self.card.reset()
-        return self._atr.to_bytes(), Timing(self.now_ms)
+        return self._atr, Timing(self.now_ms)
 
     def exchange(self, cmd: CommandApdu):
         start = self.now_ms

@@ -51,6 +51,9 @@ PHASE_AUTHENTICATE = "authenticate"
 PHASE_STATUS_POLL = "status_poll"
 PHASE_PROACTIVE_FETCH = "proactive_fetch"
 
+# FETCH rounds in a proactive_fetch phase; a card still announcing fails.
+PROACTIVE_FETCH_ROUNDS = 16
+
 EF_ICCID = b"\x2F\xE2"
 EF_IMSI = b"\x6F\x07"
 
@@ -386,9 +389,9 @@ class _SessionRun:
     def _phase_proactive_fetch(self, phase: Phase):
         # Drain whatever the card announced; each fetched command gets a
         # terminal response so hidden activity is fully acknowledged.
-        safety = 16
-        while self.pending_proactive and safety:
-            safety -= 1
+        rounds = PROACTIVE_FETCH_ROUNDS
+        while self.pending_proactive and rounds:
+            rounds -= 1
             fetched = self._expect_success(
                 self._exchange(
                     CommandApdu(0x80, INS_FETCH, 0x00, 0x00,
@@ -409,6 +412,11 @@ class _SessionRun:
                 ),
                 "TERMINAL RESPONSE",
             )
+        if self.pending_proactive:
+            raise ProtocolViolation(
+                "UndrainedProactive",
+                "the card still announces a proactive command after "
+                f"{PROACTIVE_FETCH_ROUNDS} FETCH rounds")
 
     # Phase name -> handler, built once with the class.
     PHASES = {

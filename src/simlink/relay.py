@@ -147,7 +147,7 @@ class ProviderCore:
                 self.deadline_ms = None
                 self._open_trace()
             elif isinstance(action, ResetIndication):
-                emitted += self.session.send_atr(self.card.reset().to_bytes())
+                emitted += self.session.send_atr(self.card.reset())
             elif isinstance(action, DeliverCommand):
                 emitted += self._relay(action, now_ms)
             elif isinstance(action, Violation):

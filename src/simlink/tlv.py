@@ -6,21 +6,23 @@ short form below 0x80 and the 0x81/0x82 long forms above it.
 
 The proactive codec sees the same few inputs in every session: a card
 numbers its commands from 1 after each reset, and the modem and the
-tracer decode what the card encoded. So ``encode_proactive``,
-``parse_proactive``, ``parse_terminal_response`` and
-``encode_terminal_response`` each keep their last ``CODEC_CACHE_SIZE``
-distinct results in a process-wide LRU cache. Every result is bytes,
-None or a frozen ``ProactiveInfo``, so hits share it safely; a call that
-raises is never kept. Arguments of other types (a ``bytearray``, a
-``memoryview``, a number that is not an ``int``) take the uncached
-function, so an equal key of another type can neither pin a buffer nor
-answer for a call that would raise.
+tracer decode what the card encoded. So ``encode_proactive`` and
+``parse_terminal_response`` each keep their last ``CODEC_CACHE_SIZE``
+distinct results in a process-wide LRU cache, and ``parse_proactive``
+checks the 0xD0 header and hands the body to the second. Each entry
+point keys its cache on ``bytes`` (a ``bytearray`` changed after a call
+cannot answer for a later one) and on ``operator.index`` ints (a float
+raises rather than matching an int). Results are bytes, None or a frozen
+``ProactiveInfo``, so hits share them; a call that raises is never kept.
+A TERMINAL RESPONSE is its command details plus a constant tail: built,
+not cached.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -93,15 +95,15 @@ CODEC_CACHE_SIZE = 256
 def encode_proactive(number: int, kind: ProactiveKind,
                      payload: bytes = b"") -> bytes:
     """The 0xD0 envelope of proactive command ``number`` (qualifier 0)."""
-    if type(number) is int and type(payload) is bytes:
-        return _encode_proactive(number, kind, payload)
-    return _encode_proactive.__wrapped__(number, kind, payload)
+    # Unlike bytes(), which turns 3 into three zero octets, join refuses
+    # an int; it copies any other bytes-like object and returns bytes as is.
+    return _encode_proactive(operator.index(number), operator.index(kind),
+                             b"".join((payload,)))
 
 
 @functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _encode_proactive(number: int, kind: ProactiveKind,
-                      payload: bytes) -> bytes:
-    inner = encode_tlv(TAG_COMMAND_DETAILS, bytes([number, int(kind), 0x00]))
+def _encode_proactive(number: int, kind: int, payload: bytes) -> bytes:
+    inner = encode_tlv(TAG_COMMAND_DETAILS, bytes([number, kind, 0x00]))
     inner += encode_tlv(TAG_DEVICE_IDENTITIES, bytes(PROACTIVE_DEVICES[kind]))
     if payload:
         inner += encode_tlv(TAG_PAYLOAD, payload)
@@ -141,13 +143,6 @@ def parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
 
     Tolerant by design: tracer consumers must never fail on garbage.
     """
-    if type(raw) is bytes:
-        return _parse_proactive(raw)
-    return _parse_proactive.__wrapped__(raw)
-
-
-@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
     try:
         if not raw or raw[0] != TAG_PROACTIVE:
             return None
@@ -156,15 +151,13 @@ def _parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
         return None
     if pos + length != len(raw):
         return None
-    return _parse_terminal_response.__wrapped__(raw[pos:])  # one entry, not two
+    return parse_terminal_response(raw[pos:])
 
 
 def parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
     """Decode the command details in a TLV body (a TERMINAL RESPONSE's or
     a proactive envelope's); None on garbage."""
-    if type(raw) is bytes:
-        return _parse_terminal_response(raw)
-    return _parse_terminal_response.__wrapped__(raw)
+    return _parse_terminal_response(b"".join((raw,)))
 
 
 @functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
@@ -181,17 +174,14 @@ def _parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
         return None
 
 
+_TERMINAL_RESPONSE_TAIL = (
+    encode_tlv(TAG_DEVICE_IDENTITIES, bytes([DEV_TERMINAL, DEV_UICC]))
+    + encode_tlv(TAG_RESULT, b"\x00"))
+
+
 def encode_terminal_response(info: ProactiveInfo) -> bytes:
     """The TERMINAL RESPONSE body acknowledging ``info``: its command
     details, terminal to card, result 00 (performed successfully)."""
-    # Keyed on the octets, not on ``info``: a ProactiveInfo of floats
-    # would equal one of ints, and its hash is a Python-level call.
-    return _encode_terminal_response(
-        bytes([info.command_number, info.type_octet, info.qualifier]))
-
-
-@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _encode_terminal_response(details: bytes) -> bytes:
-    return (encode_tlv(TAG_COMMAND_DETAILS, details)
-            + encode_tlv(TAG_DEVICE_IDENTITIES, bytes([DEV_TERMINAL, DEV_UICC]))
-            + encode_tlv(TAG_RESULT, b"\x00"))
+    return (encode_tlv(TAG_COMMAND_DETAILS, bytes(
+        [info.command_number, info.type_octet, info.qualifier]))
+        + _TERMINAL_RESPONSE_TAIL)

@@ -21,11 +21,12 @@ One tracer serves one session and owns its file.
 
 Most relayed octets recur in every session, so each distinct event is
 decoded once: one process-wide LRU cache of ``RENDER_CACHE_SIZE``
-entries, keyed on the event's relayed octets (and, for a response, the
-answered INS, the rule id and the original octets), holds its
-``raw_hex`` and its ``decoded`` fields. Each event gets its own copy of
-``decoded``, and every line is formatted from the event's own fields, so
-the cache changes no line, no schema and no file layout.
+entries, keyed on the event's direction and relayed octets (and, for a
+response, the answered INS), holds its ``raw_hex`` and its ``decoded``
+fields. Each event gets its own copy of ``decoded``, to which a
+rewritten response adds its ``rule_id`` and ``original_hex``, and every
+line is formatted from the event's own fields, so the cache changes no
+line, no schema and no file layout.
 """
 
 from __future__ import annotations
@@ -181,22 +182,17 @@ RENDER_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=RENDER_CACHE_SIZE)
-def _render(direction: str, octets: bytes, ins: Optional[int] = None,
-            rule_id: Optional[str] = None,
-            original: Optional[bytes] = None) -> Tuple[str, dict]:
+def _render(direction: str, octets: bytes,
+            ins: Optional[int] = None) -> Tuple[str, dict]:
     """The ``raw_hex`` and ``decoded`` of the event that relays ``octets``
     in ``direction``: a command as the modem sent it, or a response as the
-    modem will see it, answering ``ins``, rewritten by ``rule_id`` from
-    ``original``. The dict is shared by every hit: callers copy it."""
+    modem will see it, answering ``ins``. The dict is shared by every hit:
+    callers copy it."""
     if direction == DIR_MODEM_TO_SIM:
         cmd = decode_command(octets)
         octets, decoded = encode_command(cmd), decode_command_event(cmd)
     else:
         decoded = _decode_response(ResponseApdu.from_bytes(octets), ins)
-        if rule_id is not None:
-            decoded["rule_id"] = rule_id
-            if original is not None:
-                decoded["original_hex"] = original.hex().upper()
     return octets.hex().upper(), decoded
 
 
@@ -434,15 +430,16 @@ class Tracer:
         """Record one relayed response, answering ``command``, rewritten by
         ``rule_id`` from ``original``; ``octets``, the response as relayed,
         spare encoding it again. Writes what the file can take."""
-        key = (DIR_SIM_TO_MODEM, resp.to_bytes() if octets is None else octets,
-               None if command is None else command.ins, rule_id,
-               None if original is None else original.to_bytes())
-        # 1 and True would share an entry: a rule id not a str is never cached.
-        render = (_render if rule_id is None or type(rule_id) is str
-                  else _render.__wrapped__)
-        raw_hex, decoded = render(*key)
-        event = TraceEvent(int(ts_ms), DIR_SIM_TO_MODEM, raw_hex,
-                           dict(decoded), self.session_id,
+        raw_hex, decoded = _render(
+            DIR_SIM_TO_MODEM, resp.to_bytes() if octets is None else octets,
+            None if command is None else command.ins)
+        decoded = dict(decoded)
+        if rule_id is not None:
+            decoded["rule_id"] = rule_id
+            if original is not None:
+                decoded["original_hex"] = original.to_bytes().hex().upper()
+        event = TraceEvent(int(ts_ms), DIR_SIM_TO_MODEM, raw_hex, decoded,
+                           self.session_id,
                            [] if rule_id is None else [FLAG_REWRITTEN])
         self.record(event)
         if self._file is not None and not self._waiting:

@@ -223,7 +223,8 @@ def verify_aka_response(k: bytes, op_salt: bytes, rand: bytes,
 
 @functools.lru_cache(maxsize=64)
 def _parse_atr_hex(atr_hex: str) -> Atr:
-    """Parse each distinct ATR once; Atr is frozen, so sharing is safe."""
+    """Parse each distinct ATR once: a parse costs nearly as much as the
+    rest of a profile load, and every profile checks its ATR."""
     return parse_atr(bytes.fromhex(atr_hex))
 
 
@@ -262,10 +263,6 @@ class SimProfile:
             if len(entry.payload) > PROACTIVE_PAYLOAD_MAX:
                 raise PayloadTooLong(f"proactive payload of {len(entry.payload)} "
                                      f"octets, limit {PROACTIVE_PAYLOAD_MAX}")
-
-    @property
-    def atr(self) -> Atr:
-        return _parse_atr_hex(self.atr_hex)
 
     @classmethod
     def from_json(cls, text: str) -> "SimProfile":
@@ -427,6 +424,7 @@ class Card:
     def __init__(self, profile: SimProfile,
                  proactive_trigger_polls: int = DEFAULT_PROACTIVE_TRIGGER_POLLS):
         self.profile = profile
+        self._atr = bytes.fromhex(profile.atr_hex)
         self.trigger_polls = proactive_trigger_polls
         self._sqn = profile.sqn
         self._root, self._adf = build_filesystem(profile.iccid, profile.imsi)
@@ -440,8 +438,9 @@ class Card:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def reset(self) -> Atr:
-        """Warm reset: selection back to MF, trigger counter zeroed."""
+    def reset(self) -> bytes:
+        """Warm reset: selection back to MF, trigger counter zeroed; returns
+        the profile's ATR octets."""
         self._current_dir = self._root
         self._current_ef = None
         self._status_polls = 0
@@ -449,7 +448,7 @@ class Card:
         self._scripted_pending = list(self.profile.proactive)
         self.acked_numbers.clear()
         self._was_reset = True
-        return self.profile.atr
+        return self._atr
 
     @property
     def sqn(self) -> int:

@@ -1258,11 +1258,12 @@ class TestIndexedRegistryOracle:
 
 
 class OneReplyServer:
-    """A line server that answers the first line of each connection, then
-    reads the next line and closes without answering it."""
+    """A line server that answers the first line of each connection with
+    ``reply``, then reads the next line and closes without answering it."""
 
-    def __init__(self, answer=True):
+    def __init__(self, answer=True, reply=b'{"ok": true}\n'):
         self.answer = answer
+        self.reply = reply
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.endpoint = "127.0.0.1:%d" % self.sock.getsockname()[1]
         self.connections = 0
@@ -1286,7 +1287,7 @@ class OneReplyServer:
                         break
                     self.ops.append(json.loads(line)["op"])
                     if reply:
-                        stream.write(b'{"ok": true}\n')
+                        stream.write(self.reply)
                         stream.flush()
 
     def close(self):
@@ -1316,6 +1317,16 @@ class TestClientReconnect:
         server.close()
         assert server.ops == ["register_probe", "request_lease"]
         assert server.connections == 1
+
+    @pytest.mark.parametrize("reply", [b"hello\n", b"[1]\n", b"\xff\n"])
+    def test_a_reply_not_a_json_object_is_a_broker_error(self, reply):
+        server = OneReplyServer(reply=reply)
+        with BrokerClient(server.endpoint, TOKEN) as client:
+            with pytest.raises(BrokerError, match="not a JSON object"):
+                client.request("list")
+            assert client._conn is None
+        server.close()
+        assert server.ops == ["list"]
 
     def test_fresh_connection_is_never_retried(self):
         server = OneReplyServer(answer=False)

@@ -1,6 +1,7 @@
 """CLI behavior: flags, exit codes, machine-parsable stderr, loopback probe."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -171,6 +172,31 @@ def provider_server(broker_server):
     register_demo_sim(broker_server, server)
     yield server
     server.stop()
+
+
+@pytest.fixture()
+def hello_peer():
+    """The endpoint of a peer that answers every line with ``hello``."""
+    sock = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _ = sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rwb") as stream:
+                for _ in stream:
+                    stream.write(b"hello\n")
+                    stream.flush()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield "127.0.0.1:%d" % sock.getsockname()[1]
+    sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+    sock.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def register_demo_sim(broker_server, provider):
@@ -410,6 +436,18 @@ class TestProbe:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
 
+    def test_a_peer_that_is_not_a_broker_is_one_error_line(self, capsys,
+                                                          monkeypatch,
+                                                          hello_peer):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        code, out, err = run_cli(
+            ["probe", "--broker", hello_peer, "--lease", "tag:AT"], capsys)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {
+            "error": "BrokerError",
+            "detail": "BrokerError: reply is not a JSON object: b'hello\\n'"}
+
     def test_one_control_connection_per_probe_run(self, capsys, monkeypatch,
                                                   broker_server, provider_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
@@ -497,6 +535,15 @@ class TestBrokerCmdConfig:
         code, _, _ = run_cli(["broker", "--listen", "127.0.0.1:0"], capsys)
         assert code == 0
         assert entered == [before]
+
+    def test_provide_to_a_peer_that_is_not_a_broker_is_one_error_line(
+            self, capsys, monkeypatch, hello_peer):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        code, _, err = run_cli(["provide", "--broker", hello_peer,
+                                "--listen", "127.0.0.1:0"], capsys)
+        assert code == 1
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "BrokerError"
 
     def test_provide_bad_broker_endpoint_fails_before_binding(self, capsys,
                                                               monkeypatch):

@@ -190,7 +190,7 @@ def card_stream_digest(seed: int = 2024, commands: int = 2000) -> str:
             was_reset = False
             digest.update(b"|new")
         elif roll < 0.04 or (not was_reset and roll < 0.3):
-            digest.update(b"|atr" + card.reset().to_bytes())
+            digest.update(b"|atr" + card.reset())
             was_reset = True
         for cmd in _random_commands(rng):
             sent += 1

@@ -16,7 +16,14 @@ from simlink.lab import (
     render_table,
     run_one,
 )
-from simlink.modem import DEFAULT_SCRIPT, ModemSim, Phase, Timing, _SessionRun
+from simlink.modem import (
+    DEFAULT_SCRIPT,
+    PROACTIVE_FETCH_ROUNDS,
+    ModemSim,
+    Phase,
+    Timing,
+    _SessionRun,
+)
 from simlink.tracer import Tracer, detect_silent_sms
 from simlink.vsim import Card, demo_profile
 
@@ -149,6 +156,24 @@ class TestRunSession:
             "ProtocolViolation(BadProactive: FETCH answered 3 octets that are "
             "not a proactive command)")
         assert report.completed_phases == [p.name for p in DEFAULT_SCRIPT][:-1]
+
+    @pytest.mark.parametrize("scripted", [PROACTIVE_FETCH_ROUNDS,
+                                          PROACTIVE_FETCH_ROUNDS + 1])
+    def test_a_card_still_announcing_after_the_last_round_fails(self, scripted):
+        profile = demo_profile()
+        profile.proactive = profile.proactive * scripted
+        card = Card(profile)
+        report = verified_modem().run(VirtualLink(card, 0.0))
+        assert len(card.acked_numbers) == PROACTIVE_FETCH_ROUNDS == 16
+        if scripted == PROACTIVE_FETCH_ROUNDS:
+            assert report.failure is None
+            return
+        assert len(card.queue) == 1
+        assert report.failure == (
+            "ProtocolViolation(UndrainedProactive: the card still announces "
+            "a proactive command after 16 FETCH rounds)")
+        assert report.completed_phases == [p.name for p in DEFAULT_SCRIPT][:-1]
+        assert report.exchanges == 43
 
     def test_rands_are_the_randrange_draws_of_the_seed(self):
         """Each RAND octet is what ``randrange(256)`` would have drawn, in

@@ -481,7 +481,6 @@ class TestRenderCacheOverSockets:
             render.cache_clear()
             return render(*key)
 
-        uncached.__wrapped__ = render.__wrapped__
         monkeypatch.setattr(tracer_mod, "_render", uncached)
         assert self.trace_digests(tmp_path / "cleared") == cached
         assert render.cache_info().hits == 0

@@ -18,7 +18,15 @@ from simlink.apdu import (
     StatusKind,
     classify_status,
 )
-from simlink.errors import AuthFailed, CodecError, PayloadTooLong, Truncated
+from simlink.errors import (
+    AuthFailed,
+    BadChecksum,
+    CodecError,
+    PayloadTooLong,
+    TrailingGarbage,
+    Truncated,
+    UnknownConvention,
+)
 from simlink.tlv import ProactiveKind
 from simlink.vsim import (
     Card,
@@ -166,6 +174,19 @@ class TestEncodings:
             SimProfile("8901234567890123455", "\u0661\u0662\u0663\u0664\u0665\u0666",
                        bytes(16), bytes(16))
 
+    @pytest.mark.parametrize("atr_hex, error", [
+        ("3B", Truncated),
+        ("3C00", UnknownConvention),
+        ("3B0000", TrailingGarbage),
+        ("3B800180", BadChecksum),  # T=1 announced, TCK folds to 01
+    ])
+    def test_profile_refuses_a_malformed_atr(self, atr_hex, error):
+        with pytest.raises(error):
+            SimProfile("8901234567890123455", "123456", bytes(16), bytes(16),
+                       atr_hex=atr_hex)
+        SimProfile("8901234567890123455", "123456", bytes(16), bytes(16),
+                   atr_hex="3B800181")
+
     def test_profile_refuses_a_proactive_payload_over_the_cap(self):
         def profile(length):
             return SimProfile("8901234567890123455", "123456", bytes(16), bytes(16),
@@ -259,8 +280,8 @@ class TestCardFileSystem:
         card = Card(demo_profile())
         atr1 = card.reset()
         atr2 = card.reset()
-        assert atr1.to_bytes() == atr2.to_bytes()
-        assert atr1.to_bytes() == bytes.fromhex(demo_profile().atr_hex)
+        assert atr1 == atr2
+        assert atr1 == bytes.fromhex(demo_profile().atr_hex)
 
     def test_read_before_select_fails(self):
         card = fresh_card()
@@ -472,13 +493,76 @@ class TestCardToolkitEncoding:
             == ["SEND_SHORT_MESSAGE", "PROVIDE_LOCAL_INFO", "TYPE_99"]
 
 
-class TestCodecCache:
-    """The cached proactive codec answers as its uncached functions do, for
-    bytes, bytearray and memoryview inputs alike, and no cache outgrows its
-    bound."""
+# A reference proactive codec, written from encode_tlv and the
+# card-toolkit layout: the device identities of each kind's envelope.
+REFERENCE_DEVICES = {0x13: (0x81, 0x83), 0x26: (0x81, 0x82)}
 
-    CACHES = (tlv._encode_proactive, tlv._parse_proactive,
-              tlv._parse_terminal_response, tlv._encode_terminal_response)
+
+def reference_envelope(number: int, kind: int, payload: bytes) -> bytes:
+    inner = (tlv.encode_tlv(0x81, bytes([number, kind, 0x00]))
+             + tlv.encode_tlv(0x82, bytes(REFERENCE_DEVICES[kind])))
+    if payload:
+        inner += tlv.encode_tlv(0x8B, payload)
+    return tlv.encode_tlv(0xD0, inner)
+
+
+def reference_terminal_response(number: int, type_octet: int,
+                                qualifier: int) -> bytes:
+    return (tlv.encode_tlv(0x81, bytes([number, type_octet, qualifier]))
+            + tlv.encode_tlv(0x82, b"\x82\x81") + tlv.encode_tlv(0x83, b"\x00"))
+
+
+def reference_length(raw: bytes, pos: int):
+    """(length, position after it) of the length field at ``pos``; None
+    when it is cut short or not of the short, 0x81 or 0x82 form."""
+    if pos >= len(raw):
+        return None
+    first = raw[pos]
+    if first < 0x80:
+        return first, pos + 1
+    count = first - 0x80
+    if count not in (1, 2) or pos + 1 + count > len(raw):
+        return None
+    return int.from_bytes(raw[pos + 1:pos + 1 + count], "big"), pos + 1 + count
+
+
+def reference_body(raw: bytes):
+    """The last 3-octet command details of a TLV body that walks to its
+    end; None otherwise."""
+    found, pos = None, 0
+    while pos < len(raw):
+        field = reference_length(raw, pos + 1)
+        if field is None or sum(field) > len(raw):
+            return None
+        length, start = field
+        if raw[pos] == 0x81 and length == 3:
+            found = tlv.ProactiveInfo(*raw[start:start + 3])
+        pos = start + length
+    return found
+
+
+def reference_envelope_body(raw: bytes):
+    """``reference_body`` of a 0xD0 envelope's exact body; None for
+    anything else."""
+    if not raw or raw[0] != 0xD0:
+        return None
+    field = reference_length(raw, 1)
+    if field is None or sum(field) != len(raw):
+        return None
+    return reference_body(raw[field[1]:])
+
+
+class TestCodecCache:
+    """The proactive codec answers as the reference codec does, for bytes,
+    bytearray and memoryview inputs alike; it keeps two caches, each behind
+    one entry point that keys it on bytes and ints only."""
+
+    SMS = ProactiveKind.SEND_SHORT_MESSAGE
+
+    @staticmethod
+    def caches() -> list:
+        return [value for value in vars(tlv).values()
+                if hasattr(value, "cache_info")]
 
     @staticmethod
     def variants(raw: bytes) -> list:
@@ -486,59 +570,87 @@ class TestCodecCache:
         return [raw, raw[:len(raw) // 2], raw[:-1],
                 bytes([raw[0] ^ 0x01]) + raw[1:], raw[:1] + b"\xFF" + raw[2:]]
 
-    def test_cached_results_equal_the_uncached_functions(self):
+    def test_answers_equal_the_reference_codec(self):
         rng = random.Random(23)
-        parse_proactive = tlv._parse_proactive.__wrapped__
-        parse_body = tlv._parse_terminal_response.__wrapped__
+        decoded = 0
         for kind in ProactiveKind:
             for number in range(256):
                 payload = rng.randbytes(rng.randint(0, 240))
-                envelope = tlv.encode_proactive(number, kind, payload)
-                assert envelope == tlv._encode_proactive.__wrapped__(
-                    number, kind, payload)
-                for other in (bytearray(payload), memoryview(payload)):
-                    assert tlv.encode_proactive(number, kind, other) == envelope
+                envelope = reference_envelope(number, kind, payload)
+                for typed in (payload, bytearray(payload), memoryview(payload)):
+                    assert tlv.encode_proactive(number, kind, typed) == envelope
                 assert tlv.encode_proactive(number, int(kind), payload) == envelope
-                info = tlv.ProactiveInfo(number, rng.randrange(256),
-                                         rng.randrange(256))
-                body = tlv.encode_terminal_response(info)
-                assert body == tlv._encode_terminal_response.__wrapped__(
-                    bytes([info.command_number, info.type_octet, info.qualifier]))
+                details = (number, rng.randrange(256), rng.randrange(256))
+                body = reference_terminal_response(*details)
+                assert tlv.encode_terminal_response(
+                    tlv.ProactiveInfo(*details)) == body
                 garbage = rng.randbytes(rng.randint(0, 40))
                 for raw in self.variants(envelope) + self.variants(body) + [garbage]:
+                    want = reference_envelope_body(raw), reference_body(raw)
+                    decoded += want != (None, None)
                     for typed in (raw, bytearray(raw), memoryview(raw)):
-                        assert tlv.parse_proactive(typed) == parse_proactive(raw)
-                        assert tlv.parse_terminal_response(typed) == parse_body(raw)
-        for cache in self.CACHES:
+                        assert (tlv.parse_proactive(typed),
+                                tlv.parse_terminal_response(typed)) == want
+        assert decoded >= 4 * 256  # every whole envelope and body
+        for cache in self.caches():
             info = cache.cache_info()
             assert info.maxsize == tlv.CODEC_CACHE_SIZE == 256
             assert 0 < info.currsize <= info.maxsize
 
-    def test_only_plain_bytes_and_ints_are_cached(self):
-        raw = tlv.encode_proactive(1, ProactiveKind.SEND_SHORT_MESSAGE, b"\x01")
-        assert tlv.parse_proactive(raw) is tlv.parse_proactive(raw)
-        for cache in self.CACHES:
-            cache.cache_clear()
-        tlv.parse_proactive(bytearray(raw))
-        tlv.parse_terminal_response(memoryview(raw))
-        tlv.encode_proactive(1, ProactiveKind.SEND_SHORT_MESSAGE, bytearray(b"\x01"))
-        tlv.encode_proactive(True, ProactiveKind.SEND_SHORT_MESSAGE, b"\x01")
-        assert [cache.cache_info().currsize for cache in self.CACHES] == [0] * 4
+    def test_two_caches_keyed_on_bytes_and_ints_only(self, monkeypatch):
+        caches = self.caches()
+        assert sorted(cache.__name__ for cache in caches) == [
+            "_encode_proactive", "_parse_terminal_response"]
+        keys = []
+        for cache in caches:
+            def spy(*key, cache=cache):
+                keys.append(key)
+                return cache(*key)
+            monkeypatch.setattr(tlv, cache.__name__, spy)
+        envelope = reference_envelope(1, self.SMS, b"\x01")
+        for typed in (envelope, bytearray(envelope), memoryview(envelope)):
+            assert tlv.parse_proactive(typed) == tlv.ProactiveInfo(1, 0x13, 0)
+            tlv.parse_terminal_response(typed)
+        for typed in (b"\x01", bytearray(b"\x01"), memoryview(b"\x01")):
+            for number, kind in ((1, self.SMS), (True, int(self.SMS))):
+                assert tlv.encode_proactive(number, kind, typed) == envelope
+        assert len(keys) == 12
+        assert {type(part) for key in keys for part in key} == {bytes, int}
+
+    def test_a_bytearray_changed_after_a_call_changes_no_later_answer(self):
+        body = bytearray(reference_terminal_response(5, 0x13, 0))
+        assert tlv.parse_terminal_response(body) == tlv.ProactiveInfo(5, 0x13, 0)
+        envelope = bytearray(reference_envelope(5, self.SMS, b""))
+        assert tlv.parse_proactive(envelope) == tlv.ProactiveInfo(5, 0x13, 0)
+        payload = bytearray(b"\x01\x02")
+        assert tlv.encode_proactive(7, self.SMS, payload) == \
+            reference_envelope(7, self.SMS, b"\x01\x02")
+        body[2] = envelope[4] = payload[0] = 9
+        assert tlv.parse_terminal_response(body) == tlv.ProactiveInfo(9, 0x13, 0)
+        assert tlv.parse_proactive(envelope) == tlv.ProactiveInfo(9, 0x13, 0)
+        assert tlv.encode_proactive(7, self.SMS, payload) == \
+            reference_envelope(7, self.SMS, b"\x09\x02")
+        assert tlv.parse_terminal_response(
+            reference_terminal_response(5, 0x13, 0)) == tlv.ProactiveInfo(5, 0x13, 0)
+        assert tlv.encode_proactive(7, self.SMS, b"\x01\x02") == \
+            reference_envelope(7, self.SMS, b"\x01\x02")
 
     def test_a_call_that_raises_is_never_cached(self):
-        kind = ProactiveKind.SEND_SHORT_MESSAGE
-        tlv.encode_proactive(1, kind)  # 1.0 equals this key, but must raise
+        for cache in self.caches():
+            cache.cache_clear()
+        tlv.encode_proactive(1, self.SMS)  # 1.0 equals this key, but must raise
         for _ in range(2):
-            with pytest.raises(TypeError):
-                tlv.encode_proactive(1.0, kind)
-            with pytest.raises(ValueError):
-                tlv.encode_proactive(256, kind)
+            for number in (1.0, 256, -1):
+                with pytest.raises((TypeError, ValueError)):
+                    tlv.encode_proactive(number, self.SMS)
+            with pytest.raises(TypeError):  # not three zero octets
+                tlv.encode_proactive(1, self.SMS, 3)
+            for parse in (tlv.parse_proactive, tlv.parse_terminal_response):
+                with pytest.raises(TypeError):
+                    parse(3)
             with pytest.raises(ValueError):
                 tlv.encode_terminal_response(tlv.ProactiveInfo(1, 0x13, 300))
-        tlv._encode_proactive.cache_clear()
-        with pytest.raises(ValueError):
-            tlv.encode_proactive(-1, kind)
-        assert tlv._encode_proactive.cache_info().currsize == 0
+        assert [cache.cache_info().currsize for cache in self.caches()] == [1, 0]
 
 
 class TestCardDeterminism:
