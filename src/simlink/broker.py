@@ -11,10 +11,11 @@ the SIM, and a sweep with nothing due reads one list head.
 
 Every state change is one event: ``Registry._commit`` runs it through
 ``Registry._apply``, then appends it as a JSON line to an optional log
-file, flushed per event. Opening a registry on a log folds every complete
-event through the same ``_apply``, so a restart after a crash rebuilds the
-state exactly, with already-expired leases recovered as Free by the first
-sweep; a torn last line, left by a crash mid-write, is cut off.
+file, opened unbuffered, with one write before the call returns. Opening
+a registry on a log folds every complete event through the same
+``_apply``, so a restart after a crash rebuilds the state exactly, with
+already-expired leases recovered as Free by the first sweep; a torn last
+line, left by a crash mid-write, is cut off.
 
 The control API is newline-delimited UTF-8 JSON over TCP:
 
@@ -40,6 +41,7 @@ import threading
 import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import (
@@ -66,9 +68,18 @@ STATUS_LEASED = "Leased"
 
 REQUEST_MAX = 64 * 1024  # bytes in one control request line, newline included
 
-# The event log's compact encoding, built once: ``json.dumps`` with
-# ``separators`` builds a new encoder on every call.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
+# One C encoder per wire format, built once: ``json.dumps`` builds one on
+# every call. The arguments are the ones ``JSONEncoder.iterencode`` passes,
+# so ``"".join(_ENCODE_API(value, 0))`` is ``json.dumps(value)`` and
+# ``_ENCODE_LOG`` its ``separators=(",", ":")`` form. Circular-reference
+# markers are off, since a shared markers dict keeps stale ids after an
+# encode that raises; a value that contains itself raises RecursionError.
+_ENCODE_API = c_make_encoder(None, json.JSONEncoder().default,
+                             encode_basestring_ascii, None, ": ", ", ",
+                             False, False, True)
+_ENCODE_LOG = c_make_encoder(None, json.JSONEncoder().default,
+                             encode_basestring_ascii, None, ":", ",",
+                             False, False, True)
 
 
 def now_ms() -> int:
@@ -166,7 +177,7 @@ class Registry:
         self._expiries: List[Tuple[int, str]] = []
         if log_path:
             self._fold(log_path)
-        self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
+        self._log_file = open(log_path, "ab", buffering=0) if log_path else None
         self._closed = False  # set once a log is closed; refuses mutations
 
     # -- persistence ---------------------------------------------------------
@@ -197,8 +208,9 @@ class Registry:
         doc = {"event": event, "ts": ts, "body": body}
         self._apply(doc)
         if self._log_file is not None:
-            self._log_file.write(_COMPACT.encode(doc) + "\n")
-            self._log_file.flush()
+            data = ("".join(_ENCODE_LOG(doc, 0)) + "\n").encode()
+            while data:  # one write, unless the file takes only part of it
+                data = data[self._log_file.write(data):]
 
     def close(self):
         """Close the event log. Every later state change raises
@@ -432,7 +444,7 @@ class BrokerServer(Listener):
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
         self.registry = registry
-        self.token = token
+        self._token = token.encode("utf-8")
 
     def _on_wake(self, now_ms: float) -> Optional[float]:
         """Sweep when the registry's first lease is due; return when the
@@ -461,7 +473,7 @@ class BrokerServer(Listener):
                     "detail": "request is not a JSON object"}
         token = doc.get("token")
         if not (isinstance(token, str) and hmac.compare_digest(
-                token.encode("utf-8", "surrogatepass"), self.token.encode("utf-8"))):
+                token.encode("utf-8", "surrogatepass"), self._token)):
             return {"ok": False, "error": "BadToken"}
         op = doc.get("op")
         body = doc.get("body", {})
@@ -570,7 +582,7 @@ class ControlCore:
 
 
 def _encode(reply: dict) -> bytes:
-    return (json.dumps(reply) + "\n").encode()
+    return ("".join(_ENCODE_API(reply, 0)) + "\n").encode()
 
 
 def _field(body: dict, name: str, kind: type, required: bool = False):
@@ -624,9 +636,8 @@ class BrokerClient:
             self._conn = None
 
     def request(self, op: str, body: Optional[dict] = None) -> dict:
-        message = (json.dumps(
-            {"op": op, "token": self.token, "body": body or {}}
-        ) + "\n").encode()
+        message = ("".join(_ENCODE_API(
+            {"op": op, "token": self.token, "body": body or {}}, 0)) + "\n").encode()
         reused = self._conn is not None
         line = self._roundtrip(message)
         if line is None and reused and op != "request_lease":

@@ -209,6 +209,7 @@ def cmd_probe(args) -> int:
                 logger.warning("release failed: %s", exc)
 
     doc = report.to_dict()
+    doc["failure_kind"] = report.failure_kind
     doc["lease"] = lease
     doc["provider_endpoint"] = endpoint
     doc["tunnel_rtt_ms"] = round(rtt, 3)

@@ -131,10 +131,16 @@ def script_from_json(text: str) -> dict:
 
 @dataclass
 class SessionReport:
+    """One session's outcome. ``failure`` describes the error that ended
+    it; ``failure_kind`` names its class, with a ``ProtocolViolation``'s
+    ``kind`` after a colon (``ProtocolViolation:BadStatus``). Both are
+    None for a session that completed."""
+
     completed_phases: List[str] = field(default_factory=list)
     aka_ok: Optional[bool] = None
     elapsed_ms: float = 0.0
     failure: Optional[str] = None
+    failure_kind: Optional[str] = None
     iccid: Optional[str] = None
     imsi: Optional[str] = None
     exchanges: int = 0
@@ -245,10 +251,15 @@ class _SessionRun:
                 self.phase_name = phase.name
                 self.PHASES[phase.name](self, phase)
                 self.report.completed_phases.append(phase.name)
-        except TimeoutExpired as exc:
-            self.report.failure = f"TimeoutExpired({exc.phase})"
         except SimlinkError as exc:  # link/protocol failures abort the session
-            self.report.failure = f"{type(exc).__name__}({exc})"
+            kind = type(exc).__name__
+            if isinstance(exc, TimeoutExpired):
+                self.report.failure = f"{kind}({exc.phase})"
+            else:
+                self.report.failure = f"{kind}({exc})"
+            if isinstance(exc, ProtocolViolation):
+                kind += ":" + exc.kind
+            self.report.failure_kind = kind
             self.aka_verified &= not isinstance(exc, AuthFailed)
         if self.m.verify_aka:
             self.report.aka_ok = self.aka_verified

@@ -45,7 +45,10 @@ from .vsim import Card, SimProfile
 
 logger = logging.getLogger(__name__)
 
-_CLOSED = Phase.CLOSED  # bound once (see the enum note in tunnel.py)
+# Bound once (see the enum note in tunnel.py).
+_CLOSED = Phase.CLOSED
+_PROBE = Role.PROBE
+_PROVIDER = Role.PROVIDER
 
 
 class LinkClosed(SimlinkError):
@@ -110,7 +113,7 @@ class ProviderCore:
     def __init__(self, profile: SimProfile, token: str, now_ms: float,
                  rules: Optional[list] = None, trace_dir: Optional[str] = None):
         self.card = Card(profile)
-        self.session = Session(Role.PROVIDER, token)
+        self.session = Session(_PROVIDER, token)
         self.rewriter = Rewriter(rules)
         self.trace_dir = trace_dir
         self.tracer: Optional[Tracer] = None
@@ -237,7 +240,7 @@ class ProbeLink:
                                         timeout=timeout_s)
         self.channel = FrameChannel(sock)
         self.session = Session(
-            Role.PROBE, token,
+            _PROBE, token,
             session_id=session_id if session_id is not None
             else secrets.randbelow(1 << 32),
         )

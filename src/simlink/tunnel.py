@@ -205,14 +205,19 @@ _RELAY = {
 }
 _PEER = {Role.PROBE: Role.PROVIDER, Role.PROVIDER: Role.PROBE}
 
-# The members the per-frame paths use, bound once. The enum note: on
-# Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so every
-# ``Phase.CLOSED`` written in a function goes through a Python-level slot
-# hook, about 110 ns on 3.11 against 3 ns for a module global (timeit).
-# The modem, the card and the provider core bind theirs the same way.
+# The members the per-frame and handshake paths use, bound once. The enum
+# note: on Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so
+# every ``Phase.CLOSED`` written in a function goes through a Python-level
+# slot hook, about 110 ns on 3.11 against 3 ns for a module global
+# (timeit). The modem, the card and the provider and probe links bind
+# theirs the same way.
+_PROBE = Role.PROBE
+_PROVIDER = Role.PROVIDER
 _AWAIT_HELLO = Phase.AWAIT_HELLO
 _ESTABLISHED = Phase.ESTABLISHED
 _CLOSED = Phase.CLOSED
+_HELLO = MessageType.HELLO
+_HELLO_ACK = MessageType.HELLO_ACK
 _RESET = MessageType.RESET
 _ATR_IND = MessageType.ATR_IND
 _APDU_REQ = MessageType.APDU_REQ
@@ -275,11 +280,11 @@ class Session:
 
     def start(self) -> List[Action]:
         """Probe side: open the handshake."""
-        if self.role is not Role.PROBE or self.session_id is None:
+        if self.role is not _PROBE or self.session_id is None:
             raise ValueError("only a probe session with a session_id starts")
         self._require(_AWAIT_HELLO)
         payload = bytes([ROLE_OCTET[self.role]]) + self.token.encode()
-        return [self._emit(MessageType.HELLO, payload)]
+        return [self._emit(_HELLO, payload)]
 
     def _send(self, msg_type: MessageType, payload: bytes = b"") -> List[Action]:
         self._require(_ESTABLISHED)
@@ -364,8 +369,8 @@ class Session:
 
     def _on_frame_handshake(self, msg_type: MessageType,
                             frame: TunnelFrame) -> List[Action]:
-        if self.role is Role.PROVIDER and msg_type is MessageType.HELLO:
-            if frame.payload[:1] != bytes([ROLE_OCTET[Role.PROBE]]):
+        if self.role is _PROVIDER and msg_type is _HELLO:
+            if frame.payload[:1] != bytes([ROLE_OCTET[_PROBE]]):
                 role = frame.payload[:1].hex().upper() or "missing"
                 return self.violate("BadRole", f"Hello role octet {role}")
             if not hmac.compare_digest(frame.payload[1:], self.token.encode()):
@@ -373,8 +378,8 @@ class Session:
                 return [self._emit(_ERROR, b"BadToken"),
                         Closed("BadToken")]
             self.phase = _ESTABLISHED
-            return [self._emit(MessageType.HELLO_ACK), Established()]
-        if self.role is Role.PROBE and msg_type is MessageType.HELLO_ACK:
+            return [self._emit(_HELLO_ACK), Established()]
+        if self.role is _PROBE and msg_type is _HELLO_ACK:
             self.phase = _ESTABLISHED
             return [Established()]
         return self.violate(

@@ -701,6 +701,140 @@ def fuzz_request(rng, iccids, lease_ids) -> bytes:
     return (json.dumps(doc) + "\n").encode()
 
 
+ENCODER_STRINGS = ("", "AT", "caf\u00e9", "\u4e2d\u6587", "\U0001f600",
+                   "\x00\x1f\t\n\"\\/", "\x7f", "\ud800", "x\udfff")
+ENCODER_SCALARS = (None, True, False, 0, -1, 2 ** 63, 2 ** 64 + 1,
+                   -(2 ** 100), 0.5, -0.0, 1e-7, 1e300, float("nan"),
+                   float("inf"), float("-inf"))
+
+
+def encoder_value(rng, depth=0):
+    """Any JSON value the stdlib encodes, keys of every kind it accepts
+    included."""
+    kind = rng.randrange(4 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(ENCODER_SCALARS)
+    if kind == 1:
+        return rng.choice(ENCODER_STRINGS)
+    if kind == 2:
+        return [encoder_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = ENCODER_STRINGS + (0, -3, 2 ** 70, 1.5, None)
+    return {rng.choice(keys): encoder_value(rng, depth + 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+class TestReusedEncoders:
+    """The control API and the state log each encode through one C encoder
+    built at import, which must write exactly what ``json.dumps`` does."""
+
+    def test_seeded_values_encode_as_json_dumps(self):
+        rng = random.Random(0x25E)
+        for n in range(3000):
+            value = encoder_value(rng)
+            assert "".join(broker._ENCODE_API(value, 0)) == json.dumps(value), n
+            assert "".join(broker._ENCODE_LOG(value, 0)) == json.dumps(
+                value, separators=(",", ":")), n
+            assert broker._encode(value) == (json.dumps(value) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [
+        {"a": {1, 2}}, [b"octets"], {"k": object()}, {(1, 2): "tuple key"},
+    ], ids=["set", "bytes", "object", "tuple-key"])
+    def test_an_unserializable_value_raises_as_json_dumps_does(self, value):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value)
+        doc = {"event": "release", "ts": 1, "body": {"lease_id": "ab", "n": [1.5]}}
+        for encode, separators in ((broker._ENCODE_API, None),
+                                   (broker._ENCODE_LOG, (",", ":"))):
+            with pytest.raises(TypeError) as ours:
+                encode(value, 0)
+            assert str(ours.value) == str(stdlib.value)
+            assert "".join(encode(doc, 0)) == json.dumps(doc, separators=separators)
+
+    def test_a_body_that_contains_itself_is_never_sent(self):
+        server = BrokerServer(Registry(), TOKEN)
+        server.start()
+        body = {"probe_id": "p2"}
+        body["again"] = body
+        try:
+            with BrokerClient(server.endpoint, TOKEN) as client:
+                client.request("register_probe", {"probe_id": "p1"})
+                conn = client._conn
+                with pytest.raises(RecursionError):
+                    client.request("register_probe", body)
+                # A byte of it on the wire would be answered before the list.
+                assert client._conn is conn
+                listed = client.request("list")
+        finally:
+            server.stop()
+        assert [p["probe_id"] for p in listed["probes"]] == ["p1"]
+
+    def test_every_line_of_a_served_run_is_what_json_dumps_writes(self):
+        server = BrokerServer(Registry(), TOKEN)
+        requests, replies = [], []
+        handle_line = server._handle_line
+
+        def recording(raw):
+            requests.append(raw)
+            return handle_line(raw)
+
+        server._handle_line = recording
+        server.start()
+        iccid = make_iccid(1)
+        script = [
+            ("register_sim", {"iccid": iccid, "tags": ["AT", "caf\u00e9"],
+                              "provider_endpoint": "host:9"}),
+            ("register_sim", {"iccid": "123", "provider_endpoint": "host:9"}),
+            ("register_sim", {"iccid": iccid, "provider_endpoint": "no-port"}),
+            ("register_probe", {"probe_id": "p1", "location_tag": "Wien \u00d6"}),
+            ("register_probe", {"probe_id": ""}),
+            ("request_lease", {"probe_id": "p1", "tags": ["XX"]}),
+            ("request_lease", {"probe_id": "ghost"}),
+            ("request_lease", {"probe_id": "p1", "tags": ["AT"], "duration_ms": 0}),
+            ("request_lease", {"probe_id": "p1", "tags": ["AT"]}),
+            ("request_lease", {"probe_id": "p1", "iccid": iccid}),
+            ("list", None),
+            ("release", "granted"),
+            ("release", "granted"),
+            ("release", {"lease_id": "\ud800"}),
+            ("bogus", {}),
+        ]
+        try:
+            with BrokerClient(server.endpoint, TOKEN) as client:
+                roundtrip = client._roundtrip
+
+                def recording_roundtrip(message):
+                    line = roundtrip(message)
+                    replies.append(line)
+                    return line
+
+                client._roundtrip = recording_roundtrip
+                lease_id = None
+                for op, body in script:
+                    if body == "granted":
+                        body = {"lease_id": lease_id}
+                    try:
+                        reply = client.request(op, body)
+                    except BrokerRequestError:
+                        continue
+                    if "lease" in reply:
+                        lease_id = reply["lease"]["lease_id"]
+            with socket.create_connection(server.address, timeout=5) as conn:
+                with conn.makefile("rwb") as stream:
+                    for line in (b'{"op": "list", "token": "wrong"}\n',
+                                 b"not json\n", b"[1, 2]\n", b"\xff\n"):
+                        stream.write(line)
+                        stream.flush()
+                        replies.append(stream.readline())
+        finally:
+            server.stop()
+        assert len(requests) == len(script) + 4
+        assert len(replies) == len(script) + 4
+        oks = [json.loads(line)["ok"] for line in replies]
+        assert oks.count(True) == 6  # the other nine ops and every raw line fail
+        for line in requests[:len(script)] + replies:
+            assert line == (json.dumps(json.loads(line)) + "\n").encode(), line
+
+
 class TestControlRequestFuzz:
     def test_seeded_requests_get_ok_or_a_typed_code(self, tmp_path):
         reg, clock = fresh_registry(tmp_path)

@@ -390,6 +390,29 @@ class TestProbe:
             listing = client.request("list")
         assert listing["sims"][0]["status"] == "Free"
 
+    def test_a_failed_session_reports_its_failure_kind(
+            self, capsys, monkeypatch, tmp_path, broker_server, provider_server):
+        monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)
+        profile = demo_profile()
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps({
+            "phases": [{"name": "reset"}, {"name": "select_usim"},
+                       {"name": "authenticate"}],
+            "verify": {"k_hex": "00" * 16,  # not the card's key
+                       "op_salt_hex": profile.op_salt.hex()},
+        }))
+        code, out, err = run_cli(
+            ["probe", "--broker", broker_server.endpoint, "--lease", "tag:AT",
+             "--script", str(script_path)],
+            capsys,
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["failure"].startswith("AuthFailed(")
+        assert doc["failure_kind"] == "AuthFailed"
+        assert json.loads(err) == {"error": "SessionFailed",
+                                   "detail": doc["failure"]}
+
     def test_failed_handshake_releases_the_lease(self, capsys, monkeypatch,
                                                  broker_server):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)

@@ -14,11 +14,13 @@ temporary ``__getattribute__`` on the enum metaclass (``EnumMeta``, which
 import contextlib
 import dataclasses
 import enum
+import socket
+import threading
 
 from simlink.apdu import INS_STATUS, CommandApdu
 from simlink.lab import StallPolicy, VirtualLink
 from simlink.modem import DEFAULT_SCRIPT, PHASE_STATUS_POLL, ModemSim
-from simlink.relay import ProviderCore, wire
+from simlink.relay import ProbeLink, ProviderCore, wire
 from simlink.tunnel import DeliverResponse, Role, Session
 from simlink.vsim import Card, demo_profile
 
@@ -69,6 +71,40 @@ def test_a_relayed_exchange_looks_up_no_enum_member():
     assert count[0] == 0
     assert [type(a) for a in delivered] == [DeliverResponse] * 10
     assert all(a.response.sw1 in (0x90, 0x91) for a in delivered)
+
+
+def serve(sock, core):
+    """Answer every chunk the probe sends through ``core`` until it closes."""
+    while chunk := sock.recv(4096):
+        if reply := core.on_bytes(chunk, 1.0):
+            sock.sendall(reply)
+
+
+def test_a_handshake_and_a_reset_look_up_no_enum_member(monkeypatch):
+    """A ``ProbeLink`` opens a session with a ``ProviderCore`` over a
+    socket pair, resets the card and closes: 11 lookups before the
+    handshake paths bound their members."""
+    profile = demo_profile()
+    Card(profile).reset()  # warm-up: the first card of a profile builds its files
+    probe_end, provider_end = socket.socketpair()
+    monkeypatch.setattr(socket, "create_connection",
+                        lambda address, timeout: probe_end)
+    try:
+        with counting_enum_lookups() as count:
+            core = ProviderCore(profile, TOKEN, 0.0)
+            server = threading.Thread(target=serve, args=(provider_end, core),
+                                      daemon=True)
+            server.start()
+            link = ProbeLink("127.0.0.1:7401", TOKEN, session_id=7).connect()
+            atr, _ = link.reset()
+            link.close()
+            server.join(5)
+    finally:
+        probe_end.close()
+        provider_end.close()
+    assert not server.is_alive()
+    assert count[0] == 0
+    assert atr == bytes.fromhex(profile.atr_hex) and core.closed
 
 
 def lab_session(profile, polls: int):

@@ -289,6 +289,26 @@ class TestHostileCard:
         assert failures.keys() == self.FAILURES, failures
         assert completed > 200
 
+    def test_every_failure_kind_is_one_of_a_closed_set(self):
+        """``failure_kind`` names the class that ``failure`` starts with and,
+        for a ProtocolViolation, its kind; a completed session has none."""
+        kinds = {"AuthFailed", "CodecError", "Truncated",
+                 "ProtocolViolation:BadProactive", "ProtocolViolation:BadStatus",
+                 "ProtocolViolation:ProcedureByte"}
+        profile = demo_profile()
+        seen = set()
+        for seed in range(5000):
+            report = verified_modem(profile, seed=seed).run(
+                CorruptingLink(Card(profile), seed))
+            if report.failure is None:
+                assert report.failure_kind is None, seed
+                continue
+            kind = report.failure_kind
+            assert kind in kinds, (seed, kind, report.failure)
+            assert report.failure.startswith(kind.partition(":")[0] + "("), seed
+            seen.add(kind)
+        assert seen == kinds
+
     def test_a_programming_error_in_a_phase_propagates(self, monkeypatch):
         def broken(run, phase):
             raise KeyError("no such field")
@@ -352,6 +372,10 @@ class TestTimeouts:
     def test_timeout_forced_without_stall(self):
         report = run_one(600.0, STALL_OFF, waiting_time_ms=WAITING)
         assert report.failure == "TimeoutExpired(read_iccid)"
+
+    def test_a_timeout_is_its_failure_kind(self):
+        report = run_one(600.0, STALL_OFF, waiting_time_ms=WAITING)
+        assert report.failure_kind == "TimeoutExpired"
 
     def test_stall_bridges_the_same_rtt(self):
         report = run_one(600.0, STALL_100, waiting_time_ms=WAITING)
