@@ -10,22 +10,48 @@ decides survival.
 
 The answer-to-reset is served locally by the front-end (it was learned
 when the session attached), so reset costs no tunnel round-trip.
+
+A session's walk (the commands, the card's answers and the modem's
+checks of them) depends on neither time nor seed: the seed draws the
+RANDs, and a RAND changes only the AUTHENTICATE data, never a status, an
+exchange count or a check. So :func:`run_one` runs the real modem over a
+fresh card once per distinct profile value, recording how many exchanges
+the card answers and the report; and once more per exchange that some
+session is the first to time out at, for that report. Each session then
+only draws its waits (:func:`jittered_ms`) and applies the silence rule
+(:func:`~simlink.modem.silence_ms`), and returns a copy of the matching
+report with its own elapsed time. Where the card raised in the walk, a
+session that times out first gets its timeout report, and one that
+reaches the raise walks again and so raises what the card raises.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import io
 import random
 import statistics
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .apdu import CommandApdu
-from .modem import DEFAULT_NULL_INTERVAL_MS, ModemSim, Timing, require_ms
+from .modem import (
+    DEFAULT_NULL_INTERVAL_MS,
+    ModemSim,
+    SessionReport,
+    Timing,
+    require_ms,
+    silence_ms,
+)
 from .vsim import Card, SimProfile, demo_profile
 
 CSV_HEADER = ["rtt_ms", "stall", "success_rate", "median_elapsed_ms"]
+
+# Distinct profile values whose walks run_one keeps; the oldest goes first.
+WALK_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -37,6 +63,16 @@ class StallPolicy:
 
     def __post_init__(self):
         require_ms("null_interval_ms", self.null_interval_ms)
+
+
+def jittered_ms(rtt_ms: float, jitter_ms: float, uniform) -> float:
+    """One exchange's round trip: ``rtt_ms`` plus the draw
+    ``uniform(-jitter_ms, jitter_ms)``, never below 0."""
+    return max(0.0, rtt_ms + uniform(-jitter_ms, jitter_ms))
+
+
+def _null_interval_ms(stall: Optional[StallPolicy]) -> float:
+    return stall.null_interval_ms if stall is not None and stall.enabled else 0.0
 
 
 class VirtualLink:
@@ -52,9 +88,8 @@ class VirtualLink:
         self._rtt_ms = rtt_ms
         self._jitter_ms = jitter_ms
         self.now_ms = 0.0
-        self._rng = random.Random(seed) if jitter_ms else None
-        self._null_interval_ms = (stall.null_interval_ms
-                                  if stall is not None and stall.enabled else 0.0)
+        self._uniform = random.Random(seed).uniform if jitter_ms else None
+        self._null_interval_ms = _null_interval_ms(stall)
         self._atr = card.reset()  # learned at attach, replayed locally
 
     def reset(self):
@@ -64,9 +99,8 @@ class VirtualLink:
     def exchange(self, cmd: CommandApdu):
         start = self.now_ms
         rtt = self._rtt_ms
-        if self._rng is not None:
-            jitter = self._jitter_ms
-            rtt = max(0.0, rtt + self._rng.uniform(-jitter, jitter))
+        if self._uniform is not None:
+            rtt = jittered_ms(rtt, self._jitter_ms, self._uniform)
         resp = self.card.process(cmd)
         self.now_ms = start + rtt
         return resp, Timing(start, rtt, self._null_interval_ms)
@@ -95,6 +129,82 @@ def _derive_seed(seed: int, rtt_index: int, repetition: int) -> int:
     return seed * 1_000_003 + rtt_index * 8191 + repetition
 
 
+class _WalkLink:
+    """A link over a fresh card that answers every call at once, counting
+    the exchanges the card answers. Exchange ``overrun`` (from 0), if
+    given, takes 1 ms, past the recording modem's budget of 0 ms.
+    ``run_one``'s script has no pause between polls, so it has no
+    ``idle``."""
+
+    def __init__(self, profile: SimProfile, overrun: Optional[int] = None):
+        self.card = Card(profile)
+        self._overrun = overrun
+        self.answered = 0
+
+    def reset(self):
+        return self.card.reset(), Timing(0.0)
+
+    def exchange(self, cmd: CommandApdu):
+        resp = self.card.process(cmd)
+        wait = 1.0 if self.answered == self._overrun else 0.0
+        self.answered += 1
+        return resp, Timing(0.0, wait)
+
+
+class _Walk:
+    """One profile value's walk, recorded over a snapshot of the profile:
+    how many exchanges the card answers, and the reports of the sessions
+    it has been asked for."""
+
+    def __init__(self, profile: SimProfile):
+        self.profile = profile
+        self._reports: Dict[Optional[int], SessionReport] = {}
+        link = _WalkLink(profile)
+        try:
+            self._reports[None] = self._run(link)
+        except Exception:  # not kept: a session that gets as far walks again
+            pass
+        self.exchanges = link.answered
+
+    def _run(self, link: _WalkLink) -> SessionReport:
+        modem = ModemSim(waiting_time_ms=0.0, verify_aka=True,
+                         k=self.profile.k, op_salt=self.profile.op_salt)
+        return modem.run(link)
+
+    def report(self, overrun: Optional[int], elapsed_ms: float) -> SessionReport:
+        """A fresh copy, ending at ``elapsed_ms``, of the report of a
+        session whose exchange ``overrun`` is the first to time out (None:
+        none does). A report is recorded by a real run the first time it
+        is asked for; a run that raises is never kept, so a session that
+        reaches the card's raise raises what the card raises."""
+        report = self._reports.get(overrun)
+        if report is None:
+            report = self._reports[overrun] = self._run(
+                _WalkLink(self.profile, overrun))
+        return dataclasses.replace(
+            report, elapsed_ms=elapsed_ms,
+            completed_phases=list(report.completed_phases))
+
+
+_walks: "OrderedDict[tuple, _Walk]" = OrderedDict()
+
+
+def _walk_of(profile: SimProfile) -> _Walk:
+    """The walk of the profile's current field values (a ``SimProfile``
+    is mutable, so it is keyed on them), recorded on first use."""
+    key = (profile.iccid, profile.imsi, bytes(profile.k),
+           bytes(profile.op_salt), profile.sqn, profile.atr_hex,
+           tuple((entry.kind, bytes(entry.payload))
+                 for entry in profile.proactive))
+    walk = _walks.get(key)
+    if walk is None:
+        walk = _Walk(copy.deepcopy(profile))
+        if len(_walks) >= WALK_CACHE_SIZE:
+            _walks.popitem(last=False)  # one call: safe beside other threads
+        _walks[key] = walk
+    return walk
+
+
 def run_one(
     rtt_ms: float,
     stall: StallPolicy,
@@ -103,18 +213,23 @@ def run_one(
     waiting_time_ms: float = 300.0,
     profile: Optional[SimProfile] = None,
 ):
-    """One scripted session against one virtual link; returns the report."""
-    profile = profile or demo_profile()
-    card = Card(profile)
-    link = VirtualLink(card, rtt_ms, jitter_ms, seed, stall)
-    modem = ModemSim(
-        waiting_time_ms=waiting_time_ms,
-        verify_aka=True,
-        k=profile.k,
-        op_salt=profile.op_salt,
-        seed=seed,
-    )
-    return modem.run(link)
+    """One scripted session against one virtual link; returns the report
+    that ``ModemSim`` over a ``VirtualLink`` over a fresh ``Card`` returns
+    for the same arguments (or raises what it raises), replayed from the
+    profile's recorded walk."""
+    require_ms("rtt_ms", rtt_ms)
+    require_ms("jitter_ms", jitter_ms)
+    require_ms("waiting_time_ms", waiting_time_ms)
+    walk = _walk_of(profile or demo_profile())
+    uniform = random.Random(seed).uniform if jitter_ms else None
+    interval = _null_interval_ms(stall)
+    now = 0.0  # the reset, served locally, starts the clock at 0
+    for index in range(walk.exchanges):
+        wait = rtt_ms if uniform is None else jittered_ms(rtt_ms, jitter_ms, uniform)
+        if silence_ms(wait, interval) > waiting_time_ms:
+            return walk.report(index, now + waiting_time_ms)
+        now += wait
+    return walk.report(None, now)
 
 
 def lab_sweep(

@@ -112,6 +112,17 @@ def require_ms(name: str, value: float):
         raise ValueError(f"{name} must be a finite number >= 0, not {value}")
 
 
+def silence_ms(wait_ms: float, null_interval_ms: float) -> float:
+    """The longest silence of a wait of ``wait_ms`` with a NULL every
+    ``null_interval_ms`` (0: none). NULLs come every interval strictly
+    within the wait, so it is the interval when one arrives and the whole
+    wait when none does. A silence longer than the budget is a timeout;
+    one equal to it survives."""
+    if 0 < null_interval_ms < wait_ms:
+        return null_interval_ms
+    return wait_ms
+
+
 def script_from_json(text: str) -> dict:
     """Parse a script file: phases plus optional modem settings.
 
@@ -269,15 +280,13 @@ class _SessionRun:
     # -- plumbing -----------------------------------------------------------
 
     def _note_timing(self, timing: Timing) -> bool:
-        """Check the exchange's longest silence against the budget and
-        return whether a NULL arrived. NULLs come every interval strictly
-        within the wait, so the longest silence is the interval when one
-        arrives and the whole wait when none does."""
+        """Check the exchange's longest silence (:func:`silence_ms`)
+        against the budget and return whether a NULL arrived: it did
+        exactly when the silence is shorter than the wait."""
         start, wait, interval = timing
         if self.t0 is None:
             self.t0 = start
-        stalled = 0 < interval < wait
-        silence = interval if stalled else wait
+        silence = silence_ms(wait, interval)
         budget = self.m.waiting_time_ms
         if silence > budget:
             self.last_event = start + budget
@@ -285,7 +294,7 @@ class _SessionRun:
                 self.phase_name, f"{silence:.0f} ms gap, budget {budget:.0f} ms"
             )
         self.last_event = start + wait  # the exchange's done_ms
-        return stalled
+        return silence < wait
 
     def _walk_procedure(self, cmd: CommandApdu, resp: ResponseApdu,
                         stalled: bool):

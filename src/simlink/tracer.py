@@ -56,8 +56,10 @@ FLAG_SILENT_SMS = "silent_sms"
 FLAG_REWRITTEN = "rewritten"
 
 
-# The stdlib's compact encoding, built once: ``json.dumps`` with
-# ``separators`` builds a new encoder on every call.
+# The stdlib's compact encoding, for the lines the one-pass formatter in
+# ``TraceEvent.to_json`` cannot write (a float ``ts_ms``, a nested
+# ``decoded`` value). It is the fallback, not the fast path: like
+# ``json.dumps``, its ``encode`` builds a new C encoder on every call.
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _string = json.encoder.encode_basestring_ascii  # TypeError for a non-str
 

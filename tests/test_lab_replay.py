@@ -1,0 +1,190 @@
+"""``lab.run_one`` replays a profile's recorded walk; the full simulation
+is the oracle.
+
+The full simulation is what ``run_one`` ran before it replayed walks:
+``ModemSim`` over a ``VirtualLink`` over a fresh ``Card``, seeded alike.
+Every replayed report must equal it field for field, and a session that
+makes it raise must raise the same exception type.
+"""
+
+import dataclasses
+import math
+import random
+
+import pytest
+
+from simlink import lab
+from simlink.lab import StallPolicy, VirtualLink, lab_sweep, run_one
+from simlink.modem import ModemSim
+from simlink.tlv import ProactiveKind
+from simlink.vsim import Card, ProfileProactive, SimProfile, demo_profile
+
+CASES_PER_PROFILE = 2000
+
+
+def simulated(rtt, stall, seed, jitter, budget, profile):
+    link = VirtualLink(Card(profile), rtt, jitter, seed, stall)
+    modem = ModemSim(waiting_time_ms=budget, verify_aka=True, k=profile.k,
+                     op_salt=profile.op_salt, seed=seed)
+    return modem.run(link)
+
+
+def outcome(run, *args):
+    """The report as a dict, or the type of what the run raised."""
+    try:
+        return dataclasses.asdict(run(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+def with_proactive(count):
+    payloads = [bytes([number]) * (number % 5) for number in range(count)]
+    kinds = [ProactiveKind.SEND_SHORT_MESSAGE, ProactiveKind.PROVIDE_LOCAL_INFO]
+    return dataclasses.replace(demo_profile(), proactive=[
+        ProfileProactive(kinds[number % 2], payload)
+        for number, payload in enumerate(payloads)])
+
+
+PROFILES = {
+    "demo": demo_profile,
+    "no-proactive": lambda: with_proactive(0),
+    "three-proactive": lambda: with_proactive(3),
+    "undrained": lambda: with_proactive(17),  # UndrainedProactive
+    "sqn-overflow": lambda: dataclasses.replace(demo_profile(), sqn=2**48 - 1),
+}
+
+
+def seeded_cases(rng, count):
+    """Budgets of 0 and equal to the cadence, a cadence of 0, RTTs at and
+    just past the budget, with and without jitter."""
+    for _ in range(count):
+        budget = rng.choice([0.0, 50.0, 300.0, rng.uniform(0.0, 500.0)])
+        cadence = rng.choice([0.0, budget, 100.0, rng.uniform(0.0, 400.0)])
+        stall = StallPolicy(rng.random() < 0.5, cadence)
+        rtt = rng.choice([0.0, budget, math.nextafter(budget, math.inf),
+                          cadence, rng.uniform(0.0, 2.0 * budget + 100.0)])
+        jitter = rng.choice([0.0, 0.0, rng.uniform(0.0, 150.0)])
+        yield rtt, stall, rng.getrandbits(32), jitter, budget
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_replay_equals_the_full_simulation(name):
+    profile = PROFILES[name]()
+    rng = random.Random(sorted(PROFILES).index(name))
+    seen, timeouts = set(), set()
+    for rtt, stall, seed, jitter, budget in seeded_cases(rng, CASES_PER_PROFILE):
+        args = rtt, stall, seed, jitter, budget
+        want = outcome(simulated, *args, profile)
+        got = outcome(lambda *a: run_one(*a, profile=profile), *args)
+        assert got == want, args
+        if isinstance(want, type):
+            seen.add(want.__name__)
+        elif want["failure"] is None:
+            seen.add("completed")
+        elif want["failure_kind"] == "TimeoutExpired":
+            timeouts.add(want["exchanges"])
+        else:
+            seen.add(want["failure_kind"])
+    # The cases time out at the first exchange and at many later ones, and
+    # reach what each profile's walk ends in.
+    assert 0 in timeouts and len(timeouts) >= 5, timeouts
+    ending = {"sqn-overflow": "ValueError",
+              "undrained": "ProtocolViolation:UndrainedProactive"}
+    assert ending.get(name, "completed") in seen, seen
+
+
+def test_a_session_that_times_out_before_the_card_raises_reports_it():
+    profile = PROFILES["sqn-overflow"]()
+    report = run_one(400.0, StallPolicy(), profile=profile)
+    assert report.failure == "TimeoutExpired(read_iccid)"
+    with pytest.raises(ValueError, match="sqn must fit in 48 bits"):
+        run_one(0.0, StallPolicy(), profile=profile)
+    with pytest.raises(ValueError, match="sqn must fit in 48 bits"):
+        run_one(0.0, StallPolicy(), profile=profile)
+
+
+def test_a_report_is_a_fresh_copy():
+    first = run_one(0.0, StallPolicy())
+    first.completed_phases.append("tampered")
+    first.iccid = None
+    assert run_one(0.0, StallPolicy()) == simulated(
+        0.0, StallPolicy(), 0, 0.0, 300.0, demo_profile())
+
+
+def test_a_mutated_profile_is_replayed_with_its_new_values():
+    profile = demo_profile()
+    before = run_one(0.0, StallPolicy(), profile=profile)
+    profile.proactive = []
+    profile.imsi = "23201123456"
+    after = run_one(0.0, StallPolicy(), profile=profile)
+    assert after.exchanges == before.exchanges - 2  # no FETCH, no TERMINAL RESPONSE
+    assert after.imsi == "23201123456"
+    assert after == simulated(0.0, StallPolicy(), 0, 0.0, 300.0, profile)
+
+
+# A second value for every SimProfile field.
+OTHER_VALUES = {
+    "iccid": "8901234567890123463",
+    "imsi": "23201123456",
+    "k": bytes(16),
+    "op_salt": bytes(16),
+    "sqn": 77,
+    "atr_hex": "3B00",
+    "proactive": [],
+}
+
+
+def test_every_profile_field_keys_the_walk():
+    assert set(OTHER_VALUES) == {f.name for f in dataclasses.fields(SimProfile)}
+    base = demo_profile()
+    walk = lab._walk_of(base)
+    for name, value in OTHER_VALUES.items():
+        assert lab._walk_of(dataclasses.replace(base, **{name: value})) is not walk, name
+    payload = demo_profile()
+    payload.proactive[0].payload += b"\x00"
+    assert lab._walk_of(payload) is not walk
+    assert lab._walk_of(demo_profile()) is walk
+
+
+def test_the_walk_cache_is_bounded():
+    for sqn in range(1000, 1000 + 2 * lab.WALK_CACHE_SIZE):
+        run_one(0.0, StallPolicy(), profile=dataclasses.replace(demo_profile(), sqn=sqn))
+    assert len(lab._walks) == lab.WALK_CACHE_SIZE
+
+
+def test_a_sweep_walks_the_card_once_per_profile_and_timeout_index(monkeypatch):
+    """Counts, not times: the first sweep over a fresh profile value runs
+    one complete walk and one walk up to each exchange some session first
+    times out at; a second identical sweep runs no walk at all."""
+    processed = []
+    process = Card.process
+
+    def counting_process(card, cmd):
+        processed.append(cmd.ins)
+        return process(card, cmd)
+
+    reports = []
+    replay = lab.run_one
+
+    def recording_run_one(*args, **kwargs):
+        reports.append(replay(*args, **kwargs))
+        return reports[-1]
+
+    profile = dataclasses.replace(demo_profile(), sqn=424_242)  # a fresh value
+    complete = simulated(0.0, StallPolicy(), 0, 0.0, 300.0, profile).exchanges
+    monkeypatch.setattr(Card, "process", counting_process)
+    monkeypatch.setattr(lab, "run_one", recording_run_one)
+    grid = [0.0, 250.0, 300.0, 350.0]
+
+    def sweep():
+        return lab_sweep(grid, StallPolicy(), repetitions=10, seed=5,
+                         jitter_ms=60.0, profile=profile)
+
+    rows = sweep()
+    assert len(reports) == len(grid) * 10  # one run_one per session
+    indexes = {r.exchanges for r in reports if r.failure_kind == "TimeoutExpired"}
+    assert len(indexes) >= 3 and any(r.completed for r in reports)
+    assert 0 < len(processed) <= complete + sum(i + 1 for i in indexes)
+    del processed[:], reports[:]
+    assert sweep() == rows
+    assert len(reports) == len(grid) * 10 and processed == []

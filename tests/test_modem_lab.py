@@ -356,10 +356,11 @@ def oracle_wait_survives(wait, stall, waiting):
 def oracle_session(rtt, stall, seed, jitter_ms, waiting):
     """(completed, elapsed_ms) of a lab session, from the waits its link
     samples: it ends at the first wait that does not survive, one budget
-    after that wait began."""
+    after that wait began. The exchange count comes from the full
+    simulation at zero delay, not from ``run_one``, which is under test."""
     rng = random.Random(seed)
     elapsed = 0.0
-    for _ in range(run_one(0.0, STALL_OFF, seed=seed).exchanges):
+    for _ in range(verified_modem(seed=seed).run(zero_delay_link()).exchanges):
         wait = max(0.0, rtt + rng.uniform(-jitter_ms, jitter_ms)) \
             if jitter_ms else rtt
         if not oracle_wait_survives(wait, stall, waiting):
