@@ -188,6 +188,10 @@ class _Walk:
 
 _walks: "OrderedDict[tuple, _Walk]" = OrderedDict()
 
+# The profile of a call that names none, built once: nothing here changes
+# it, and a walk is recorded over a deep copy.
+_DEMO_PROFILE = demo_profile()
+
 
 def _walk_of(profile: SimProfile) -> _Walk:
     """The walk of the profile's current field values (a ``SimProfile``
@@ -220,7 +224,7 @@ def run_one(
     require_ms("rtt_ms", rtt_ms)
     require_ms("jitter_ms", jitter_ms)
     require_ms("waiting_time_ms", waiting_time_ms)
-    walk = _walk_of(profile or demo_profile())
+    walk = _walk_of(profile or _DEMO_PROFILE)
     uniform = random.Random(seed).uniform if jitter_ms else None
     interval = _null_interval_ms(stall)
     now = 0.0  # the reset, served locally, starts the clock at 0
@@ -251,7 +255,7 @@ def lab_sweep(
         raise ValueError("empty RTT grid")
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, not {repetitions}")
-    profile = profile or demo_profile()
+    profile = profile or _DEMO_PROFILE
     rows = []
     for rtt_index, rtt in enumerate(rtt_grid):
         reports = [

@@ -106,7 +106,7 @@ class ProviderCore:
     I/O: ``on_bytes`` takes each chunk read (``b""`` at the end of the
     stream), ``on_deadline`` does nothing until ``deadline_ms`` passes,
     and both return the bytes to send. Every fault of the peer becomes
-    one Error frame and ``closed``. An exchange's two trace events carry
+    one Error frame and ``closed``. An exchange's two trace lines carry
     the ``now_ms`` of its command's chunk, relative to the first traced
     command."""
 
@@ -181,10 +181,8 @@ class ProviderCore:
                 self._t0 = now_ms
             ts = now_ms - self._t0
             # Both events are traced before the response is sent.
-            self.tracer.command(ts, cmd, delivered.octets)
-            self.tracer.response(ts, outcome.response, command=cmd,
-                                 rule_id=outcome.rule_id,
-                                 original=outcome.original, octets=octets)
+            self.tracer.exchange(ts, cmd, delivered.octets, outcome.response,
+                                 octets, outcome.rule_id, outcome.original)
         return self.session.send_response(octets)
 
 

@@ -22,11 +22,15 @@ One tracer serves one session and owns its file.
 Most relayed octets recur in every session, so each distinct event is
 decoded once: one process-wide LRU cache of ``RENDER_CACHE_SIZE``
 entries, keyed on the event's direction and relayed octets (and, for a
-response, the answered INS), holds its ``raw_hex`` and its ``decoded``
-fields. Each event gets its own copy of ``decoded``, to which a
-rewritten response adds its ``rule_id`` and ``original_hex``, and every
-line is formatted from the event's own fields, so the cache changes no
-line, no schema and no file layout.
+response, the answered INS), holds its ``raw_hex``, its ``decoded``
+fields and its line body, the part of the line from ``dir`` to the
+``decoded`` members. An event gets its own copy of ``decoded``, to
+which a rewritten response adds its ``rule_id`` and ``original_hex``,
+and its line is formatted from its own fields. ``Tracer.exchange``,
+the provider's entry point, builds no event where no silent-SMS
+pairing is at stake: it splices both lines of the exchange from the
+cached bodies. Both ways lay a line out through ``_body`` and ``_line``,
+so the cache changes no line, no schema and no file layout.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ FLAG_SILENT_SMS = "silent_sms"
 FLAG_REWRITTEN = "rewritten"
 
 
-# The stdlib's compact encoding, for the lines the one-pass formatter in
-# ``TraceEvent.to_json`` cannot write (a float ``ts_ms``, a nested
-# ``decoded`` value). It is the fallback, not the fast path: like
+# The stdlib's compact encoding, for what the one-pass layout cannot
+# write (a float ``ts_ms``, a nested ``decoded`` value, a rule id that is
+# not text or an int). It is the fallback, not the fast path: like
 # ``json.dumps``, its ``encode`` builds a new C encoder on every call.
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _string = json.encoder.encode_basestring_ascii  # TypeError for a non-str
@@ -69,6 +73,7 @@ _DECODED_KEYS = {
     for key in ("ins_name", "aid", "file_id", "status_class", "proactive_type",
                 "proactive_number", "rule_id", "original_hex")
 }
+_REWRITTEN = _string(FLAG_REWRITTEN)  # a rewritten response's flags, listed
 
 
 def _members(decoded: dict) -> Optional[str]:
@@ -84,6 +89,19 @@ def _members(decoded: dict) -> Optional[str]:
         else:
             return None
     return ",".join(members)
+
+
+def _body(direction: str, raw_hex: str, members: str) -> str:
+    """A line from its ``dir`` to its ``decoded`` members, left open so
+    a rewrite's members can follow them."""
+    return (f'"dir":{_string(direction)},"raw_hex":{_string(raw_hex)},'
+            f'"decoded":{{{members}')
+
+
+def _line(ts: int, body: str, session: int, listed: str) -> str:
+    """One line in the one-pass layout: ``body`` (from ``_body``, with any
+    members added) between the ``ts_ms`` and the session and flags."""
+    return f'{{"ts_ms":{ts},{body}}},"session":{session},"flags":[{listed}]}}'
 
 
 @dataclass
@@ -108,10 +126,8 @@ class TraceEvent:
                 members = _members(decoded)
                 if members is not None:
                     listed = ",".join(map(_string, flags)) if flags else ""
-                    return (f'{{"ts_ms":{ts},"dir":{_string(self.direction)},'
-                            f'"raw_hex":{_string(self.raw_hex)},'
-                            f'"decoded":{{{members}}},"session":{session},'
-                            f'"flags":[{listed}]}}')
+                    return _line(ts, _body(self.direction, self.raw_hex,
+                                           members), session, listed)
             except TypeError:  # a key, direction, raw_hex or flag not a str
                 pass
         return _COMPACT.encode({
@@ -185,17 +201,28 @@ RENDER_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=RENDER_CACHE_SIZE)
 def _render(direction: str, octets: bytes,
-            ins: Optional[int] = None) -> Tuple[str, dict]:
-    """The ``raw_hex`` and ``decoded`` of the event that relays ``octets``
-    in ``direction``: a command as the modem sent it, or a response as the
-    modem will see it, answering ``ins``. The dict is shared by every hit:
-    callers copy it."""
+            ins: Optional[int] = None) -> Tuple[str, dict, Optional[str]]:
+    """The ``raw_hex``, ``decoded`` and line body (``_body``; None if the
+    one-pass layout cannot write ``decoded``) of the event that relays
+    ``octets`` in ``direction``: a command as the modem sent it, or a
+    response as the modem will see it, answering ``ins``. The dict is
+    shared by every hit: callers copy it."""
     if direction == DIR_MODEM_TO_SIM:
         cmd = decode_command(octets)
         octets, decoded = encode_command(cmd), decode_command_event(cmd)
     else:
         decoded = _decode_response(ResponseApdu.from_bytes(octets), ins)
-    return octets.hex().upper(), decoded
+    raw_hex = octets.hex().upper()
+    members = _members(decoded)
+    return (raw_hex, decoded,
+            None if members is None else _body(direction, raw_hex, members))
+
+
+def _fetches_sms(decoded: dict) -> bool:
+    """Whether the response decoded as ``decoded`` is a fetched SEND SHORT
+    MESSAGE, which waits for the TERMINAL RESPONSE with its number."""
+    return (decoded.get("proactive_type") == "SEND_SHORT_MESSAGE"
+            and decoded.get("proactive_number") is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +391,11 @@ class Tracer:
     With a ``path`` it owns that file, opened unbuffered: each
     ``response()`` writes the held events' lines in one write unless a
     fetched SEND SHORT MESSAGE still waits for its TERMINAL RESPONSE, and
-    ``close()`` writes the rest and closes it. ``events`` holds what is
-    unwritten (all, without a file); ``silent_sms`` counts the fetches
-    flagged."""
+    ``close()`` writes the rest and closes it. ``exchange()`` records a
+    command and its response at once; outside silent-SMS pairing it
+    writes their two lines, spliced from the render cache, without
+    building either event. ``events`` holds what is unwritten (all,
+    without a file); ``silent_sms`` counts the fetches flagged."""
 
     def __init__(self, session_id: int, path: Optional[str] = None):
         self.session_id = session_id
@@ -380,18 +409,16 @@ class Tracer:
         MESSAGEs it acknowledges, which it flags ``silent_sms``."""
         self.events.append(event)
         decoded = event.decoded
-        number = decoded.get("proactive_number")
         if event.direction == DIR_MODEM_TO_SIM:
             if decoded.get("ins_name") == "TERMINAL RESPONSE":
-                acked = self._waiting.pop(number, [])
+                acked = self._waiting.pop(decoded.get("proactive_number"), [])
                 for fetched in acked:
                     if FLAG_SILENT_SMS not in fetched.flags:
                         fetched.flags.append(FLAG_SILENT_SMS)
                 self.silent_sms += len(acked)
                 return acked
-        elif (event.direction == DIR_SIM_TO_MODEM and number is not None
-              and decoded.get("proactive_type") == "SEND_SHORT_MESSAGE"):
-            self._waiting.setdefault(number, []).append(event)
+        elif event.direction == DIR_SIM_TO_MODEM and _fetches_sms(decoded):
+            self._waiting.setdefault(decoded["proactive_number"], []).append(event)
         return []
 
     def close(self):
@@ -404,16 +431,19 @@ class Tracer:
     def _write(self):
         events = self.events
         if events:
-            data = ("\n".join(map(TraceEvent.to_json, events)) + "\n").encode()
-            while data:  # one write, unless the file takes only part of it
-                data = data[self._file.write(data):]
+            self._send(("\n".join(map(TraceEvent.to_json, events)) + "\n")
+                       .encode())
             events.clear()
+
+    def _send(self, data: bytes):
+        while data:  # one write, unless the file takes only part of it
+            data = data[self._file.write(data):]
 
     def command(self, ts_ms: float, cmd: CommandApdu,
                 octets: Optional[bytes] = None) -> TraceEvent:
         """Record one relayed command; ``octets``, the command as relayed,
         spare encoding it again."""
-        raw_hex, decoded = _render(
+        raw_hex, decoded, _ = _render(
             DIR_MODEM_TO_SIM, encode_command(cmd) if octets is None else octets)
         event = TraceEvent(int(ts_ms), DIR_MODEM_TO_SIM, raw_hex,
                            dict(decoded), self.session_id, [])
@@ -432,7 +462,7 @@ class Tracer:
         """Record one relayed response, answering ``command``, rewritten by
         ``rule_id`` from ``original``; ``octets``, the response as relayed,
         spare encoding it again. Writes what the file can take."""
-        raw_hex, decoded = _render(
+        raw_hex, decoded, _ = _render(
             DIR_SIM_TO_MODEM, resp.to_bytes() if octets is None else octets,
             None if command is None else command.ins)
         decoded = dict(decoded)
@@ -447,6 +477,39 @@ class Tracer:
         if self._file is not None and not self._waiting:
             self._write()
         return event
+
+    def exchange(self, ts_ms: float, cmd: CommandApdu, octets: bytes,
+                 resp: ResponseApdu, resp_octets: bytes,
+                 rule_id: Optional[str] = None,
+                 original: Optional[ResponseApdu] = None):
+        """Record ``cmd``, relayed as ``octets``, and the response it got,
+        ``resp``, relayed as ``resp_octets`` and rewritten by ``rule_id``
+        from ``original``: the same lines, ``events`` and ``silent_sms`` as
+        ``command()`` then ``response()``. With a file, nothing held and
+        no SEND SHORT MESSAGE fetched, both lines go out in one write,
+        spliced from the cached bodies, and no event is built."""
+        session = self.session_id
+        # Held events mean a fetch waits (or a lone command() came first).
+        if self._file is not None and not self.events and type(session) is int:
+            sent = _render(DIR_MODEM_TO_SIM, octets)[2]
+            _, decoded, body = _render(DIR_SIM_TO_MODEM, resp_octets, cmd.ins)
+            listed = ""
+            if rule_id is not None and body is not None:
+                rewrite = {"rule_id": rule_id}
+                if original is not None:
+                    rewrite["original_hex"] = original.to_bytes().hex().upper()
+                # A rule id neither text nor an int as to_json writes it.
+                members = _members(rewrite) or _COMPACT.encode(rewrite)[1:-1]
+                body, listed = f"{body},{members}", _REWRITTEN
+            if sent is not None and body is not None \
+                    and not _fetches_sms(decoded):
+                ts = int(ts_ms)
+                self._send(f"{_line(ts, sent, session, '')}\n"
+                           f"{_line(ts, body, session, listed)}\n".encode())
+                return
+        self.command(ts_ms, cmd, octets)
+        self.response(ts_ms, resp, command=cmd, rule_id=rule_id,
+                      original=original, octets=resp_octets)
 
 
 def read_trace(lines: Iterable[str]) -> List[TraceEvent]:

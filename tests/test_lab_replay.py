@@ -188,3 +188,24 @@ def test_a_sweep_walks_the_card_once_per_profile_and_timeout_index(monkeypatch):
     del processed[:], reports[:]
     assert sweep() == rows
     assert len(reports) == len(grid) * 10 and processed == []
+
+
+def test_a_call_without_a_profile_replays_the_one_demo_profile(monkeypatch):
+    built = []
+
+    def counted_demo_profile():
+        built.append(1)
+        return demo_profile()
+
+    default = lab._DEMO_PROFILE
+    monkeypatch.setattr(lab, "demo_profile", counted_demo_profile)
+    rng = random.Random(0xDEF0)
+    for rtt, stall, seed, jitter, budget in seeded_cases(rng, 300):
+        assert outcome(run_one, rtt, stall, seed, jitter, budget) == \
+            outcome(run_one, rtt, stall, seed, jitter, budget, demo_profile())
+    for stall in (StallPolicy(), StallPolicy(enabled=True)):
+        assert lab_sweep([0.0, 150.0, 300.0, 600.0], stall, seed=7) == \
+            lab_sweep([0.0, 150.0, 300.0, 600.0], stall, seed=7,
+                      profile=demo_profile())
+    assert built == []  # built once, at import, by no call
+    assert lab._DEMO_PROFILE is default and default == demo_profile()

@@ -13,9 +13,15 @@ import time
 
 import pytest
 
-from simlink import relay
+from simlink import relay, tlv
 from simlink import tracer as tracer_mod
-from simlink.apdu import CommandApdu, INS_SELECT, encode_command
+from simlink.apdu import (
+    CommandApdu,
+    INS_FETCH,
+    INS_SELECT,
+    INS_TERMINAL_RESPONSE,
+    encode_command,
+)
 from simlink.errors import ProtocolViolation
 from simlink.lab import StallPolicy, lab_sweep
 from simlink.modem import DEFAULT_SCRIPT, ModemSim, Timing
@@ -27,6 +33,7 @@ from simlink.relay import (
     ProviderServer,
     wire,
 )
+from simlink.tlv import ProactiveKind
 from simlink.tracer import (
     FLAG_REWRITTEN,
     FLAG_SILENT_SMS,
@@ -362,6 +369,56 @@ class TestProviderCore:
         assert untimed(core_seen.events) == untimed(socket_seen.events)
         assert len(core_trace) == 2 * core_report.exchanges
         assert untimed(core_trace) == untimed(socket_trace)
+
+    def test_each_exchange_is_written_before_its_response_is_sent(self, tmp_path):
+        profile = demo_profile()
+        session_id = 0x3417
+        core = ProviderCore(profile, TOKEN, now_ms=0.0,
+                            rules=rules_from_json(DEMO_RULES.read_text()),
+                            trace_dir=str(tmp_path))
+        path = tmp_path / f"session-{session_id:08x}.jsonl"
+        # The file's line count each time on_bytes returns.
+        returned = []
+        core_on_bytes = core.on_bytes
+
+        def on_bytes(chunk, now_ms):
+            replies = core_on_bytes(chunk, now_ms)
+            returned.append(len(path.read_bytes().splitlines())
+                            if path.exists() else 0)
+            return replies
+
+        core.on_bytes = on_bytes
+        relayed = 0
+        pending = []  # the exchanges relayed before an unacknowledged fetch
+        held = 0
+
+        class WatchedLink(CoreLink):
+            def exchange(self, cmd):
+                nonlocal relayed, held
+                feeds = len(returned)
+                resp, timing = super().exchange(cmd)
+                (written,) = returned[feeds:]  # one on_bytes per exchange
+                if cmd.ins == INS_TERMINAL_RESPONSE:
+                    pending.clear()
+                elif cmd.ins == INS_FETCH and resp.data and \
+                        tlv.parse_proactive(resp.data).type_octet \
+                        == ProactiveKind.SEND_SHORT_MESSAGE:
+                    pending.append(relayed)
+                relayed += 1
+                assert written == 2 * (pending[0] if pending else relayed), \
+                    (relayed, cmd)
+                held += bool(pending)
+                return resp, timing
+
+        report = ModemSim(verify_aka=True, k=profile.k,
+                          op_salt=profile.op_salt).run(WatchedLink(core, session_id))
+        core.finish()
+        assert report.failure is None and relayed == report.exchanges == 13
+        assert held == 1  # the fetch, acknowledged by the next exchange
+        trace = read_provider_trace(tmp_path, session_id)
+        assert len(trace) == 26
+        assert sum(FLAG_REWRITTEN in e.flags for e in trace) == 1
+        assert sum(FLAG_SILENT_SMS in e.flags for e in trace) == 1
 
     def test_trace_dir_is_made_when_missing_and_reused(self, tmp_path):
         profile = demo_profile()

@@ -689,6 +689,78 @@ class TestRenderCacheChangesNoLine:
         assert len(set(lines)) == 4
 
 
+class TestExchangeEqualsCommandThenResponse:
+    """``Tracer.exchange`` against a second tracer fed the same exchanges
+    through ``command()`` then ``response()``: the same file after every
+    exchange and after ``close()``, the same ``events`` and ``silent_sms``."""
+
+    RULE_IDS = (None, None, None, "iccid-swap", 7, True, 1.0, ["r", 2])
+
+    def test_seeded_streams(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(TraceEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tracer_mod, "TraceEvent", Counted)
+        rng = random.Random(0xE4C8)
+        spliced_path, reference_path = (tmp_path / "exchange.jsonl",
+                                        tmp_path / "reference.jsonl")
+        spliced = held = 0
+        for n in range(500):
+            tracer = Tracer(session_id=n, path=str(spliced_path))
+            reference = Tracer(session_id=n, path=str(reference_path))
+            exchanges = [random_exchange(rng) if rng.random() < 0.7
+                         else (random_command(rng), random_response(rng))
+                         for _ in range(rng.randint(0, 24))]
+            if n % 4 == 0:  # the session ends with a fetch pending
+                exchanges.append((FETCH, fetched(rng.randint(5, 9))))
+            events = []  # every event the reference returned
+            for ts, (cmd, resp) in enumerate(exchanges):
+                ts += rng.choice((0, 0, 0.5, 0.999))
+                rule_id = rng.choice(self.RULE_IDS + (random_text(rng),))
+                original = (random_response(rng)
+                            if rule_id is not None and rng.random() < 0.6
+                            else None)
+                octets = encode_command(cmd)
+                if len(octets) == 5 and octets[4] == 0 and rng.random() < 0.5:
+                    octets = octets[:4]  # a bare header decodes as case 1 too
+                waited = sms_waiting(events)
+                events.append(reference.command(ts, cmd, octets))
+                events.append(reference.response(
+                    ts, resp, command=cmd, rule_id=rule_id, original=original,
+                    octets=resp.to_bytes()))
+                before = len(built)
+                tracer.exchange(ts, cmd, octets, resp, resp.to_bytes(),
+                                rule_id, original)
+                if waited or sms_waiting(events):
+                    held += 1
+                else:  # outside silent-SMS pairing: no event is built
+                    assert len(built) == before, (n, ts)
+                    spliced += 1
+                assert spliced_path.read_bytes() == reference_path.read_bytes()
+                assert tracer.events == reference.events
+                assert tracer.silent_sms == reference.silent_sms
+            tracer.close()
+            reference.close()
+            assert spliced_path.read_bytes() == reference_path.read_bytes(), n
+            assert tracer.silent_sms == reference.silent_sms
+        assert spliced > 2000 and held > 500
+        assert len(built) > 1000  # the pairing's events and the reference's
+
+    def test_a_tracer_without_a_file_keeps_both_events(self):
+        tracer, reference = Tracer(session_id=5), Tracer(session_id=5)
+        cmd, resp = CommandApdu(0x80, INS_STATUS, 0, 0), ResponseApdu(b"", 0x90, 0)
+        tracer.exchange(3.5, cmd, encode_command(cmd), resp, resp.to_bytes(),
+                        "r", ResponseApdu(b"", 0x6F, 0))
+        reference.command(3.5, cmd)
+        reference.response(3.5, resp, command=cmd, rule_id="r",
+                           original=ResponseApdu(b"", 0x6F, 0))
+        assert tracer.events == reference.events and len(tracer.events) == 2
+
+
 # Only response rules appear where this command is used, so no command
 # rule matches it and the response rules decide the outcome.
 READ_ICCID = CommandApdu(0x00, INS_READ_BINARY, 0x00, 0x00, le=10)
