@@ -175,6 +175,8 @@ class Registry:
         self._issued_lease_ids: Set[str] = set()
         self._free_index: Dict[Optional[str], List[FreeEntry]] = {}
         self._expiries: List[Tuple[int, str]] = []
+        # Called, under the lock, when a grant becomes the first lease due.
+        self.on_sooner_expiry: Optional[Callable[[], None]] = None
         if log_path:
             self._fold(log_path)
         self._log_file = open(log_path, "ab", buffering=0) if log_path else None
@@ -255,7 +257,11 @@ class Registry:
             lease = Lease(**body)
             self.leases[lease.lease_id] = lease
             self._issued_lease_ids.add(lease.lease_id)
-            insort(self._expiries, (lease.expires_at, lease.lease_id))
+            expiry = (lease.expires_at, lease.lease_id)
+            insort(self._expiries, expiry)
+            hook = self.on_sooner_expiry  # read once: a stopping server clears it
+            if hook is not None and self._expiries[0] is expiry:
+                hook()
             sim = self.sims.get(lease.iccid)
             if sim is not None:
                 if sim.lease_id is None:
@@ -444,7 +450,18 @@ class BrokerServer(Listener):
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
         self.registry = registry
+        # A grant made on the registry directly, off the loop thread, may
+        # fall due before the loop next wakes; one made through the
+        # control API is on the loop thread, where wake() does nothing.
+        registry.on_sooner_expiry = self.wake
         self._token = token.encode("utf-8")
+
+    def _shutdown(self):
+        # Unhook, so that a stopped server and its registry hold no cycle
+        # and are freed as soon as their last reference goes.
+        if self.registry.on_sooner_expiry == self.wake:
+            self.registry.on_sooner_expiry = None
+        super()._shutdown()
 
     def _on_wake(self, now_ms: float) -> Optional[float]:
         """Sweep when the registry's first lease is due; return when the

@@ -18,24 +18,29 @@ exchange count or a check. So :func:`run_one` runs the real modem over a
 fresh card once per distinct profile value, recording how many exchanges
 the card answers and the report; and once more per exchange that some
 session is the first to time out at, for that report. Each session then
-only draws its waits (:func:`jittered_ms`) and applies the silence rule
-(:func:`~simlink.modem.silence_ms`), and returns a copy of the matching
-report with its own elapsed time. Where the card raised in the walk, a
-session that times out first gets its timeout report, and one that
-reaches the raise walks again and so raises what the card raises.
+only draws its waits (:func:`jittered_ms`), compares each with one limit
+that :func:`~simlink.modem.silence_ms` sets per call (the silence rule),
+and returns a copy of the matching report with its own elapsed time.
+Where the card raised in the walk, a session that times out first gets
+its timeout report, and one that reaches the raise walks again and so
+raises what the card raises.
+
+So a jittered session costs about what its draws must: seeding its
+``Random(seed)`` (mostly the Mersenne Twister's set-up, in C) and one
+``random()`` per exchange; an unjittered one draws nothing.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import io
+import math
 import random
 import statistics
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .apdu import CommandApdu
 from .modem import (
@@ -65,14 +70,31 @@ class StallPolicy:
         require_ms("null_interval_ms", self.null_interval_ms)
 
 
-def jittered_ms(rtt_ms: float, jitter_ms: float, uniform) -> float:
-    """One exchange's round trip: ``rtt_ms`` plus the draw
-    ``uniform(-jitter_ms, jitter_ms)``, never below 0."""
-    return max(0.0, rtt_ms + uniform(-jitter_ms, jitter_ms))
+def jittered_ms(rtt_ms: float, jitter_ms: float,
+                rand: Callable[[], float]) -> float:
+    """One exchange's round trip: ``rtt_ms`` plus a uniform draw from
+    -``jitter_ms`` to ``jitter_ms``, never below 0. ``rand`` is a bound
+    ``Random.random``; the draw is ``Random.uniform(-jitter_ms,
+    jitter_ms)``'s own formula, ``a + (b - a) * random()``, written out so
+    a draw costs no method call, and it gives the same bits."""
+    wait = rtt_ms + (-jitter_ms + (jitter_ms - -jitter_ms) * rand())
+    return wait if wait > 0.0 else 0.0
 
 
 def _null_interval_ms(stall: Optional[StallPolicy]) -> float:
     return stall.null_interval_ms if stall is not None and stall.enabled else 0.0
+
+
+def _timeout_limit_ms(null_interval_ms: float, waiting_time_ms: float) -> float:
+    """The wait above which an exchange times out: exactly where
+    :func:`~simlink.modem.silence_ms` of the wait exceeds the budget. A
+    silence never exceeds its wait and never falls as the wait grows, so
+    either not even an endless wait's silence exceeds the budget (no wait
+    times out: infinity), or every wait past the budget's does (the
+    budget)."""
+    if silence_ms(math.inf, null_interval_ms) > waiting_time_ms:
+        return waiting_time_ms
+    return math.inf
 
 
 class VirtualLink:
@@ -88,7 +110,7 @@ class VirtualLink:
         self._rtt_ms = rtt_ms
         self._jitter_ms = jitter_ms
         self.now_ms = 0.0
-        self._uniform = random.Random(seed).uniform if jitter_ms else None
+        self._rand = random.Random(seed).random if jitter_ms else None
         self._null_interval_ms = _null_interval_ms(stall)
         self._atr = card.reset()  # learned at attach, replayed locally
 
@@ -99,8 +121,8 @@ class VirtualLink:
     def exchange(self, cmd: CommandApdu):
         start = self.now_ms
         rtt = self._rtt_ms
-        if self._uniform is not None:
-            rtt = jittered_ms(rtt, self._jitter_ms, self._uniform)
+        if self._rand is not None:
+            rtt = jittered_ms(rtt, self._jitter_ms, self._rand)
         resp = self.card.process(cmd)
         self.now_ms = start + rtt
         return resp, Timing(start, rtt, self._null_interval_ms)
@@ -181,9 +203,11 @@ class _Walk:
         if report is None:
             report = self._reports[overrun] = self._run(
                 _WalkLink(self.profile, overrun))
-        return dataclasses.replace(
-            report, elapsed_ms=elapsed_ms,
-            completed_phases=list(report.completed_phases))
+        fresh = object.__new__(SessionReport)  # every field, as replace() copies
+        fresh.__dict__.update(report.__dict__)
+        fresh.elapsed_ms = elapsed_ms
+        fresh.completed_phases = list(report.completed_phases)
+        return fresh
 
 
 _walks: "OrderedDict[tuple, _Walk]" = OrderedDict()
@@ -196,10 +220,11 @@ _DEMO_PROFILE = demo_profile()
 def _walk_of(profile: SimProfile) -> _Walk:
     """The walk of the profile's current field values (a ``SimProfile``
     is mutable, so it is keyed on them), recorded on first use."""
-    key = (profile.iccid, profile.imsi, bytes(profile.k),
-           bytes(profile.op_salt), profile.sqn, profile.atr_hex,
-           tuple((entry.kind, bytes(entry.payload))
-                 for entry in profile.proactive))
+    key = [profile.iccid, profile.imsi, bytes(profile.k),
+           bytes(profile.op_salt), profile.sqn, profile.atr_hex]
+    for entry in profile.proactive:  # a loop: a generator costs a frame
+        key += entry.kind, bytes(entry.payload)
+    key = tuple(key)
     walk = _walks.get(key)
     if walk is None:
         walk = _Walk(copy.deepcopy(profile))
@@ -225,12 +250,12 @@ def run_one(
     require_ms("jitter_ms", jitter_ms)
     require_ms("waiting_time_ms", waiting_time_ms)
     walk = _walk_of(profile or _DEMO_PROFILE)
-    uniform = random.Random(seed).uniform if jitter_ms else None
-    interval = _null_interval_ms(stall)
+    rand = random.Random(seed).random if jitter_ms else None
+    limit = _timeout_limit_ms(_null_interval_ms(stall), waiting_time_ms)
     now = 0.0  # the reset, served locally, starts the clock at 0
     for index in range(walk.exchanges):
-        wait = rtt_ms if uniform is None else jittered_ms(rtt_ms, jitter_ms, uniform)
-        if silence_ms(wait, interval) > waiting_time_ms:
+        wait = rtt_ms if rand is None else jittered_ms(rtt_ms, jitter_ms, rand)
+        if wait > limit:
             return walk.report(index, now + waiting_time_ms)
         now += wait
     return walk.report(None, now)

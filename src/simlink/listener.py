@@ -79,15 +79,17 @@ class Listener:
 
     The daemon's own work has one deadline too: once per wake-up the loop
     calls ``_on_wake(now_ms)``, which does what is due by ``now_ms`` and
-    returns when the daemon next has something due, or None.
+    returns when the daemon next has something due, or None. Work made
+    due sooner off the loop thread calls ``wake()``.
     """
 
     def __init__(self, host: str, port: int):
         self._sock = socket.create_server((host, port))
         self._sock.setblocking(False)
         self.address = self._sock.getsockname()
-        self._wake_r, self._wake_w = socket.socketpair()  # stop() wakes the loop
+        self._wake_r, self._wake_w = socket.socketpair()  # wake() and stop()
         self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)  # octets already waiting wake it anyway
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._sock, selectors.EVENT_READ)
         self._selector.register(self._wake_r, selectors.EVENT_READ)
@@ -132,11 +134,18 @@ class Listener:
         if loop is None:  # never served: nothing else will shut it down
             self._shutdown()
         elif loop is not threading.current_thread():
+            self.wake()
+            self._done.wait()
+
+    def wake(self):
+        """Make the loop call ``_on_wake`` again before it next waits. The
+        loop's own thread does so anyway, so there this does nothing; from
+        any other thread it writes one octet to the loop's wake-up socket."""
+        if threading.current_thread() is not self._loop:
             try:
                 self._wake_w.send(b"\0")
-            except OSError:  # the loop has shut down already
+            except OSError:  # the loop has shut down, or octets already wait
                 pass
-            self._done.wait()
 
     # -- the loop ---------------------------------------------------------------
 

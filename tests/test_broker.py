@@ -1011,6 +1011,54 @@ class TestLoopExpiry:
         assert event["body"] == {"lease_ids": [lease.lease_id]}
         assert 0 <= event["ts"] - lease.expires_at <= 20
 
+    def test_a_direct_grant_with_no_request_after_it_expires(self, served):
+        """The loop sleeps with no lease due; a grant made on the registry
+        directly, off the loop thread, wakes it to learn the due time."""
+        registry, server, client, log = served
+        client.close()
+        time.sleep(0.05)  # the loop waits with nothing due
+        lease = registry.request_lease("p1", iccid=make_iccid(1), duration_ms=100)
+        end = time.monotonic() + 1.0
+        while lease.lease_id in registry.leases and time.monotonic() < end:
+            time.sleep(0.005)
+        assert lease.lease_id not in registry.leases
+
+    def test_only_a_grant_off_the_loop_thread_writes_a_wake_up(self, served):
+        registry, server, client, log = served
+        writes = []
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self.sock = sock
+
+            def send(self, data):
+                writes.append(threading.current_thread().name)
+                return self.sock.send(data)
+
+            def close(self):
+                self.sock.close()
+
+        server._wake_w = CountingSocket(server._wake_w)
+        self.lease(client, 1, 5000)
+        short = self.lease(client, 2, 2000)  # sooner: the first lease due
+        assert writes == []  # the control API grants on the loop thread
+        client.request("release", {"lease_id": short["lease_id"]})
+        direct = registry.request_lease("p1", iccid=make_iccid(2), duration_ms=3000)
+        assert writes == [threading.current_thread().name]
+        registry.release(direct.lease_id)
+        registry.request_lease("p1", iccid=make_iccid(2), duration_ms=6000)
+        assert len(writes) == 1  # not the first lease due: no wake-up
+
+    def test_a_stopped_server_unhooks_its_registry(self):
+        """No server-registry cycle outlives the server: a stopped fleet's
+        registry is freed by its last reference, not by the collector."""
+        registry = Registry()
+        server = BrokerServer(registry, TOKEN)
+        server.start()
+        assert registry.on_sooner_expiry == server.wake
+        server.stop()
+        assert registry.on_sooner_expiry is None
+
     def test_a_far_expiry_leaves_the_loop_serving(self, served):
         registry, server, client, log = served
         far = self.lease(client, 1, 10**12)

@@ -10,12 +10,13 @@ makes it raise must raise the same exception type.
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
 from simlink import lab
 from simlink.lab import StallPolicy, VirtualLink, lab_sweep, run_one
-from simlink.modem import ModemSim
+from simlink.modem import ModemSim, silence_ms
 from simlink.tlv import ProactiveKind
 from simlink.vsim import Card, ProfileProactive, SimProfile, demo_profile
 
@@ -209,3 +210,105 @@ def test_a_call_without_a_profile_replays_the_one_demo_profile(monkeypatch):
                       profile=demo_profile())
     assert built == []  # built once, at import, by no call
     assert lab._DEMO_PROFILE is default and default == demo_profile()
+
+
+def reference_session(rtt, interval, seed, jitter, budget, exchanges):
+    """(timeout index or None, elapsed_ms) of a session, from the stdlib
+    draw ``Random.uniform`` itself, ``max`` and a running sum: the replay
+    and the full simulation share ``jittered_ms``, so comparing the two
+    would not see a drift in its formula."""
+    uniform = random.Random(seed).uniform
+    elapsed = 0.0
+    for index in range(exchanges):
+        wait = max(0.0, rtt + uniform(-jitter, jitter))
+        silence = interval if 0 < interval < wait else wait
+        if silence > budget:
+            return index, elapsed + budget
+        elapsed += wait
+    return None, elapsed
+
+
+def test_each_draw_and_sum_is_the_stdlib_uniform_to_the_bit():
+    """``elapsed_ms`` compared with ``==``: the goldens compare it rounded
+    to 3 decimals (``to_dict``) or printed with ``%g``."""
+    budget = 300.0
+    exchanges = simulated(0.0, StallPolicy(), 0, 0.0, budget,
+                          demo_profile()).exchanges
+    rtts = (0.0, 150.0, 300.0, 600.0, 900.0, math.nextafter(budget, math.inf))
+    timeouts = set()
+    for seed in range(2000):
+        for rtt in rtts:
+            for jitter in (0.5, 50.0):
+                for stall in (StallPolicy(), StallPolicy(enabled=True)):
+                    interval = stall.null_interval_ms if stall.enabled else 0.0
+                    index, elapsed = reference_session(
+                        rtt, interval, seed, jitter, budget, exchanges)
+                    report = run_one(rtt, stall, seed, jitter, budget)
+                    assert report.elapsed_ms == elapsed, (seed, rtt, jitter, stall)
+                    if index is None:
+                        assert report.completed and report.exchanges == exchanges
+                    else:
+                        assert report.failure_kind == "TimeoutExpired"
+                        assert report.exchanges == index, (seed, rtt, jitter, stall)
+                        timeouts.add(index)
+    assert set(range(10)) <= timeouts, timeouts
+
+
+def boundary_grid():
+    """Each value and its neighbours one ulp away, none below 0."""
+    values = set()
+    for value in (0.0, 5e-324, 1.0, 100.0, 150.0, 300.0, 1e308):
+        values.update((math.nextafter(value, -math.inf), value,
+                       math.nextafter(value, math.inf)))
+    return sorted(value for value in values if value >= 0.0)
+
+
+def test_the_timeout_limit_is_the_silence_rule():
+    """A wait past the per-call limit is exactly a wait whose silence
+    exceeds the budget."""
+    grid = boundary_grid()
+    assert len(grid) == 18
+    for interval in grid:
+        for budget in grid:
+            limit = lab._timeout_limit_ms(interval, budget)
+            for wait in grid:
+                assert (wait > limit) == (silence_ms(wait, interval) > budget), \
+                    (wait, interval, budget)
+
+
+def counted_calls(call):
+    """The code objects of the Python-level calls that ``call()`` makes."""
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return codes[1:]  # the call itself
+
+
+# A warm demo session's Python-level calls at the time of writing: run_one,
+# three require_ms, _walk_of, _null_interval_ms, _timeout_limit_ms,
+# silence_ms and the report copy; a jittered one adds Random.__init__,
+# Random.seed and one jittered_ms per exchange (13). The margin of 4 admits
+# a helper or two per session, but not one more call per exchange.
+CALL_MARGIN = 4
+UNJITTERED_CALLS = 9
+JITTERED_CALLS = 24
+
+
+@pytest.mark.parametrize("jitter, bound", [(0.0, UNJITTERED_CALLS),
+                                           (50.0, JITTERED_CALLS)])
+def test_a_session_makes_few_python_calls(jitter, bound):
+    stall = StallPolicy(enabled=True)
+    session = lambda: run_one(150.0, stall, 7, jitter)  # noqa: E731
+    session()  # records the walk
+    codes = counted_calls(session)
+    assert random.Random.uniform.__code__ not in codes
+    assert dataclasses.replace.__code__ not in codes
+    assert len(codes) <= bound + CALL_MARGIN, [code.co_name for code in codes]
