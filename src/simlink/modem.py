@@ -220,18 +220,6 @@ class ModemSim:
         return runner.run()
 
 
-def _draw_rand(getrandbits) -> bytes:
-    """A 16-octet RAND, each octet drawn as CPython's ``randrange(256)``
-    draws it: 9 random bits, drawn again while they reach 256. A seed
-    gives the same RANDs as ``randrange`` did, in about half the time."""
-    rand = bytearray()
-    while len(rand) < 16:
-        octet = getrandbits(9)
-        if octet < 256:
-            rand.append(octet)
-    return bytes(rand)
-
-
 def _misread(byte: int, got: StepResult, expected: StepKind) -> ProtocolViolation:
     return ProtocolViolation(
         "ProcedureByte",
@@ -384,9 +372,9 @@ class _SessionRun:
         self.report.imsi = decode_imsi(resp.data)
 
     def _phase_authenticate(self, phase: Phase):
-        getrandbits = self.rng.getrandbits
+        randrange = self.rng.randrange
         for _ in range(phase.count):
-            rand = _draw_rand(getrandbits)
+            rand = bytes([randrange(256) for _ in range(16)])
             resp = self._exchange(
                 CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56)
             )

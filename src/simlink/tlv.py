@@ -3,26 +3,11 @@
 Single-octet tags only; the card-toolkit tags used here (0x81, 0x82,
 0x83, 0x8B, 0xD0) never need the multi-byte tag form. Lengths use the
 short form below 0x80 and the 0x81/0x82 long forms above it.
-
-The proactive codec sees the same few inputs in every session: a card
-numbers its commands from 1 after each reset, and the modem and the
-tracer decode what the card encoded. So ``encode_proactive`` and
-``parse_terminal_response`` each keep their last ``CODEC_CACHE_SIZE``
-distinct results in a process-wide LRU cache, and ``parse_proactive``
-checks the 0xD0 header and hands the body to the second. Each entry
-point keys its cache on ``bytes`` (a ``bytearray`` changed after a call
-cannot answer for a later one) and on ``operator.index`` ints (a float
-raises rather than matching an int). Results are bytes, None or a frozen
-``ProactiveInfo``, so hits share them; a call that raises is never kept.
-A TERMINAL RESPONSE is its command details plus a constant tail: built,
-not cached.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -86,26 +71,12 @@ def encode_tlv(tag: int, value: bytes) -> bytes:
     return bytes([tag]) + encode_length(len(value)) + bytes(value)
 
 
-# Distinct arguments each codec function keeps results for; a session
-# meets a handful, so the bound only keeps unusual inputs from growing
-# the process.
-CODEC_CACHE_SIZE = 256
-
-
 def encode_proactive(number: int, kind: ProactiveKind,
                      payload: bytes = b"") -> bytes:
     """The 0xD0 envelope of proactive command ``number`` (qualifier 0)."""
-    # Unlike bytes(), which turns 3 into three zero octets, join refuses
-    # an int; it copies any other bytes-like object and returns bytes as is.
-    return _encode_proactive(operator.index(number), operator.index(kind),
-                             b"".join((payload,)))
-
-
-@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _encode_proactive(number: int, kind: int, payload: bytes) -> bytes:
     inner = encode_tlv(TAG_COMMAND_DETAILS, bytes([number, kind, 0x00]))
     inner += encode_tlv(TAG_DEVICE_IDENTITIES, bytes(PROACTIVE_DEVICES[kind]))
-    if payload:
+    if len(payload):  # not its truth: an int payload, 0 too, raises here
         inner += encode_tlv(TAG_PAYLOAD, payload)
     return encode_tlv(TAG_PROACTIVE, inner)
 
@@ -157,11 +128,6 @@ def parse_proactive(raw: bytes) -> Optional[ProactiveInfo]:
 def parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
     """Decode the command details in a TLV body (a TERMINAL RESPONSE's or
     a proactive envelope's); None on garbage."""
-    return _parse_terminal_response(b"".join((raw,)))
-
-
-@functools.lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _parse_terminal_response(raw: bytes) -> Optional[ProactiveInfo]:
     try:
         number = type_octet = qualifier = None
         for tag, value in iter_tlvs(raw):

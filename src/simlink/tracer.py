@@ -174,14 +174,10 @@ def decode_command_event(cmd: CommandApdu) -> dict:
 
 
 def decode_response_event(resp: ResponseApdu,
-                          command: Optional[CommandApdu] = None) -> dict:
-    """Summarize one relayed response for the trace; ``command``, the one
-    it answers, selects the FETCH proactive envelope decoding. Bodies
-    that do not decode never fail: the raw octets are in the event."""
-    return _decode_response(resp, None if command is None else command.ins)
-
-
-def _decode_response(resp: ResponseApdu, ins: Optional[int]) -> dict:
+                          ins: Optional[int] = None) -> dict:
+    """Summarize one relayed response for the trace; ``ins``, that of the
+    command it answers, selects the FETCH proactive envelope decoding.
+    Bodies that do not decode never fail: the raw octets are in the event."""
     decoded = {"ins_name": "UNKNOWN" if ins is None else ins_name(ins)}
     decoded["status_class"] = classify_status(resp.sw1, resp.sw2).kind.value
     if ins == INS_FETCH and resp.data:
@@ -211,7 +207,7 @@ def _render(direction: str, octets: bytes,
         cmd = decode_command(octets)
         octets, decoded = encode_command(cmd), decode_command_event(cmd)
     else:
-        decoded = _decode_response(ResponseApdu.from_bytes(octets), ins)
+        decoded = decode_response_event(ResponseApdu.from_bytes(octets), ins)
     raw_hex = octets.hex().upper()
     members = _members(decoded)
     return (raw_hex, decoded,

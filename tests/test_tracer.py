@@ -66,25 +66,25 @@ class TestDecodeEvent:
 
     def test_fetch_response_extracts_proactive_type(self):
         resp, number = proactive_response(ProactiveKind.SEND_SHORT_MESSAGE)
-        decoded = decode_response_event(resp, FETCH)
+        decoded = decode_response_event(resp, FETCH.ins)
         assert decoded["proactive_type"] == "SEND_SHORT_MESSAGE"
         assert decoded["proactive_number"] == number
 
     def test_bare_tlv_stream_also_decodes(self):
         # Command-details TLV without the 0xD0 envelope still yields the type.
         resp = ResponseApdu(bytes.fromhex("8103011300"), 0x90, 0x00)
-        decoded = decode_response_event(resp, FETCH)
+        decoded = decode_response_event(resp, FETCH.ins)
         assert decoded["proactive_type"] == "SEND_SHORT_MESSAGE"
 
     def test_garbage_fetch_body_is_tolerated(self):
         resp = ResponseApdu(b"\xFF\x00\x01", 0x90, 0x00)
-        decoded = decode_response_event(resp, FETCH)
+        decoded = decode_response_event(resp, FETCH.ins)
         assert "proactive_type" not in decoded
         assert decoded["status_class"] == "ok"
 
     def test_status_class_names(self):
         resp = ResponseApdu(b"", 0x91, 0x0C)
-        assert decode_response_event(resp, FETCH)["status_class"] == "proactive_pending"
+        assert decode_response_event(resp, FETCH.ins)["status_class"] == "proactive_pending"
 
 
 class TestTracerPersistence:
@@ -153,7 +153,7 @@ class TestTracerPersistence:
                 resp = ResponseApdu.from_bytes(raw)
                 stored = {k: v for k, v in event.decoded.items()
                           if k not in ("rule_id", "original_hex")}
-                assert decode_response_event(resp, last_cmd) == stored
+                assert decode_response_event(resp, last_cmd.ins) == stored
 
 
 def trace_card_session(card, commands, tracer):
@@ -669,7 +669,7 @@ class TestRenderCacheChangesNoLine:
             edit_decoded(first.decoded, edit)
             assert first.to_json() == stdlib_line(first) != expected, edit
             later = tracer.response(2, resp, command=cmd)
-            assert later.decoded == decode_response_event(resp, cmd)
+            assert later.decoded == decode_response_event(resp, cmd.ins)
             assert later.to_json() == stdlib_line(later) == \
                 expected.replace('"ts_ms":1', '"ts_ms":2')
             other = Tracer(session_id=9).response(1, resp, command=cmd)

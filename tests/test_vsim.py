@@ -552,17 +552,12 @@ def reference_envelope_body(raw: bytes):
     return reference_body(raw[field[1]:])
 
 
-class TestCodecCache:
+class TestProactiveCodec:
     """The proactive codec answers as the reference codec does, for bytes,
-    bytearray and memoryview inputs alike; it keeps two caches, each behind
-    one entry point that keys it on bytes and ints only."""
+    bytearray and memoryview inputs alike, and refuses what is not a
+    command number or a bytes-like payload."""
 
     SMS = ProactiveKind.SEND_SHORT_MESSAGE
-
-    @staticmethod
-    def caches() -> list:
-        return [value for value in vars(tlv).values()
-                if hasattr(value, "cache_info")]
 
     @staticmethod
     def variants(raw: bytes) -> list:
@@ -592,30 +587,6 @@ class TestCodecCache:
                         assert (tlv.parse_proactive(typed),
                                 tlv.parse_terminal_response(typed)) == want
         assert decoded >= 4 * 256  # every whole envelope and body
-        for cache in self.caches():
-            info = cache.cache_info()
-            assert info.maxsize == tlv.CODEC_CACHE_SIZE == 256
-            assert 0 < info.currsize <= info.maxsize
-
-    def test_two_caches_keyed_on_bytes_and_ints_only(self, monkeypatch):
-        caches = self.caches()
-        assert sorted(cache.__name__ for cache in caches) == [
-            "_encode_proactive", "_parse_terminal_response"]
-        keys = []
-        for cache in caches:
-            def spy(*key, cache=cache):
-                keys.append(key)
-                return cache(*key)
-            monkeypatch.setattr(tlv, cache.__name__, spy)
-        envelope = reference_envelope(1, self.SMS, b"\x01")
-        for typed in (envelope, bytearray(envelope), memoryview(envelope)):
-            assert tlv.parse_proactive(typed) == tlv.ProactiveInfo(1, 0x13, 0)
-            tlv.parse_terminal_response(typed)
-        for typed in (b"\x01", bytearray(b"\x01"), memoryview(b"\x01")):
-            for number, kind in ((1, self.SMS), (True, int(self.SMS))):
-                assert tlv.encode_proactive(number, kind, typed) == envelope
-        assert len(keys) == 12
-        assert {type(part) for key in keys for part in key} == {bytes, int}
 
     def test_a_bytearray_changed_after_a_call_changes_no_later_answer(self):
         body = bytearray(reference_terminal_response(5, 0x13, 0))
@@ -635,22 +606,18 @@ class TestCodecCache:
         assert tlv.encode_proactive(7, self.SMS, b"\x01\x02") == \
             reference_envelope(7, self.SMS, b"\x01\x02")
 
-    def test_a_call_that_raises_is_never_cached(self):
-        for cache in self.caches():
-            cache.cache_clear()
-        tlv.encode_proactive(1, self.SMS)  # 1.0 equals this key, but must raise
-        for _ in range(2):
-            for number in (1.0, 256, -1):
-                with pytest.raises((TypeError, ValueError)):
-                    tlv.encode_proactive(number, self.SMS)
-            with pytest.raises(TypeError):  # not three zero octets
-                tlv.encode_proactive(1, self.SMS, 3)
-            for parse in (tlv.parse_proactive, tlv.parse_terminal_response):
-                with pytest.raises(TypeError):
-                    parse(3)
-            with pytest.raises(ValueError):
-                tlv.encode_terminal_response(tlv.ProactiveInfo(1, 0x13, 300))
-        assert [cache.cache_info().currsize for cache in self.caches()] == [1, 0]
+    def test_what_is_not_a_number_or_bytes_raises(self):
+        for number in (1.0, 256, -1):
+            with pytest.raises((TypeError, ValueError)):
+                tlv.encode_proactive(number, self.SMS)
+        for payload in (3, 0):  # not three zero octets, nor none
+            with pytest.raises(TypeError):
+                tlv.encode_proactive(1, self.SMS, payload)
+        for parse in (tlv.parse_proactive, tlv.parse_terminal_response):
+            with pytest.raises(TypeError):
+                parse(3)
+        with pytest.raises(ValueError):
+            tlv.encode_terminal_response(tlv.ProactiveInfo(1, 0x13, 300))
 
 
 class TestCardDeterminism:
