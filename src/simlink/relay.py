@@ -108,7 +108,9 @@ class ProviderCore:
     and both return the bytes to send. Every fault of the peer becomes
     one Error frame and ``closed``. An exchange's two trace lines carry
     the ``now_ms`` of its command's chunk, relative to the first traced
-    command."""
+    command. A session traces to ``session-<id, 8 hex digits>.jsonl`` in
+    ``trace_dir``; a later session with the same id gets the first free
+    ``-<n>`` suffix, ``-1`` on, so no trace file is ever truncated."""
 
     def __init__(self, profile: SimProfile, token: str, now_ms: float,
                  rules: Optional[list] = None, trace_dir: Optional[str] = None):
@@ -165,12 +167,18 @@ class ProviderCore:
         if self.trace_dir is None:  # nothing would read a tracer's events
             return
         session_id = self.session.session_id
-        path = os.path.join(self.trace_dir, f"session-{session_id:08x}.jsonl")
-        try:
-            self.tracer = Tracer(session_id, path=path)
-        except FileNotFoundError:  # a core built alone makes it at first need
-            os.makedirs(self.trace_dir, exist_ok=True)
-            self.tracer = Tracer(session_id, path=path)
+        stem = os.path.join(self.trace_dir, f"session-{session_id:08x}")
+        path, n = f"{stem}.jsonl", 0
+        while True:
+            try:  # created here, so no session truncates another's trace
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:  # an earlier session drew this id
+                n += 1
+                path = f"{stem}-{n}.jsonl"
+            except FileNotFoundError:  # a core built alone makes it at first need
+                os.makedirs(self.trace_dir, exist_ok=True)
+        self.tracer = Tracer(session_id, path=fd)
 
     def _relay(self, delivered: DeliverCommand, now_ms: float):
         cmd = delivered.command

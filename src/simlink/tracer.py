@@ -19,18 +19,19 @@ reconstructible from one file.
 
 One tracer serves one session and owns its file.
 
-Most relayed octets recur in every session, so each distinct event is
-decoded once: one process-wide LRU cache of ``RENDER_CACHE_SIZE``
-entries, keyed on the event's direction and relayed octets (and, for a
-response, the answered INS), holds its ``raw_hex``, its ``decoded``
-fields and its line body, the part of the line from ``dir`` to the
-``decoded`` members. An event gets its own copy of ``decoded``, to
-which a rewritten response adds its ``rule_id`` and ``original_hex``,
-and its line is formatted from its own fields. ``Tracer.exchange``,
-the provider's entry point, builds no event where no silent-SMS
-pairing is at stake: it splices both lines of the exchange from the
-cached bodies. Both ways lay a line out through ``_body`` and ``_line``,
-so the cache changes no line, no schema and no file layout.
+Every line comes out of one C encoder, built at import, so each is
+byte-identical to ``json.dumps(doc, separators=(",", ":"))``. Most
+relayed octets recur in every session, so each distinct event is
+decoded and encoded once: one process-wide LRU cache of
+``RENDER_CACHE_SIZE`` entries, keyed on the event's direction and
+relayed octets (and, for a response, the answered INS), holds its
+``raw_hex``, its ``decoded`` fields and its line body, the encoded line
+from ``dir`` to the ``decoded`` members. An event gets its own copy of
+``decoded``, to which a rewritten response adds its ``rule_id`` and
+``original_hex``, and ``TraceEvent.to_json`` encodes its own fields.
+``Tracer.exchange``, the provider's entry point, builds no event where
+no silent-SMS pairing is at stake: it splices both lines of the
+exchange from the cached bodies, encoding only a rewrite's members.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import tlv
 from .apdu import (
@@ -60,48 +61,21 @@ FLAG_SILENT_SMS = "silent_sms"
 FLAG_REWRITTEN = "rewritten"
 
 
-# The stdlib's compact encoding, for what the one-pass layout cannot
-# write (a float ``ts_ms``, a nested ``decoded`` value, a rule id that is
-# not text or an int). It is the fallback, not the fast path: like
-# ``json.dumps``, its ``encode`` builds a new C encoder on every call.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-_string = json.encoder.encode_basestring_ascii  # TypeError for a non-str
-
-# The keys a tracer puts in ``decoded``, each encoded once with its colon.
-_DECODED_KEYS = {
-    key: _string(key) + ":"
-    for key in ("ins_name", "aid", "file_id", "status_class", "proactive_type",
-                "proactive_number", "rule_id", "original_hex")
-}
-_REWRITTEN = _string(FLAG_REWRITTEN)  # a rewritten response's flags, listed
+# The stdlib's compact ASCII encoding, built once: ``json.dumps`` builds
+# a new C encoder on every call. The arguments are the ones
+# ``JSONEncoder.iterencode`` passes, so ``_dumps(value)`` is
+# ``json.dumps(value, separators=(",", ":"))``. Circular-reference
+# markers are off; a value that contains itself raises RecursionError.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", False, False, True)
 
 
-def _members(decoded: dict) -> Optional[str]:
-    """The members of ``decoded`` as ``_COMPACT`` writes them, if every
-    key is a str and every value a str or an int; else None."""
-    members = []
-    for key, value in decoded.items():
-        name = _DECODED_KEYS.get(key) or _string(key) + ":"
-        if type(value) is str:
-            members.append(name + _string(value))
-        elif type(value) is int:
-            members.append(f"{name}{value}")
-        else:
-            return None
-    return ",".join(members)
+def _dumps(value) -> str:
+    return "".join(_ENCODE(value, 0))
 
 
-def _body(direction: str, raw_hex: str, members: str) -> str:
-    """A line from its ``dir`` to its ``decoded`` members, left open so
-    a rewrite's members can follow them."""
-    return (f'"dir":{_string(direction)},"raw_hex":{_string(raw_hex)},'
-            f'"decoded":{{{members}')
-
-
-def _line(ts: int, body: str, session: int, listed: str) -> str:
-    """One line in the one-pass layout: ``body`` (from ``_body``, with any
-    members added) between the ``ts_ms`` and the session and flags."""
-    return f'{{"ts_ms":{ts},{body}}},"session":{session},"flags":[{listed}]}}'
+_REWRITTEN = _dumps([FLAG_REWRITTEN])  # a rewritten response's flags
 
 
 @dataclass
@@ -115,28 +89,14 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """One compact ASCII line, byte-identical to ``json.dumps(doc,
-        separators=(",", ":"))``. The fields a tracer gives an event are
-        formatted in one pass; any other value (a float ``ts_ms``, a
-        nested ``decoded`` value) goes through ``_COMPACT``."""
-        ts, session, decoded, flags = (self.ts_ms, self.session_id,
-                                       self.decoded, self.flags)
-        if (type(ts) is int and type(session) is int and type(flags) is list
-                and isinstance(decoded, dict)):
-            try:
-                members = _members(decoded)
-                if members is not None:
-                    listed = ",".join(map(_string, flags)) if flags else ""
-                    return _line(ts, _body(self.direction, self.raw_hex,
-                                           members), session, listed)
-            except TypeError:  # a key, direction, raw_hex or flag not a str
-                pass
-        return _COMPACT.encode({
-            "ts_ms": ts,
+        separators=(",", ":"))``."""
+        return _dumps({
+            "ts_ms": self.ts_ms,
             "dir": self.direction,
             "raw_hex": self.raw_hex,
-            "decoded": decoded,
-            "session": session,
-            "flags": flags,
+            "decoded": self.decoded,
+            "session": self.session_id,
+            "flags": self.flags,
         })
 
     @classmethod
@@ -197,21 +157,21 @@ RENDER_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=RENDER_CACHE_SIZE)
 def _render(direction: str, octets: bytes,
-            ins: Optional[int] = None) -> Tuple[str, dict, Optional[str]]:
-    """The ``raw_hex``, ``decoded`` and line body (``_body``; None if the
-    one-pass layout cannot write ``decoded``) of the event that relays
+            ins: Optional[int] = None) -> Tuple[str, dict, str]:
+    """The ``raw_hex``, ``decoded`` and line body of the event that relays
     ``octets`` in ``direction``: a command as the modem sent it, or a
-    response as the modem will see it, answering ``ins``. The dict is
-    shared by every hit: callers copy it."""
+    response as the modem will see it, answering ``ins``. The body is the
+    encoded line from ``dir`` to the ``decoded`` members, left open so a
+    rewrite's members can follow them. The dict is shared by every hit:
+    callers copy it."""
     if direction == DIR_MODEM_TO_SIM:
         cmd = decode_command(octets)
         octets, decoded = encode_command(cmd), decode_command_event(cmd)
     else:
         decoded = decode_response_event(ResponseApdu.from_bytes(octets), ins)
     raw_hex = octets.hex().upper()
-    members = _members(decoded)
-    return (raw_hex, decoded,
-            None if members is None else _body(direction, raw_hex, members))
+    body = _dumps({"dir": direction, "raw_hex": raw_hex, "decoded": decoded})
+    return raw_hex, decoded, body[1:-2]  # without the two closing braces
 
 
 def _fetches_sms(decoded: dict) -> bool:
@@ -384,7 +344,8 @@ class Rewriter:
 class Tracer:
     """Records one session's events, flagging silent SMS as they pair up.
 
-    With a ``path`` it owns that file, opened unbuffered: each
+    With a ``path`` (a name, or a descriptor open for writing, as
+    ``open`` takes) it owns that file, opened unbuffered: each
     ``response()`` writes the held events' lines in one write unless a
     fetched SEND SHORT MESSAGE still waits for its TERMINAL RESPONSE, and
     ``close()`` writes the rest and closes it. ``exchange()`` records a
@@ -393,12 +354,15 @@ class Tracer:
     building either event. ``events`` holds what is unwritten (all,
     without a file); ``silent_sms`` counts the fetches flagged."""
 
-    def __init__(self, session_id: int, path: Optional[str] = None):
+    def __init__(self, session_id: int, path: Union[str, int, None] = None):
         self.session_id = session_id
         self.events: List[TraceEvent] = []
         self.silent_sms = 0
         self._waiting: Dict[object, List[TraceEvent]] = {}  # fetches by number
-        self._file = None if path is None else open(path, "wb", buffering=0)
+        self._file = None
+        if path is not None:
+            self._session = _dumps(session_id)  # for the spliced lines
+            self._file = open(path, "wb", buffering=0)
 
     def record(self, event: TraceEvent) -> List[TraceEvent]:
         """Append one event in stream order; return the fetched SEND SHORT
@@ -484,24 +448,21 @@ class Tracer:
         ``command()`` then ``response()``. With a file, nothing held and
         no SEND SHORT MESSAGE fetched, both lines go out in one write,
         spliced from the cached bodies, and no event is built."""
-        session = self.session_id
         # Held events mean a fetch waits (or a lone command() came first).
-        if self._file is not None and not self.events and type(session) is int:
+        if self._file is not None and not self.events:
             sent = _render(DIR_MODEM_TO_SIM, octets)[2]
             _, decoded, body = _render(DIR_SIM_TO_MODEM, resp_octets, cmd.ins)
-            listed = ""
-            if rule_id is not None and body is not None:
-                rewrite = {"rule_id": rule_id}
-                if original is not None:
-                    rewrite["original_hex"] = original.to_bytes().hex().upper()
-                # A rule id neither text nor an int as to_json writes it.
-                members = _members(rewrite) or _COMPACT.encode(rewrite)[1:-1]
-                body, listed = f"{body},{members}", _REWRITTEN
-            if sent is not None and body is not None \
-                    and not _fetches_sms(decoded):
-                ts = int(ts_ms)
-                self._send(f"{_line(ts, sent, session, '')}\n"
-                           f"{_line(ts, body, session, listed)}\n".encode())
+            if not _fetches_sms(decoded):
+                flags = "[]"
+                if rule_id is not None:
+                    rewrite = {"rule_id": rule_id}
+                    if original is not None:
+                        rewrite["original_hex"] = original.to_bytes().hex().upper()
+                    body, flags = f"{body},{_dumps(rewrite)[1:-1]}", _REWRITTEN
+                head = f'{{"ts_ms":{int(ts_ms)},'
+                tail = f',"session":{self._session},"flags":'
+                self._send(f"{head}{sent}}}{tail}[]}}\n"
+                           f"{head}{body}}}{tail}{flags}}}\n".encode())
                 return
         self.command(ts_ms, cmd, octets)
         self.response(ts_ms, resp, command=cmd, rule_id=rule_id,

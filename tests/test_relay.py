@@ -209,8 +209,11 @@ class TestRewriteThroughTunnel:
         assert event.raw_hex[:-4] == encode_iccid(REWRITE_ICCID).hex().upper()
 
     def test_removing_rule_restores_byte_identical_passthrough(self, tmp_path):
-        _, _, with_rule = self.run_session(tmp_path, rules_from_json(iccid_rule_json()))
-        report, _, without_rule = self.run_session(tmp_path, [])
+        # Each run in its own directory: a second session with the same id
+        # would trace to a suffixed file beside the first.
+        _, _, with_rule = self.run_session(tmp_path / "with",
+                                           rules_from_json(iccid_rule_json()))
+        report, _, without_rule = self.run_session(tmp_path / "without", [])
         assert report.iccid == demo_profile().iccid
         assert not any("rewritten" in e.flags for e in without_rule)
         # The no-rule stream equals the with-rule stream with the single
@@ -433,6 +436,34 @@ class TestProviderCore:
             assert report.failure is None
             assert len(read_provider_trace(trace_dir, session_id)) == \
                 2 * report.exchanges
+
+    def test_a_repeated_session_id_never_truncates_a_trace(self, tmp_path):
+        profile = demo_profile()
+
+        def opened():  # a core past its Hello, so its trace file is open
+            core = ProviderCore(profile, TOKEN, now_ms=0.0,
+                                trace_dir=str(tmp_path))
+            return core, CoreLink(core, 0x2A)
+
+        def run(core, link):
+            report = ModemSim(verify_aka=True, k=profile.k,
+                              op_salt=profile.op_salt).run(link)
+            core.finish()
+            assert report.failure is None and report.exchanges == 13
+
+        for _ in range(2):  # one after the other
+            run(*opened())
+        at_once = [opened(), opened()]
+        for core, link in at_once:
+            run(core, link)
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["session-0000002a-1.jsonl", "session-0000002a-2.jsonl",
+                         "session-0000002a-3.jsonl", "session-0000002a.jsonl"]
+        for name in names:
+            trace = read_trace((tmp_path / name).read_text().splitlines())
+            assert len(trace) == 26, name
+            assert {event.session_id for event in trace} == {0x2A}
+            assert sum(FLAG_SILENT_SMS in event.flags for event in trace) == 1
 
     def test_no_trace_dir_builds_no_tracer(self):
         profile = demo_profile()

@@ -710,8 +710,9 @@ class TestExchangeEqualsCommandThenResponse:
                                         tmp_path / "reference.jsonl")
         spliced = held = 0
         for n in range(500):
-            tracer = Tracer(session_id=n, path=str(spliced_path))
-            reference = Tracer(session_id=n, path=str(reference_path))
+            session = (n, f"probe-{n}", 2**32 + n)[n % 3]  # any id to_json takes
+            tracer = Tracer(session_id=session, path=str(spliced_path))
+            reference = Tracer(session_id=session, path=str(reference_path))
             exchanges = [random_exchange(rng) if rng.random() < 0.7
                          else (random_command(rng), random_response(rng))
                          for _ in range(rng.randint(0, 24))]
