@@ -221,12 +221,16 @@ def cmd_probe(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    with loading(args.file, "trace file"):
-        events = read_trace(read_text(args.file).splitlines())
-        if args.action == "grep-silent-sms":
-            lines = [event.to_json() for event in detect_silent_sms(events)]
-        else:
-            lines = [decode_line(event) for event in events]
+    """Decode or grep the files in the order given, pairing silent SMS
+    within each file only. Nothing prints unless every file reads."""
+    lines = []
+    for path in args.files:
+        with loading(path, "trace file"):
+            events = read_trace(read_text(path).splitlines())
+            if args.action == "grep-silent-sms":
+                lines += [event.to_json() for event in detect_silent_sms(events)]
+            else:
+                lines += [decode_line(event) for event in events]
     for line in lines:
         print(line)
     return EXIT_OK
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="offline trace decoding and grep")
     p.add_argument("action", choices=["decode", "grep-silent-sms"])
-    p.add_argument("file")
+    p.add_argument("files", nargs="+", metavar="file")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("lab", help="latency sweep in simulated time")

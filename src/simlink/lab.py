@@ -26,8 +26,12 @@ its timeout report, and one that reaches the raise walks again and so
 raises what the card raises.
 
 So a jittered session costs about what its draws must: seeding its
-``Random(seed)`` (mostly the Mersenne Twister's set-up, in C) and one
-``random()`` per exchange; an unjittered one draws nothing.
+generator (the Mersenne Twister's set-up, in C; an int seed seeds the C
+generator directly, with the stream ``random.Random(seed)`` gives) and
+one ``random()`` per exchange. An unjittered session draws nothing, and
+neither does a jittered one with an int seed whose RTT less its jitter
+is past the timeout limit: every draw times out its first exchange, so
+it seeds no generator at all.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import io
 import math
 import random
 import statistics
+from _random import Random as _CRandom
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -81,6 +86,17 @@ def jittered_ms(rtt_ms: float, jitter_ms: float,
     return wait if wait > 0.0 else 0.0
 
 
+def _draws(seed) -> Callable[[], float]:
+    """``random.Random(seed).random``. An int seed seeds the C generator
+    that ``random.Random`` is built on directly: ``Random.seed`` hands it an
+    int unchanged, so the stream is the same, without the two Python frames
+    of ``Random.__init__`` and ``Random.seed``. Any other seed goes through
+    ``random.Random``, which keeps its stream and its errors."""
+    if type(seed) is int:
+        return _CRandom(seed).random
+    return random.Random(seed).random
+
+
 def _null_interval_ms(stall: Optional[StallPolicy]) -> float:
     return stall.null_interval_ms if stall is not None and stall.enabled else 0.0
 
@@ -110,7 +126,7 @@ class VirtualLink:
         self._rtt_ms = rtt_ms
         self._jitter_ms = jitter_ms
         self.now_ms = 0.0
-        self._rand = random.Random(seed).random if jitter_ms else None
+        self._rand = _draws(seed) if jitter_ms else None
         self._null_interval_ms = _null_interval_ms(stall)
         self._atr = card.reset()  # learned at attach, replayed locally
 
@@ -250,8 +266,19 @@ def run_one(
     require_ms("jitter_ms", jitter_ms)
     require_ms("waiting_time_ms", waiting_time_ms)
     walk = _walk_of(profile or _DEMO_PROFILE)
-    rand = random.Random(seed).random if jitter_ms else None
     limit = _timeout_limit_ms(_null_interval_ms(stall), waiting_time_ms)
+    rand = None
+    if jitter_ms:
+        # jittered_ms never falls as its draw grows, so the first wait is
+        # least at a draw of 0.0. When even that wait times out, every draw
+        # does: the session ends at exchange 0, and an int seed, whose
+        # generator cannot raise, builds none. (The expression is
+        # jittered_ms's at 0.0, not rtt_ms - jitter_ms: where the span
+        # overflows to inf, a draw of 0.0 gives nan, a wait of 0.0.)
+        if (type(seed) is int and walk.exchanges and rtt_ms + (
+                -jitter_ms + (jitter_ms - -jitter_ms) * 0.0) > limit):
+            return walk.report(0, 0.0 + waiting_time_ms)
+        rand = _draws(seed)
     now = 0.0  # the reset, served locally, starts the clock at 0
     for index in range(walk.exchanges):
         wait = rtt_ms if rand is None else jittered_ms(rtt_ms, jitter_ms, rand)

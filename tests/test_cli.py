@@ -142,6 +142,50 @@ class TestTraceTool:
         assert "silent_sms" in doc["flags"]
         assert doc["decoded"]["proactive_type"] == "SEND_SHORT_MESSAGE"
 
+    def test_several_files_decode_in_the_order_given(self, capsys, trace_file, tmp_path):
+        head = tmp_path / "head.jsonl"
+        head.write_text("".join(trace_file.read_text().splitlines(True)[:4]))
+        outs = {}
+        for argv in ([trace_file], [head], [trace_file, head], [head, trace_file]):
+            code, outs[tuple(argv)], _ = run_cli(["trace", "decode", *map(str, argv)],
+                                                 capsys)
+            assert code == 0
+        assert outs[trace_file, head] == outs[trace_file,] + outs[head,]
+        assert outs[head, trace_file] == outs[head,] + outs[trace_file,]
+        assert outs[trace_file, head] != outs[head, trace_file]
+
+    def test_grep_flags_one_event_per_file(self, capsys, trace_file):
+        _, one, _ = run_cli(["trace", "grep-silent-sms", str(trace_file)], capsys)
+        code, out, _ = run_cli(["trace", "grep-silent-sms", str(trace_file),
+                                str(trace_file)], capsys)
+        assert code == 0
+        assert out == one * 2 and len(out.splitlines()) == 2
+
+    def test_a_fetch_and_its_terminal_response_in_two_files_flag_nothing(
+            self, capsys, trace_file, tmp_path):
+        lines = trace_file.read_text().splitlines(True)
+        [cut] = [n for n, line in enumerate(lines)
+                 if json.loads(line)["decoded"]["ins_name"] == "TERMINAL RESPONSE"
+                 and json.loads(line)["dir"] == "m2s"]
+        fetched, answered = tmp_path / "fetched.jsonl", tmp_path / "answered.jsonl"
+        fetched.write_text("".join(lines[:cut]))
+        answered.write_text("".join(lines[cut:]))
+        code, out, _ = run_cli(["trace", "grep-silent-sms", str(fetched),
+                                str(answered)], capsys)
+        assert (code, out) == (0, "")
+        joined = tmp_path / "joined.jsonl"
+        joined.write_text(fetched.read_text() + answered.read_text())
+        _, out, _ = run_cli(["trace", "grep-silent-sms", str(joined)], capsys)
+        assert len(out.splitlines()) == 1
+
+    def test_one_unreadable_file_prints_nothing_but_its_error(
+            self, capsys, trace_file):
+        code, out, err = run_cli(["trace", "decode", str(trace_file),
+                                  "/nope/missing.jsonl"], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert "/nope/missing.jsonl" in json.loads(line)["detail"]
+
     def test_missing_file_is_config_error(self, capsys):
         code, _, err = run_cli(["trace", "decode", "/nope/missing.jsonl"], capsys)
         assert code == 2

@@ -68,16 +68,24 @@ def seeded_cases(rng, count):
         yield rtt, stall, rng.getrandbits(32), jitter, budget
 
 
+def other_seeds(seed):
+    """The seed as each other type ``random.Random`` takes: none of them
+    is an int, so each seeds through ``random.Random`` itself."""
+    return bool(seed & 1), seed / 7, f"seed-{seed}"
+
+
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_replay_equals_the_full_simulation(name):
     profile = PROFILES[name]()
     rng = random.Random(sorted(PROFILES).index(name))
     seen, timeouts = set(), set()
-    for rtt, stall, seed, jitter, budget in seeded_cases(rng, CASES_PER_PROFILE):
-        args = rtt, stall, seed, jitter, budget
-        want = outcome(simulated, *args, profile)
-        got = outcome(lambda *a: run_one(*a, profile=profile), *args)
-        assert got == want, args
+    for number, (rtt, stall, seed, jitter, budget) in enumerate(
+            seeded_cases(rng, CASES_PER_PROFILE)):
+        for seed in (seed, *other_seeds(seed)) if number % 8 == 0 else (seed,):
+            args = rtt, stall, seed, jitter, budget
+            want = outcome(simulated, *args, profile)
+            got = outcome(lambda *a: run_one(*a, profile=profile), *args)
+            assert got == want, args
         if isinstance(want, type):
             seen.add(want.__name__)
         elif want["failure"] is None:
@@ -235,10 +243,17 @@ def test_each_draw_and_sum_is_the_stdlib_uniform_to_the_bit():
     exchanges = simulated(0.0, StallPolicy(), 0, 0.0, budget,
                           demo_profile()).exchanges
     rtts = (0.0, 150.0, 300.0, 600.0, 900.0, math.nextafter(budget, math.inf))
+    # Either side of budget + jitter, where the least first wait crosses
+    # the budget and run_one stops drawing.
+    edges = {jitter: [math.nextafter(budget + jitter, -math.inf), budget + jitter,
+                      math.nextafter(budget + jitter, math.inf)]
+             for jitter in (0.5, 50.0)}
+    for jitter, edge in edges.items():
+        assert [rtt - jitter > budget for rtt in edge] == [False, False, True]
     timeouts = set()
     for seed in range(2000):
-        for rtt in rtts:
-            for jitter in (0.5, 50.0):
+        for jitter in (0.5, 50.0):
+            for rtt in (*rtts, *edges[jitter]):
                 for stall in (StallPolicy(), StallPolicy(enabled=True)):
                     interval = stall.null_interval_ms if stall.enabled else 0.0
                     index, elapsed = reference_session(
@@ -252,6 +267,29 @@ def test_each_draw_and_sum_is_the_stdlib_uniform_to_the_bit():
                         assert report.exchanges == index, (seed, rtt, jitter, stall)
                         timeouts.add(index)
     assert set(range(10)) <= timeouts, timeouts
+
+
+def test_a_session_decided_before_any_draw_still_seeds_a_bad_seed():
+    """Only an int seed skips its generator; any other seed is still
+    handed to random.Random, which raises what it raised."""
+    with pytest.raises(TypeError) as expected:
+        random.Random([7])
+    for rtt in (900.0, 150.0):
+        with pytest.raises(TypeError) as raised:
+            run_one(rtt, StallPolicy(), [7], 50.0)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_a_draw_of_zero_where_the_jitter_span_overflows_decides_nothing(monkeypatch):
+    """With 2 * jitter past the largest float, a draw of 0.0 makes the
+    wait nan, so 0.0, and that exchange survives; rtt - jitter alone
+    would have said it timed out."""
+    monkeypatch.setattr(lab, "_draws", lambda seed: lambda: 0.0)
+    rtt, jitter = 1.7e308, 1e308
+    assert rtt - jitter > 300.0 and math.isinf(jitter + jitter)
+    report = run_one(rtt, StallPolicy(), 7, jitter)
+    assert report.completed and report.elapsed_ms == 0.0
+    assert report == simulated(rtt, StallPolicy(), 7, jitter, 300.0, demo_profile())
 
 
 def boundary_grid():
@@ -294,21 +332,26 @@ def counted_calls(call):
 
 # A warm demo session's Python-level calls at the time of writing: run_one,
 # three require_ms, _walk_of, _null_interval_ms, _timeout_limit_ms,
-# silence_ms and the report copy; a jittered one adds Random.__init__,
-# Random.seed and one jittered_ms per exchange (13). The margin of 4 admits
-# a helper or two per session, but not one more call per exchange.
+# silence_ms and the report copy; a jittered one adds _draws and one
+# jittered_ms per exchange (13), but one whose first wait always times out
+# (stall off, 900 ms past a 300 ms budget with 50 ms of jitter) builds no
+# generator and draws nothing. The margin of 4 admits a helper or two per
+# session, but not one more call per exchange.
 CALL_MARGIN = 4
 UNJITTERED_CALLS = 9
-JITTERED_CALLS = 24
+JITTERED_CALLS = 22
 
 
-@pytest.mark.parametrize("jitter, bound", [(0.0, UNJITTERED_CALLS),
-                                           (50.0, JITTERED_CALLS)])
-def test_a_session_makes_few_python_calls(jitter, bound):
-    stall = StallPolicy(enabled=True)
-    session = lambda: run_one(150.0, stall, 7, jitter)  # noqa: E731
+@pytest.mark.parametrize("rtt, stall, jitter, bound", [
+    (150.0, StallPolicy(enabled=True), 0.0, UNJITTERED_CALLS),
+    (150.0, StallPolicy(enabled=True), 50.0, JITTERED_CALLS),
+    (900.0, StallPolicy(), 50.0, UNJITTERED_CALLS),
+])
+def test_a_session_makes_few_python_calls(rtt, stall, jitter, bound):
+    session = lambda: run_one(rtt, stall, 7, jitter)  # noqa: E731
     session()  # records the walk
     codes = counted_calls(session)
     assert random.Random.uniform.__code__ not in codes
+    assert random.Random.seed.__code__ not in codes
     assert dataclasses.replace.__code__ not in codes
     assert len(codes) <= bound + CALL_MARGIN, [code.co_name for code in codes]
