@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from .errors import (
     BadChecksum,
@@ -206,33 +206,32 @@ class StatusClass:
     family: Optional[int] = None
 
 
-# One shared StatusClass per integer pair, filled on first use (at most
-# 65,536 entries); StatusClass is frozen, so sharing is safe.
-_STATUS_CLASSES: Dict[Tuple[int, int], StatusClass] = {}
+# The kinds classify_status builds with, bound once (see the enum note in
+# tunnel.py).
+_MORE_DATA = StatusKind.MORE_DATA
+_WRONG_LE = StatusKind.WRONG_LE
+_PROACTIVE_PENDING = StatusKind.PROACTIVE_PENDING
+_ERROR = StatusKind.ERROR
+
+# StatusClass is frozen, so every 90 00 shares one. The others are built
+# per call: a memo would slow each 90 00 about as much as it saved on the
+# few others a session sees.
+_STATUS_OK = StatusClass(StatusKind.OK, 0x90, 0x00)
 
 
 def classify_status(sw1: int, sw2: int) -> StatusClass:
     """Classify a status pair. Pure and total."""
-    status = _STATUS_CLASSES.get((sw1, sw2))
-    if status is None:
-        status = _classify_status(sw1, sw2)  # raises before caching
-        if type(sw1) is int and type(sw2) is int:
-            _STATUS_CLASSES[(sw1, sw2)] = status
-    return status
-
-
-def _classify_status(sw1: int, sw2: int) -> StatusClass:
+    if sw1 == 0x90 and sw2 == 0x00:
+        return _STATUS_OK
     _check_octet(sw1, "sw1")
     _check_octet(sw2, "sw2")
-    if sw1 == 0x90 and sw2 == 0x00:
-        return StatusClass(StatusKind.OK, sw1, sw2)
     if sw1 == 0x61:
-        return StatusClass(StatusKind.MORE_DATA, sw1, sw2, value=sw2)
+        return StatusClass(_MORE_DATA, sw1, sw2, value=sw2)
     if sw1 == 0x6C:
-        return StatusClass(StatusKind.WRONG_LE, sw1, sw2, value=sw2)
+        return StatusClass(_WRONG_LE, sw1, sw2, value=sw2)
     if sw1 == 0x91:
-        return StatusClass(StatusKind.PROACTIVE_PENDING, sw1, sw2, value=sw2)
-    return StatusClass(StatusKind.ERROR, sw1, sw2, family=sw1)
+        return StatusClass(_PROACTIVE_PENDING, sw1, sw2, value=sw2)
+    return StatusClass(_ERROR, sw1, sw2, family=sw1)
 
 
 class Convention(enum.Enum):

@@ -56,7 +56,7 @@ from .errors import (
     UnknownLease,
 )
 from .listener import RECV_BYTES, Listener, parse_hostport
-from .vsim import luhn_valid
+from .vsim import iccid_valid
 
 logger = logging.getLogger(__name__)
 
@@ -331,7 +331,7 @@ class Registry:
     # -- public operations -----------------------------------------------------
 
     def register_sim(self, iccid: str, tags=(), provider_endpoint: str = "") -> SimRecord:
-        if not (iccid.isdigit() and 19 <= len(iccid) <= 20 and luhn_valid(iccid)):
+        if not iccid_valid(iccid):
             raise InvalidIccid(iccid)
         with self._lock:
             self._check_open()

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import json
 import logging
-import math
 import os
 import secrets
 import socket
@@ -25,7 +24,8 @@ from .broker import BrokerClient, BrokerRequestError, BrokerServer, Registry
 from .errors import BrokerError, ConfigError, SimlinkError
 from .lab import StallPolicy, lab_sweep, render_csv, render_table
 from .listener import parse_hostport
-from .modem import ModemSim, script_from_json
+from .modem import (DEFAULT_NULL_INTERVAL_MS, DEFAULT_WAITING_TIME_MS, ModemSim,
+                    require_ms, script_from_json)
 from .relay import ProbeLink, ProviderServer
 from .tracer import Tracer, detect_silent_sms, read_trace, rules_from_json
 from .vsim import SimProfile, demo_profile
@@ -52,8 +52,10 @@ def resolve_token(args) -> str:
 
 
 def require_number(value: float, flag: str, low: float = 0.0):
-    if not (math.isfinite(value) and value >= low):
-        raise ConfigError(f"{flag} must be a finite number >= {low:g}, not {value}")
+    try:
+        require_ms(flag, value, low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @contextlib.contextmanager
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-id", default=f"probe-{socket.gethostname()}-{os.getpid()}")
     p.add_argument("--location", default="")
     p.add_argument("--duration-s", type=int, default=None)
-    p.add_argument("--waiting-time-ms", type=float, default=300.0)
+    p.add_argument("--waiting-time-ms", type=float, default=DEFAULT_WAITING_TIME_MS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--token", default=None)
     p.set_defaults(func=cmd_probe)
@@ -337,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lab", help="latency sweep in simulated time")
     p.add_argument("--rtt-grid", default="0,150,300,600,900")
     p.add_argument("--stall", choices=["on", "off"], default="off")
-    p.add_argument("--null-interval-ms", type=float, default=100.0)
-    p.add_argument("--waiting-time-ms", type=float, default=300.0)
+    p.add_argument("--null-interval-ms", type=float, default=DEFAULT_NULL_INTERVAL_MS)
+    p.add_argument("--waiting-time-ms", type=float, default=DEFAULT_WAITING_TIME_MS)
     p.add_argument("--jitter-ms", type=float, default=0.0)
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

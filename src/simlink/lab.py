@@ -31,7 +31,8 @@ generator directly, with the stream ``random.Random(seed)`` gives) and
 one ``random()`` per exchange. An unjittered session draws nothing, and
 neither does a jittered one with an int seed whose RTT less its jitter
 is past the timeout limit: every draw times out its first exchange, so
-it seeds no generator at all.
+it seeds no generator at all. Any other seed is still handed to
+``random.Random``, so a seed it refuses raises what it raises.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .apdu import CommandApdu
 from .modem import (
     DEFAULT_NULL_INTERVAL_MS,
+    DEFAULT_WAITING_TIME_MS,
     ModemSim,
     SessionReport,
     Timing,
@@ -171,8 +173,7 @@ class _WalkLink:
     """A link over a fresh card that answers every call at once, counting
     the exchanges the card answers. Exchange ``overrun`` (from 0), if
     given, takes 1 ms, past the recording modem's budget of 0 ms.
-    ``run_one``'s script has no pause between polls, so it has no
-    ``idle``."""
+    ``run_one``'s script has no pauses, so it has no ``idle``."""
 
     def __init__(self, profile: SimProfile, overrun: Optional[int] = None):
         self.card = Card(profile)
@@ -255,7 +256,7 @@ def run_one(
     stall: StallPolicy,
     seed: int = 0,
     jitter_ms: float = 0.0,
-    waiting_time_ms: float = 300.0,
+    waiting_time_ms: float = DEFAULT_WAITING_TIME_MS,
     profile: Optional[SimProfile] = None,
 ):
     """One scripted session against one virtual link; returns the report
@@ -279,6 +280,10 @@ def run_one(
                 -jitter_ms + (jitter_ms - -jitter_ms) * 0.0) > limit):
             return walk.report(0, 0.0 + waiting_time_ms)
         rand = _draws(seed)
+    elif type(seed) is not int:
+        # No draws, but the full simulation's modem seeds a generator with
+        # it: a seed that random.Random refuses raises here as there.
+        random.Random(seed)
     now = 0.0  # the reset, served locally, starts the clock at 0
     for index in range(walk.exchanges):
         wait = rtt_ms if rand is None else jittered_ms(rtt_ms, jitter_ms, rand)
@@ -294,7 +299,7 @@ def lab_sweep(
     repetitions: int = 5,
     seed: int = 0,
     jitter_ms: float = 0.0,
-    waiting_time_ms: float = 300.0,
+    waiting_time_ms: float = DEFAULT_WAITING_TIME_MS,
     profile: Optional[SimProfile] = None,
 ) -> List[SweepRow]:
     """Sweep the RTT grid; every cell is `repetitions` fresh sessions.

@@ -106,10 +106,10 @@ DEFAULT_SCRIPT = (
 )
 
 
-def require_ms(name: str, value: float):
-    """Refuse a time that is not a finite number >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, not {value}")
+def require_ms(name: str, value: float, low: float = 0.0):
+    """Refuse a number that is not finite and at least ``low``."""
+    if not (math.isfinite(value) and value >= low):
+        raise ValueError(f"{name} must be a finite number >= {low:g}, not {value}")
 
 
 def silence_ms(wait_ms: float, null_interval_ms: float) -> float:
@@ -175,11 +175,11 @@ class SessionReport:
 class ModemSim:
     """Scripted modem: runs its phases in order against a link.
 
-    A link provides ``reset() -> (atr_bytes, Timing)``,
-    ``exchange(cmd) -> (ResponseApdu, Timing)`` and ``idle(ms)`` for
-    inter-poll pauses. A ``SimlinkError`` from the link or the card's
-    answers ends the session with its ``failure``; any other exception
-    is a programming error and propagates.
+    Each phase runs ``count`` times, ``period_ms`` apart. A link provides
+    ``reset() -> (atr_bytes, Timing)``, ``exchange(cmd) -> (ResponseApdu,
+    Timing)`` and ``idle(ms)`` for those pauses. A ``SimlinkError`` from
+    the link or the card's answers ends the session with its ``failure``;
+    any other exception is a programming error and propagates.
     """
 
     def __init__(
@@ -248,7 +248,11 @@ class _SessionRun:
         try:
             for phase in self.m.script:
                 self.phase_name = phase.name
-                self.PHASES[phase.name](self, phase)
+                handler = self.PHASES[phase.name]
+                for run in range(phase.count):
+                    if run and phase.period_ms:
+                        self.link.idle(phase.period_ms)
+                    handler(self, phase)
                 self.report.completed_phases.append(phase.name)
         except SimlinkError as exc:  # link/protocol failures abort the session
             kind = type(exc).__name__
@@ -303,7 +307,11 @@ class _SessionRun:
         if got is not STATUS_STARTED.get(resp.sw1):
             raise _misread(resp.sw1, got, StepKind.STATUS_STARTED)
 
-    def _exchange(self, cmd: CommandApdu, retry_wrong_le: bool = True) -> ResponseApdu:
+    def _exchange(self, cmd: CommandApdu, what: Optional[str] = None,
+                  retry_wrong_le: bool = True) -> ResponseApdu:
+        """Send ``cmd``, retrying once with the corrected le on a wrong-Le
+        answer. With ``what`` set, a final answer other than 90 00 or
+        91 xx is a ``BadStatus`` naming it."""
         resp, timing = self.link.exchange(cmd)
         self._walk_procedure(cmd, resp, self._note_timing(timing))
         if self.tracer is not None:
@@ -320,20 +328,16 @@ class _SessionRun:
         elif kind is _WRONG_LE and retry_wrong_le:
             corrected = CommandApdu(cmd.cla, cmd.ins, cmd.p1, cmd.p2,
                                     data=cmd.data, le=status.value or 256)
-            return self._exchange(corrected, retry_wrong_le=False)
+            return self._exchange(corrected, what, retry_wrong_le=False)
+        if what is not None and not self._succeeded():
+            raise ProtocolViolation(
+                "BadStatus", f"{what} answered {resp.sw1:02X}{resp.sw2:02X}")
         return resp
 
     def _succeeded(self) -> bool:
         """Whether the last exchange answered 90 00 or 91 xx."""
         kind = self.status.kind
         return kind is _OK or kind is _PROACTIVE_PENDING
-
-    def _expect_success(self, resp: ResponseApdu, what: str) -> ResponseApdu:
-        """``resp``, the last exchange's, if it succeeded."""
-        if not self._succeeded():
-            raise ProtocolViolation(
-                "BadStatus", f"{what} answered {resp.sw1:02X}{resp.sw2:02X}")
-        return resp
 
     # -- phases ---------------------------------------------------------------
 
@@ -344,55 +348,34 @@ class _SessionRun:
             raise ProtocolViolation("EmptyAtr", "the reset answered no ATR")
 
     def _phase_read_iccid(self, phase: Phase):
-        self._expect_success(
-            self._exchange(SELECT_EF_ICCID),
-            "SELECT EF_ICCID",
-        )
-        resp = self._expect_success(
-            self._exchange(READ_EF_ICCID),
-            "READ BINARY EF_ICCID",
-        )
+        self._exchange(SELECT_EF_ICCID, "SELECT EF_ICCID")
+        resp = self._exchange(READ_EF_ICCID, "READ BINARY EF_ICCID")
         self.report.iccid = decode_iccid(resp.data)
 
     def _phase_select_usim(self, phase: Phase):
-        self._expect_success(
-            self._exchange(SELECT_ADF_USIM),
-            "SELECT ADF_USIM",
-        )
+        self._exchange(SELECT_ADF_USIM, "SELECT ADF_USIM")
 
     def _phase_read_imsi(self, phase: Phase):
-        self._expect_success(
-            self._exchange(SELECT_EF_IMSI),
-            "SELECT EF_IMSI",
-        )
-        resp = self._expect_success(
-            self._exchange(READ_EF_IMSI),
-            "READ BINARY EF_IMSI",
-        )
+        self._exchange(SELECT_EF_IMSI, "SELECT EF_IMSI")
+        resp = self._exchange(READ_EF_IMSI, "READ BINARY EF_IMSI")
         self.report.imsi = decode_imsi(resp.data)
 
     def _phase_authenticate(self, phase: Phase):
-        randrange = self.rng.randrange
-        for _ in range(phase.count):
-            rand = bytes([randrange(256) for _ in range(16)])
-            resp = self._exchange(
-                CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56)
-            )
-            if not self._succeeded():
-                raise AuthFailed(f"status {resp.sw1:02X}{resp.sw2:02X}")
-            if not self.m.verify_aka:
-                continue
-            sqn = verify_aka_response(self.m.k, self.m.op_salt, rand, resp.data)
-            if self.last_sqn is not None and sqn <= self.last_sqn:
-                raise AuthFailed(f"sequence counter did not advance: {sqn}")
-            self.last_sqn = sqn
-            self.aka_verified = True
+        rand = bytes([self.rng.randrange(256) for _ in range(16)])
+        resp = self._exchange(
+            CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56))
+        if not self._succeeded():
+            raise AuthFailed(f"status {resp.sw1:02X}{resp.sw2:02X}")
+        if not self.m.verify_aka:
+            return
+        sqn = verify_aka_response(self.m.k, self.m.op_salt, rand, resp.data)
+        if self.last_sqn is not None and sqn <= self.last_sqn:
+            raise AuthFailed(f"sequence counter did not advance: {sqn}")
+        self.last_sqn = sqn
+        self.aka_verified = True
 
     def _phase_status_poll(self, phase: Phase):
-        for i in range(phase.count):
-            self._expect_success(self._exchange(STATUS), "STATUS")
-            if phase.period_ms and i + 1 < phase.count:
-                self.link.idle(phase.period_ms)
+        self._exchange(STATUS, "STATUS")
 
     def _phase_proactive_fetch(self, phase: Phase):
         # Drain whatever the card announced; each fetched command gets a
@@ -400,13 +383,9 @@ class _SessionRun:
         rounds = PROACTIVE_FETCH_ROUNDS
         while self.pending_proactive and rounds:
             rounds -= 1
-            fetched = self._expect_success(
-                self._exchange(
-                    CommandApdu(0x80, INS_FETCH, 0x00, 0x00,
-                                le=self.pending_proactive)
-                ),
-                "FETCH",
-            )
+            fetched = self._exchange(
+                CommandApdu(0x80, INS_FETCH, 0x00, 0x00, le=self.pending_proactive),
+                "FETCH")
             info = tlv.parse_proactive(fetched.data)
             if info is None:
                 raise ProtocolViolation(
@@ -414,12 +393,9 @@ class _SessionRun:
                     f"FETCH answered {len(fetched.data)} octets that are not "
                     "a proactive command")
             body = tlv.encode_terminal_response(info)
-            self._expect_success(
-                self._exchange(
-                    CommandApdu(0x80, INS_TERMINAL_RESPONSE, 0x00, 0x00, data=body)
-                ),
-                "TERMINAL RESPONSE",
-            )
+            self._exchange(
+                CommandApdu(0x80, INS_TERMINAL_RESPONSE, 0x00, 0x00, data=body),
+                "TERMINAL RESPONSE")
         if self.pending_proactive:
             raise ProtocolViolation(
                 "UndrainedProactive",

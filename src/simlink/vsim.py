@@ -85,6 +85,11 @@ def luhn_valid(digits: str) -> bool:
     return total % 10 == 0
 
 
+def iccid_valid(iccid: str) -> bool:
+    """Whether ``iccid`` is 19 or 20 ASCII digits, Luhn-valid."""
+    return 19 <= len(iccid) <= 20 and luhn_valid(iccid)
+
+
 def luhn_check_digit(base: str) -> str:
     """Check digit that makes ``base + digit`` Luhn-valid."""
     for candidate in "0123456789":
@@ -249,7 +254,7 @@ class SimProfile:
     proactive: List[ProfileProactive] = field(default_factory=list)
 
     def __post_init__(self):
-        if not (19 <= len(self.iccid) <= 20 and luhn_valid(self.iccid)):
+        if not iccid_valid(self.iccid):
             raise ValueError(f"ICCID fails the Luhn check: {self.iccid!r}")
         if not (self.imsi.isascii() and self.imsi.isdigit()
                 and 6 <= len(self.imsi) <= 15):

@@ -1,5 +1,6 @@
 """Registry, lease policy, persistence, and control-API tests."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -34,7 +35,7 @@ from simlink.errors import (
     RegistryClosed,
     UnknownLease,
 )
-from simlink.vsim import luhn_check_digit, luhn_valid
+from simlink.vsim import demo_profile, luhn_check_digit, luhn_valid
 
 TOKEN = "broker-token"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -88,6 +89,51 @@ class TestRegistration:
         bad = good[:-1] + str((int(good[-1]) + 1) % 10)
         with pytest.raises(InvalidIccid):
             reg.register_sim(bad)
+
+    def test_the_registry_and_a_profile_accept_the_same_iccids(self):
+        """Both check one ICCID rule, each raising its own error."""
+        rng = random.Random(0x1CC1D)
+        corpus = []
+        for _ in range(200):
+            length = rng.randint(18, 21)
+            base = "".join(rng.choice("0123456789") for _ in range(length - 1))
+            valid = base + luhn_check_digit(base)
+            broken = valid[:-1] + str((int(valid[-1]) + rng.randint(1, 9)) % 10)
+            at = rng.randrange(length)
+            corpus += [
+                valid, broken,
+                valid[:at] + rng.choice("\u0661\u0969\uff15") + valid[at + 1:],
+                valid[:at] + rng.choice(" \t\n\u00a0") + valid[at:],
+                rng.choice(["", " ", "\n"]) + valid + rng.choice([" ", "\r\n"]),
+            ]
+        reg, _ = fresh_registry()
+        profile = demo_profile()
+
+        def registry_accepts(iccid):
+            try:
+                reg.register_sim(iccid)
+            except InvalidIccid as exc:
+                assert exc.detail == iccid
+                return False
+            return True
+
+        def profile_accepts(iccid):
+            try:
+                dataclasses.replace(profile, iccid=iccid)
+            except ValueError as exc:
+                assert str(exc) == f"ICCID fails the Luhn check: {iccid!r}"
+                return False
+            return True
+
+        verdicts = [(registry_accepts(iccid), profile_accepts(iccid), iccid)
+                    for iccid in corpus]
+        assert all(registry == profile for registry, profile, _ in verdicts), \
+            [iccid for registry, profile, iccid in verdicts if registry != profile]
+        accepted = {iccid for registry, _, iccid in verdicts if registry}
+        assert accepted == {iccid for iccid in corpus
+                            if iccid.isascii() and iccid.isdigit()
+                            and 19 <= len(iccid) <= 20 and luhn_valid(iccid)}
+        assert 0 < len(accepted) < len(set(corpus))
 
     def test_register_probe_acts_as_heartbeat(self):
         reg, clock = fresh_registry()

@@ -296,7 +296,6 @@ def test_classify_status_matches_uncached_rules_on_every_pair():
             want = uncached_classify_status(sw1, sw2)
             assert (got.kind, got.sw1, got.sw2, got.value, got.family) == \
                 (want.kind, want.sw1, want.sw2, want.value, want.family), (sw1, sw2)
-            assert classify_status(sw1, sw2) is got
 
 
 @pytest.mark.parametrize("sw1,sw2,name", [(-1, 0, "sw1"), (256, 0, "sw1"),

@@ -144,11 +144,17 @@ OTHER_VALUES = {
 
 
 def test_every_profile_field_keys_the_walk():
-    assert set(OTHER_VALUES) == {f.name for f in dataclasses.fields(SimProfile)}
+    """A profile differing from the demo one in any one field, a field
+    added later included, gets a walk of its own."""
     base = demo_profile()
     walk = lab._walk_of(base)
-    for name, value in OTHER_VALUES.items():
-        assert lab._walk_of(dataclasses.replace(base, **{name: value})) is not walk, name
+    names = [field.name for field in dataclasses.fields(SimProfile)]
+    for name in names:
+        assert name in OTHER_VALUES, f"no other value for SimProfile.{name}"
+        other = dataclasses.replace(base, **{name: OTHER_VALUES[name]})
+        assert getattr(other, name) != getattr(base, name), name
+        assert lab._walk_of(other) is not walk, name
+    assert sorted(OTHER_VALUES) == sorted(names)  # no value for a field gone
     payload = demo_profile()
     payload.proactive[0].payload += b"\x00"
     assert lab._walk_of(payload) is not walk
@@ -269,15 +275,20 @@ def test_each_draw_and_sum_is_the_stdlib_uniform_to_the_bit():
     assert set(range(10)) <= timeouts, timeouts
 
 
-def test_a_session_decided_before_any_draw_still_seeds_a_bad_seed():
+@pytest.mark.parametrize("rtt", [0.0, 150.0, 900.0])
+@pytest.mark.parametrize("stall", [StallPolicy(), StallPolicy(enabled=True)])
+@pytest.mark.parametrize("jitter", [0.0, 50.0])
+def test_a_session_decided_before_any_draw_still_seeds_a_bad_seed(rtt, stall, jitter):
     """Only an int seed skips its generator; any other seed is still
-    handed to random.Random, which raises what it raised."""
-    with pytest.raises(TypeError) as expected:
-        random.Random([7])
-    for rtt in (900.0, 150.0):
-        with pytest.raises(TypeError) as raised:
-            run_one(rtt, StallPolicy(), [7], 50.0)
-        assert str(raised.value) == str(expected.value)
+    handed to random.Random, jittered or not, so a seed it refuses raises
+    what the full simulation raises."""
+    def raised(run, *args):
+        with pytest.raises(Exception) as info:
+            run(*args)
+        return type(info.value), str(info.value)
+
+    assert raised(run_one, rtt, stall, [7], jitter) == \
+        raised(simulated, rtt, stall, [7], jitter, 300.0, demo_profile())
 
 
 def test_a_draw_of_zero_where_the_jitter_span_overflows_decides_nothing(monkeypatch):

@@ -1,12 +1,13 @@
 """The process-wide memos in simlink, each with the benchmark op it serves.
 
 A memo keeps results for the whole process, so it has to pay for itself
-on an op the benchmark runs. These tests pin the set: every
-``functools.lru_cache`` defined in a simlink module, and every
-module-level container that the benchmark's ops fill. Adding a memo or
-dropping one is a change to the lists below, recorded in CHANGES.md
-with the op that hits it, as ``tests/test_bench_names.py`` does for the
-benchmark's span names.
+on an op the benchmark runs; where a lookup costs that op about what a
+build does, the result is built per call (``apdu.classify_status``).
+These tests pin the set: every ``functools.lru_cache`` defined in a
+simlink module, and every module-level container that the benchmark's
+ops fill. Adding a memo or dropping one is a change to the lists below,
+recorded in CHANGES.md with the op that hits it, as
+``tests/test_bench_names.py`` does for the benchmark's span names.
 """
 
 import importlib
@@ -30,8 +31,6 @@ LRU_CACHES = {
 }
 
 DICT_MEMOS = {
-    # probe-session: 15 lookups per op, one per classified status word.
-    "simlink.apdu._STATUS_CLASSES",
     # lab-sweep: 20 lookups per op, one per session's recorded walk.
     "simlink.lab._walks",
 }

@@ -511,3 +511,32 @@ class TestStatusPollPeriod:
         assert report.failure is None
         # 3 exchanges of 10 ms plus 2 inter-poll idles of 50 ms.
         assert link.now_ms == pytest.approx(130.0)
+
+
+class TestPhaseRepetition:
+    """Every phase runs ``count`` times with ``period_ms`` between runs."""
+
+    # Exchanges one run of each phase makes in the default script's place;
+    # proactive_fetch drains the card's one command on its first run.
+    EXCHANGES_PER_RUN = {"reset": 0, "read_iccid": 2, "select_usim": 1,
+                         "read_imsi": 2, "authenticate": 1, "status_poll": 1,
+                         "proactive_fetch": 0}
+
+    @pytest.mark.parametrize("name", sorted(EXCHANGES_PER_RUN))
+    def test_count_and_period_take_effect_on_every_phase(self, name):
+        assert {phase.name for phase in DEFAULT_SCRIPT} == set(self.EXCHANGES_PER_RUN)
+        count = next(p.count for p in DEFAULT_SCRIPT if p.name == name) + 2
+        script = [Phase(name, count, 40.0) if phase.name == name else phase
+                  for phase in DEFAULT_SCRIPT]
+        base_link = VirtualLink(Card(demo_profile()), 10.0)
+        base = verified_modem().run(base_link)
+        link = VirtualLink(Card(demo_profile()), 10.0)
+        report = verified_modem(script=script).run(link)
+        assert report.failure is None and report.aka_ok is True
+        assert report.completed_phases == base.completed_phases
+        extra = 2 * self.EXCHANGES_PER_RUN[name]
+        assert report.exchanges == base.exchanges + extra
+        # 10 ms per extra exchange, and a 40 ms pause before every run
+        # but the first.
+        assert link.now_ms == pytest.approx(
+            base_link.now_ms + 10.0 * extra + (count - 1) * 40.0)
