@@ -1,12 +1,13 @@
 """A virtual modem that drives a full SIM session over any link.
 
-The modem owns the T=0 work-waiting budget: if no procedure byte or
-status arrives within ``waiting_time_ms`` of the previous NULL or
-transfer, the session aborts with TimeoutExpired. Links report each
-exchange as a :class:`Timing`: when it started, how long the reply took
-and the NULL cadence the front-end kept meanwhile. The modem checks the
-longest silence that implies and replays the exchange through the
-procedure-byte machine, as the front-end would feed a hardware modem.
+The session does no I/O: only :meth:`ModemSim.run` calls a link. The
+modem owns the T=0 work-waiting budget: if no procedure byte or status
+arrives within ``waiting_time_ms`` of the previous NULL or transfer, the
+session aborts with TimeoutExpired. Links report each exchange as a
+:class:`Timing`: when it started, how long the reply took and the NULL
+cadence the front-end kept meanwhile. The modem checks the longest
+silence that implies and replays the exchange through the procedure-byte
+machine, as the front-end would feed a hardware modem.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Generator, List, NamedTuple, Optional, Sequence
 
 from . import tlv
 from .apdu import (
@@ -70,6 +71,16 @@ STATUS = CommandApdu(0x00, INS_STATUS, 0x00, 0x00)
 _OK = StatusKind.OK
 _WRONG_LE = StatusKind.WRONG_LE
 _PROACTIVE_PENDING = StatusKind.PROACTIVE_PENDING
+
+
+class Idle(NamedTuple):
+    """Request: pause ``ms`` of link time between two runs of a phase."""
+
+    ms: float
+
+
+# Request: reset the card. The session compares requests by identity.
+RESET = "RESET"
 
 
 class Timing(NamedTuple):
@@ -133,7 +144,7 @@ def script_from_json(text: str) -> dict:
     out = dict(doc)
     if "phases" in doc:
         out["phases"] = [
-            Phase(p["name"], count=int(p.get("count", 1)),
+            Phase(p["name"], count=p.get("count", 1),
                   period_ms=float(p.get("period_ms", 0.0)))
             for p in doc["phases"]
         ]
@@ -177,9 +188,12 @@ class ModemSim:
 
     Each phase runs ``count`` times, ``period_ms`` apart. A link provides
     ``reset() -> (atr_bytes, Timing)``, ``exchange(cmd) -> (ResponseApdu,
-    Timing)`` and ``idle(ms)`` for those pauses. A ``SimlinkError`` from
-    the link or the card's answers ends the session with its ``failure``;
-    any other exception is a programming error and propagates.
+    Timing)`` and ``idle(ms)`` for those pauses. :meth:`steps` yields each
+    request, :data:`RESET`, a ``CommandApdu`` or an :class:`Idle`, is sent
+    back what the link answered and returns the :class:`SessionReport`;
+    :meth:`run` drives it. A ``SimlinkError`` from the link (thrown in at
+    its request) or the card's answers ends the session with its
+    ``failure``; any other exception is a programming error and propagates.
     """
 
     def __init__(
@@ -199,12 +213,13 @@ class ModemSim:
             for phase in self.script:
                 if phase.name not in _SessionRun.PHASES:
                     raise ValueError(f"unknown phase {phase.name!r}")
-                if phase.count < 1 or not (math.isfinite(phase.period_ms)
-                                           and phase.period_ms >= 0):
+                count, period = phase.count, phase.period_ms
+                if not (type(count) is int and count >= 1
+                        and math.isfinite(period) and period >= 0):
                     raise ValueError(
                         f"phase {phase.name!r}: count must be at least 1 and "
                         "period_ms a finite number >= 0, not "
-                        f"{phase.count} and {phase.period_ms}")
+                        f"{count!r} and {period}")
         self.waiting_time_ms = waiting_time_ms
         self.verify_aka = verify_aka
         self.k = k
@@ -215,9 +230,30 @@ class ModemSim:
 
     # -- public -----------------------------------------------------------
 
+    def steps(self, tracer: Optional[Tracer] = None) -> Generator:
+        """One session as a generator of link requests (see the class)."""
+        return _SessionRun(self, tracer).run()
+
     def run(self, link, tracer: Optional[Tracer] = None) -> SessionReport:
-        runner = _SessionRun(self, link, tracer)
-        return runner.run()
+        """Run one session against ``link``: the only code that calls it."""
+        session = self.steps(tracer)
+        send = resume = session.send
+        reply = None
+        while True:
+            try:
+                request = resume(reply)
+            except StopIteration as done:
+                return done.value
+            resume = send
+            try:
+                if request.__class__ is CommandApdu:
+                    reply = link.exchange(request)
+                elif request is RESET:
+                    reply = link.reset()
+                else:
+                    reply = link.idle(request.ms)
+            except SimlinkError as exc:
+                resume, reply = session.throw, exc
 
 
 def _misread(byte: int, got: StepResult, expected: StepKind) -> ProtocolViolation:
@@ -228,11 +264,10 @@ def _misread(byte: int, got: StepResult, expected: StepKind) -> ProtocolViolatio
 
 
 class _SessionRun:
-    """State for one session execution."""
+    """State for one session execution; :meth:`run` is its generator."""
 
-    def __init__(self, modem: ModemSim, link, tracer: Optional[Tracer]):
+    def __init__(self, modem: ModemSim, tracer: Optional[Tracer]):
         self.m = modem
-        self.link = link
         self.tracer = tracer
         self.rng = random.Random(modem.seed)
         self.report = SessionReport()
@@ -251,8 +286,8 @@ class _SessionRun:
                 handler = self.PHASES[phase.name]
                 for run in range(phase.count):
                     if run and phase.period_ms:
-                        self.link.idle(phase.period_ms)
-                    handler(self, phase)
+                        yield Idle(phase.period_ms)
+                    yield from handler(self, phase)
                 self.report.completed_phases.append(phase.name)
         except SimlinkError as exc:  # link/protocol failures abort the session
             kind = type(exc).__name__
@@ -312,7 +347,7 @@ class _SessionRun:
         """Send ``cmd``, retrying once with the corrected le on a wrong-Le
         answer. With ``what`` set, a final answer other than 90 00 or
         91 xx is a ``BadStatus`` naming it."""
-        resp, timing = self.link.exchange(cmd)
+        resp, timing = yield cmd
         self._walk_procedure(cmd, resp, self._note_timing(timing))
         if self.tracer is not None:
             base = self.t0 or 0.0
@@ -328,7 +363,8 @@ class _SessionRun:
         elif kind is _WRONG_LE and retry_wrong_le:
             corrected = CommandApdu(cmd.cla, cmd.ins, cmd.p1, cmd.p2,
                                     data=cmd.data, le=status.value or 256)
-            return self._exchange(corrected, what, retry_wrong_le=False)
+            return (yield from self._exchange(corrected, what,
+                                              retry_wrong_le=False))
         if what is not None and not self._succeeded():
             raise ProtocolViolation(
                 "BadStatus", f"{what} answered {resp.sw1:02X}{resp.sw2:02X}")
@@ -342,27 +378,27 @@ class _SessionRun:
     # -- phases ---------------------------------------------------------------
 
     def _phase_reset(self, phase: Phase):
-        atr_bytes, timing = self.link.reset()
+        atr_bytes, timing = yield RESET
         self._note_timing(timing)
         if not atr_bytes:
             raise ProtocolViolation("EmptyAtr", "the reset answered no ATR")
 
     def _phase_read_iccid(self, phase: Phase):
-        self._exchange(SELECT_EF_ICCID, "SELECT EF_ICCID")
-        resp = self._exchange(READ_EF_ICCID, "READ BINARY EF_ICCID")
+        yield from self._exchange(SELECT_EF_ICCID, "SELECT EF_ICCID")
+        resp = yield from self._exchange(READ_EF_ICCID, "READ BINARY EF_ICCID")
         self.report.iccid = decode_iccid(resp.data)
 
     def _phase_select_usim(self, phase: Phase):
-        self._exchange(SELECT_ADF_USIM, "SELECT ADF_USIM")
+        yield from self._exchange(SELECT_ADF_USIM, "SELECT ADF_USIM")
 
     def _phase_read_imsi(self, phase: Phase):
-        self._exchange(SELECT_EF_IMSI, "SELECT EF_IMSI")
-        resp = self._exchange(READ_EF_IMSI, "READ BINARY EF_IMSI")
+        yield from self._exchange(SELECT_EF_IMSI, "SELECT EF_IMSI")
+        resp = yield from self._exchange(READ_EF_IMSI, "READ BINARY EF_IMSI")
         self.report.imsi = decode_imsi(resp.data)
 
     def _phase_authenticate(self, phase: Phase):
         rand = bytes([self.rng.randrange(256) for _ in range(16)])
-        resp = self._exchange(
+        resp = yield from self._exchange(
             CommandApdu(0x00, INS_AUTHENTICATE, 0x00, 0x81, data=rand, le=56))
         if not self._succeeded():
             raise AuthFailed(f"status {resp.sw1:02X}{resp.sw2:02X}")
@@ -375,7 +411,7 @@ class _SessionRun:
         self.aka_verified = True
 
     def _phase_status_poll(self, phase: Phase):
-        self._exchange(STATUS, "STATUS")
+        yield from self._exchange(STATUS, "STATUS")
 
     def _phase_proactive_fetch(self, phase: Phase):
         # Drain whatever the card announced; each fetched command gets a
@@ -383,7 +419,7 @@ class _SessionRun:
         rounds = PROACTIVE_FETCH_ROUNDS
         while self.pending_proactive and rounds:
             rounds -= 1
-            fetched = self._exchange(
+            fetched = yield from self._exchange(
                 CommandApdu(0x80, INS_FETCH, 0x00, 0x00, le=self.pending_proactive),
                 "FETCH")
             info = tlv.parse_proactive(fetched.data)
@@ -393,7 +429,7 @@ class _SessionRun:
                     f"FETCH answered {len(fetched.data)} octets that are not "
                     "a proactive command")
             body = tlv.encode_terminal_response(info)
-            self._exchange(
+            yield from self._exchange(
                 CommandApdu(0x80, INS_TERMINAL_RESPONSE, 0x00, 0x00, data=body),
                 "TERMINAL RESPONSE")
         if self.pending_proactive:

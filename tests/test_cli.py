@@ -330,10 +330,11 @@ class TestProbe:
 
     @pytest.mark.parametrize("phase, detail", [
         ('"count": -3', "not -3 and 0.0"),
+        ('"count": 2.7', "not 2.7 and 0.0"),
         ('"period_ms": -5', "not 1 and -5.0"),
         ('"period_ms": NaN', "not 1 and nan"),
         ('"period_ms": Infinity', "not 1 and inf"),
-    ], ids=["count-3", "period-5", "period-nan", "period-inf"])
+    ], ids=["count-3", "count2.7", "period-5", "period-nan", "period-inf"])
     def test_bad_script_phase_is_config_error_before_any_request(
             self, capsys, monkeypatch, tmp_path, broker_server, phase, detail):
         monkeypatch.setenv("SIMLINK_TOKEN", TOKEN)

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from simlink.apdu import INS_AUTHENTICATE, INS_FETCH, INS_READ_BINARY, ResponseApdu
+from simlink.apdu import (
+    INS_AUTHENTICATE,
+    INS_FETCH,
+    INS_READ_BINARY,
+    CommandApdu,
+    ResponseApdu,
+)
 from simlink.lab import (
     StallPolicy,
     SweepRow,
@@ -19,11 +25,14 @@ from simlink.lab import (
 from simlink.modem import (
     DEFAULT_SCRIPT,
     PROACTIVE_FETCH_ROUNDS,
+    RESET,
+    Idle,
     ModemSim,
     Phase,
     Timing,
     _SessionRun,
 )
+from simlink.relay import LinkClosed
 from simlink.tracer import Tracer, detect_silent_sms
 from simlink.vsim import Card, demo_profile
 
@@ -329,7 +338,10 @@ class TestScript:
         (Phase("status_poll", 2, -5.0), "not 2 and -5.0"),
         (Phase("status_poll", 2, math.nan), "not 2 and nan"),
         (Phase("status_poll", 2, math.inf), "not 2 and inf"),
-    ], ids=["count-3", "count0", "period-5", "period-nan", "period-inf"])
+        (Phase("status_poll", count=2.5), "not 2.5 and 0.0"),
+        (Phase("status_poll", count=True), "not True and 0.0"),
+    ], ids=["count-3", "count0", "period-5", "period-nan", "period-inf",
+            "count2.5", "count-bool"])
     def test_bad_count_or_period_is_refused_before_any_exchange(
             self, phase, detail):
         with pytest.raises(ValueError, match="phase 'status_poll': count must "
@@ -540,3 +552,90 @@ class TestPhaseRepetition:
         # but the first.
         assert link.now_ms == pytest.approx(
             base_link.now_ms + 10.0 * extra + (count - 1) * 40.0)
+
+
+def drive(session, card):
+    """Answer a session generator's requests straight from ``card``, with
+    no link; return the requests in order and the report."""
+    requests, reply = [], None
+    try:
+        while True:
+            request = session.send(reply)
+            requests.append(request)
+            if request is RESET:
+                reply = card.reset(), Timing(0.0)
+            elif isinstance(request, Idle):
+                reply = None
+            else:
+                reply = card.process(request), Timing(0.0)
+    except StopIteration as done:
+        return requests, done.value
+
+
+class TestSessionGenerator:
+    """``ModemSim.steps`` driven by hand, with no link."""
+
+    def test_the_demo_script_asks_for_a_reset_then_13_commands(self):
+        profile = demo_profile()
+        requests, report = drive(verified_modem(profile).steps(), Card(profile))
+        assert requests[0] is RESET
+        assert all(isinstance(cmd, CommandApdu) for cmd in requests[1:])
+        assert [cmd.ins for cmd in requests[1:]] == [
+            0xA4, 0xB0, 0xA4, 0xA4, 0xB0, 0x88, 0x88,
+            0xF2, 0xF2, 0xF2, 0xF2, 0x12, 0x14]
+        assert report == verified_modem(profile).run(zero_delay_link(profile))
+        assert report.failure is None
+
+    def test_a_period_is_one_idle_between_each_pair_of_runs(self):
+        modem = ModemSim(script=[Phase("reset"),
+                                 Phase("status_poll", count=3, period_ms=7)])
+        requests, report = drive(modem.steps(), Card(demo_profile()))
+        assert len(requests) == 6 and requests[0] is RESET
+        assert [cmd.ins for cmd in requests[1::2]] == [0xF2, 0xF2, 0xF2]
+        assert requests[2::2] == [Idle(7.0), Idle(7.0)]
+        assert report.failure is None and report.exchanges == 3
+
+
+class CutLink(VirtualLink):
+    """Raises LinkClosed on its call number ``cut_at`` (from 0), counting
+    resets and exchanges alike."""
+
+    def __init__(self, card, cut_at):
+        super().__init__(card, 0.0)
+        self.cut_at = cut_at
+        self.calls = 0
+
+    def _call(self):
+        if self.calls == self.cut_at:
+            raise LinkClosed("cut")
+        self.calls += 1
+
+    def reset(self):
+        self._call()
+        return super().reset()
+
+    def exchange(self, cmd):
+        self._call()
+        return super().exchange(cmd)
+
+
+class TestLinkFailureAtEveryRequest:
+    # The demo session's link calls, phase by phase, in order.
+    CALLS_PER_PHASE = [("reset", 1), ("read_iccid", 2), ("select_usim", 1),
+                       ("read_imsi", 2), ("authenticate", 2),
+                       ("status_poll", 4), ("proactive_fetch", 2)]
+
+    @pytest.mark.parametrize("cut_at", range(14))
+    def test_the_session_ends_with_the_link_error(self, cut_at):
+        profile = demo_profile()
+        link = CutLink(Card(profile), cut_at)
+        report = verified_modem(profile).run(link)
+        assert report.failure == "LinkClosed(cut)"
+        assert report.failure_kind == "LinkClosed"
+        assert report.exchanges == max(cut_at - 1, 0)
+        finished, calls = [], 0
+        for name, count in self.CALLS_PER_PHASE:
+            calls += count
+            if calls <= cut_at:
+                finished.append(name)
+        assert report.completed_phases == finished
